@@ -3,7 +3,7 @@
 A symmetric dense autoencoder (768 -> 128 -> 10 -> 128 -> 768, ReLU on
 the hidden layers, linear elsewhere) trained unsupervised to minimize
 mean squared reconstruction error. After training only the encoder half
-is used by the feature pipeline.
+is used by the feature pipeline, through :meth:`Autoencoder.encode_batch`.
 """
 
 from __future__ import annotations
@@ -74,11 +74,8 @@ class Autoencoder:
         rng = np.random.default_rng(spec.seed)
         return cls(spec, nn.Model(_build_network(spec), rng=rng), trained=False)
 
-    def encode(self, vector: np.ndarray) -> np.ndarray:
-        """Map one 768-vector to its 10-component latent code."""
-        return self.encode_batch(np.asarray(vector, dtype=float)[None, :])[0]
-
     def encode_batch(self, vectors: np.ndarray) -> np.ndarray:
+        """Map an [n x 768] matrix to its [n x 10] latent codes."""
         if not self.trained:
             raise nn.StateError("autoencoder is untrained; train it before encoding")
         x = np.asarray(vectors, dtype=float)
@@ -162,6 +159,13 @@ def load_autoencoder(path: str | Path) -> Autoencoder:
 
 def autoencoder_from_dict(doc: dict) -> Autoencoder:
     model = nn.model_from_dict(doc, expected_kind="autoencoder")
+    layers = model.spec.layers
+    if model.spec.input_dim != INPUT_DIM:
+        raise nn.StateError(
+            f"autoencoder input width is {model.spec.input_dim}, expected {INPUT_DIM}"
+        )
+    if len(layers) < _ENCODER_END or layers[_ENCODER_END - 1].output_dim != LATENT_DIM:
+        raise nn.StateError(f"autoencoder latent width is not {LATENT_DIM}")
     meta = doc.get("autoencoder", {})
     spec = AutoencoderSpec(
         hidden_dim=meta.get("hidden_dim", 128),

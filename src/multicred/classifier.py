@@ -278,10 +278,3 @@ def write_history_csv(history: TrainHistory, path: str | Path) -> None:
         for epoch, (loss, acc, lr) in enumerate(rows):
             writer.writerow([epoch, repr(loss), repr(acc), repr(lr)])
 
-
-def save_classifier(model: nn.Model, path: str | Path) -> None:
-    nn.save_model(model, path, artifact_kind="classifier")
-
-
-def load_classifier(path: str | Path) -> nn.Model:
-    return nn.load_model(path, expected_kind="classifier")

@@ -5,7 +5,8 @@ plus the seeds in the run configuration. A JSON config file can supply
 any option; explicit flags win over file values. Logs go to stderr,
 results to stdout or ``--out``.
 
-Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
+Exit codes: 0 success, 1 validation/usage error, 2 I/O error or an
+invalid dataset entry.
 """
 
 from __future__ import annotations
@@ -194,13 +195,6 @@ def _cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _build_raw_vectors(records, embedder: EmbedderSpec, ae: ae_mod.Autoencoder):
-    vectors = []
-    for record in records:
-        vectors.append(feat_mod.build_user_vector(record, embedder, ae))
-    return vectors
-
-
 def _cmd_prepare(cfg: RunConfig) -> int:
     data_dir = _require_dir(cfg.data, "dataset directory")
     system = ClassificationSystem(cfg.classes)
@@ -211,24 +205,25 @@ def _cmd_prepare(cfg: RunConfig) -> int:
         raise DomainError("prepare needs a labeled dataset (labels.csv)")
     logger.info("loaded %d users from %s", len(records), data_dir)
 
-    tweet_vectors = []
-    for record in records:
-        for tweet in record.tweets:
-            tweet_vectors.append(embed_text(embedder, preprocess(tweet.text)))
-    if len(tweet_vectors) < 2:
+    # Draw the autoencoder corpus from tweet positions first, so only the
+    # sampled tweets are embedded here; the rest are embedded once, below.
+    texts = [tweet.text for record in records for tweet in record.tweets]
+    if len(texts) < 2:
         raise DomainError("dataset has fewer than 2 tweets; cannot train the autoencoder")
-    corpus = np.stack(tweet_vectors)
-    if corpus.shape[0] > cfg.ae_corpus_cap:
+    if cfg.ae_corpus_cap < 2:
+        raise DomainError(f"ae_corpus_cap must be at least 2, got {cfg.ae_corpus_cap}")
+    keep = range(len(texts))
+    if len(texts) > cfg.ae_corpus_cap:
         picker = np.random.default_rng(cfg.seed)
-        keep = picker.choice(corpus.shape[0], size=cfg.ae_corpus_cap, replace=False)
-        corpus = corpus[np.sort(keep)]
+        keep = np.sort(picker.choice(len(texts), size=cfg.ae_corpus_cap, replace=False))
+    corpus = np.stack([embed_text(embedder, preprocess(texts[i])) for i in keep])
     logger.info("training autoencoder on %d tweet embeddings", corpus.shape[0])
     ae, ae_history = ae_mod.train_autoencoder(corpus, ae_mod.AutoencoderSpec(
         epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size, seed=cfg.seed,
     ))
     logger.info("autoencoder loss %.6f -> %.6f", ae_history[0], ae_history[-1])
 
-    raw_vectors = _build_raw_vectors(records, embedder, ae)
+    raw_vectors = [feat_mod.build_user_vector(r, embedder, ae) for r in records]
     labels = [bin_score(r.score, system) for r in records]
     dataset = feat_mod.LabeledDataset(
         tuple(zip(raw_vectors, labels)), num_classes=system.num_classes
@@ -350,11 +345,21 @@ def _load_bundle(path: Path):
     if doc.get("artifact_kind") != BUNDLE_KIND:
         raise StateError(f"not a pipeline bundle: {doc.get('artifact_kind')!r}")
     model = nn.model_from_dict(doc["classifier"], expected_kind="classifier")
+    if doc["num_classes"] != model.spec.output_dim:
+        raise StateError(
+            f"bundle num_classes {doc['num_classes']!r} does not match the "
+            f"classifier's output width {model.spec.output_dim}"
+        )
     ae = ae_mod.autoencoder_from_dict(doc["autoencoder"])
-    stats = feat_mod.NormalizationStats(
-        minimum=np.asarray(doc["normalization"]["minimum"], dtype=float),
-        maximum=np.asarray(doc["normalization"]["maximum"], dtype=float),
-    )
+    bounds = {}
+    for key in ("minimum", "maximum"):
+        bounds[key] = np.asarray(doc["normalization"][key], dtype=float)
+        if bounds[key].shape != (feat_mod.NUM_SCALAR_FEATURES,):
+            raise StateError(
+                f"bundle normalization.{key} has shape {bounds[key].shape}, "
+                f"expected ({feat_mod.NUM_SCALAR_FEATURES},)"
+            )
+    stats = feat_mod.NormalizationStats(**bounds)
     embedder = EmbedderSpec(
         kind=doc["embedder"].get("kind", "hash"),
         endpoint=doc["embedder"].get("endpoint"),
@@ -384,11 +389,11 @@ def _cmd_predict(cfg: RunConfig) -> int:
     num_classes, model, ae, stats, embedder = _load_bundle(bundle_path)
 
     _, records = load_dataset(data_dir)
+    raw_vectors = [feat_mod.build_user_vector(r, embedder, ae) for r in records]
     rows = []
-    for record in records:
-        vec = feat_mod.build_user_vector(record, embedder, ae, stats=stats)
+    for vec in feat_mod.normalize_vectors(raw_vectors, stats):
         probs = clf_mod.predict(model, vec.values)
-        rows.append([record.user_id] + [repr(float(p)) for p in probs]
+        rows.append([vec.user_id] + [repr(float(p)) for p in probs]
                     + [int(probs.argmax())])
 
     out = Path(cfg.out)

@@ -46,6 +46,7 @@ from .domain import (
     format_timestamp,
     newsguard_score,
     parse_timestamp,
+    validate_record,
 )
 from .embedding import default_lexicon
 
@@ -238,7 +239,8 @@ def load_dataset(root: str | Path) -> tuple[DatasetManifest, list[UserRecord]]:
     """Read a dataset directory into records, sorted by user_id.
 
     Missing tweet or comment files mean empty lists. Every malformed or
-    missing file is collected and raised together as one
+    missing file, and every record that fails :func:`validate_record`
+    after truncation, is collected and raised together as one
     :class:`DatasetLoadError` rather than dropping records silently.
     """
     root = Path(root)
@@ -278,18 +280,23 @@ def load_dataset(root: str | Path) -> tuple[DatasetManifest, list[UserRecord]]:
                     raise DomainError(f"user {user_id} missing from labels.csv")
                 score = labels[user_id]
 
-            records.append(UserRecord(
+            record = UserRecord(
                 user_id=user_id,
                 profile=profile,
                 tweets=tuple(tweets[:MAX_TWEETS_PER_USER]),
                 comments=tuple(comments[:MAX_COMMENTS_PER_USER]),
                 score=score,
-            ))
+            )
+            violations = validate_record(record)
+            if violations:
+                raise DomainError("invalid record: " + "; ".join(violations))
+            records.append(record)
         except (DomainError, KeyError, TypeError, ValueError) as exc:
             failures.append((user_id, str(exc)))
 
+    known_ids = set(user_ids)
     for labeled_id in labels:
-        if labeled_id not in set(user_ids):
+        if labeled_id not in known_ids:
             failures.append((labeled_id, "appears in labels.csv but has no profile file"))
 
     if failures:

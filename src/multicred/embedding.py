@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,30 +110,11 @@ def embed_text(spec: EmbedderSpec, clean: CleanText) -> np.ndarray:
     return _l2_normalize(accumulate_hash_embedding(clean, spec.hash_seed))
 
 
-def embed_texts(spec: EmbedderSpec, cleans: Sequence[CleanText]) -> np.ndarray:
-    """Embed several texts as one vector: summed accumulations, normalized.
-
-    Bigrams are formed within each text only, so the unnormalized result
-    is exactly the sum of the per-text accumulations.
-    """
-    if spec.kind == "remote":
-        raise ValueError("embed_texts pooling is only defined for the hash embedder")
-    total = np.zeros(EMBEDDING_DIM)
-    for clean in cleans:
-        total += accumulate_hash_embedding(clean, spec.hash_seed)
-    return _l2_normalize(total)
-
-
 @lru_cache(maxsize=None)
 def default_lexicon() -> dict[str, frozenset[str]]:
     """The shipped emotion→words lexicon."""
     raw = resources.files("multicred.data").joinpath("emotion_lexicon.json").read_text("utf-8")
     return _as_lexicon(json.loads(raw))
-
-
-def load_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
-    """Load an override lexicon: JSON object mapping emotion to word list."""
-    return _as_lexicon(json.loads(Path(path).read_text("utf-8")))
 
 
 def _as_lexicon(data: dict) -> dict[str, frozenset[str]]:
@@ -144,16 +124,13 @@ def _as_lexicon(data: dict) -> dict[str, frozenset[str]]:
     return {e: frozenset(w.lower() for w in data[e]) for e in EMOTIONS}
 
 
-def analyze_sentiment(
-    clean: CleanText, lexicon: Optional[dict[str, frozenset[str]]] = None
-) -> np.ndarray:
-    """Score one cleaned text against the six emotions.
+def analyze_sentiment(clean: CleanText) -> np.ndarray:
+    """Score one cleaned text against the six emotions of the shipped lexicon.
 
     Counts lexicon hits per emotion, applies add-one smoothing, and
     normalizes; an empty text therefore yields the uniform distribution.
     """
-    if lexicon is None:
-        lexicon = default_lexicon()
+    lexicon = default_lexicon()
     counts = np.array(
         [sum(1 for t in clean.tokens if t in lexicon[e]) for e in EMOTIONS], dtype=float
     )

@@ -213,15 +213,14 @@ def build_user_vector(
     record: UserRecord,
     embedder: EmbedderSpec,
     ae: Autoencoder,
-    stats: Optional[NormalizationStats] = None,
     sentiment: Callable[..., np.ndarray] = analyze_sentiment,
 ) -> UserFeatureVector:
-    """Assemble one user's 51-component vector.
+    """Assemble one user's raw 51-component vector.
 
     Users without tweets get zero tweet-scalar and latent blocks; users
     without comments get a zero sentiment block (no opinions is not the
-    same as neutral opinions). Both cases are flagged. When ``stats`` is
-    given, the 35 scalar components are min-max normalized with it.
+    same as neutral opinions). Both cases are flagged. The scalar block
+    is left raw; :func:`normalize_vectors` rescales it.
     """
     violations = validate_record(record)
     if violations:
@@ -258,9 +257,6 @@ def build_user_vector(
     values = np.concatenate([
         profile_scalars(record.profile), tweet_block, latent_block, sentiment_block,
     ])
-    if stats is not None:
-        values = values.copy()
-        values[:NUM_SCALAR_FEATURES] = apply_minmax(stats, values[:NUM_SCALAR_FEATURES])
     return UserFeatureVector(
         user_id=record.user_id, values=values, flags=frozenset(flags)
     )
@@ -275,7 +271,7 @@ def fit_scalar_stats(vectors: Sequence[UserFeatureVector]) -> NormalizationStats
 def normalize_vectors(
     vectors: Sequence[UserFeatureVector], stats: NormalizationStats
 ) -> list[UserFeatureVector]:
-    """Apply fitted scalar stats to already-built raw vectors."""
+    """Min-max normalize the 35 scalar components of raw vectors with ``stats``."""
     out = []
     for v in vectors:
         values = v.values.copy()

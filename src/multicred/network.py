@@ -18,9 +18,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -564,12 +562,3 @@ def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:
     model.inference_mode()
     return model
 
-
-def save_model(model: Model, path: str | Path, artifact_kind: str) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model, artifact_kind), sort_keys=True), "utf-8"
-    )
-
-
-def load_model(path: str | Path, expected_kind: Optional[str] = None) -> Model:
-    return model_from_dict(json.loads(Path(path).read_text("utf-8")), expected_kind)

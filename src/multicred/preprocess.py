@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,6 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(w for w in text.splitlines() if w and not w.startswith("#"))
 
 
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Load an override stopword list: one lowercase word per line, UTF-8."""
-    raw = Path(path).read_bytes().decode("utf-8", errors="replace")
-    return frozenset(w.strip() for w in raw.splitlines() if w.strip())
-
-
 def _is_url(token: str) -> bool:
     return token.startswith(("http://", "https://", "www."))
 
@@ -54,7 +47,7 @@ def _is_punctuation_only(token: str) -> bool:
     return not any(ch.isalnum() for ch in token)
 
 
-def preprocess(text: str | bytes, stopwords: Optional[frozenset[str]] = None) -> CleanText:
+def preprocess(text: str | bytes) -> CleanText:
     """Clean raw text into a :class:`CleanText`.
 
     Empty input is fine and yields an empty token list. Byte input with
@@ -62,8 +55,7 @@ def preprocess(text: str | bytes, stopwords: Optional[frozenset[str]] = None) ->
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    if stopwords is None:
-        stopwords = default_stopwords()
+    stopwords = default_stopwords()
 
     kept = []
     for token in text.lower().split():

@@ -39,23 +39,23 @@ class TestSpec:
 class TestEncode:
     def test_latent_has_ten_components(self, trained):
         ae, _ = trained
-        latent = ae.encode(np.ones(768))
-        assert latent.shape == (10,)
+        latent = ae.encode_batch(np.ones((3, 768)))
+        assert latent.shape == (3, 10)
 
     def test_deterministic(self, trained):
         ae, _ = trained
-        x = np.random.default_rng(2).normal(size=768)
-        np.testing.assert_array_equal(ae.encode(x), ae.encode(x))
+        x = np.random.default_rng(2).normal(size=(2, 768))
+        np.testing.assert_array_equal(ae.encode_batch(x), ae.encode_batch(x))
 
     def test_wrong_width_is_shape_error(self, trained):
         ae, _ = trained
         with pytest.raises(nn.ShapeError):
-            ae.encode(np.ones(767))
+            ae.encode_batch(np.ones((1, 767)))
 
     def test_untrained_refuses_to_encode(self):
         ae = Autoencoder.initialize(AutoencoderSpec())
         with pytest.raises(nn.StateError, match="untrained"):
-            ae.encode(np.ones(768))
+            ae.encode_batch(np.ones((1, 768)))
 
     def test_decode_restores_dimension(self, trained, small_corpus):
         ae, _ = trained

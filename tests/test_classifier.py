@@ -6,11 +6,9 @@ from multicred.classifier import (
     TrainConfig,
     build_multicred,
     evaluate,
-    load_classifier,
     metrics_from_predictions,
     predict,
     predict_batch,
-    save_classifier,
     train,
     write_history_csv,
 )
@@ -295,11 +293,3 @@ class TestArtifacts:
         lines = path.read_text("utf-8").strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_accuracy,lr"
         assert len(lines) == history.epochs_run + 1
-
-    def test_classifier_save_load(self, tmp_path):
-        model = build_multicred(4, seed=1).inference_mode()
-        x = np.random.default_rng(8).normal(size=(3, NUM_FEATURES))
-        expected = predict_batch(model, x)
-        save_classifier(model, tmp_path / "clf.json")
-        loaded = load_classifier(tmp_path / "clf.json")
-        np.testing.assert_array_equal(predict_batch(loaded, x), expected)

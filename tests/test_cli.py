@@ -1,11 +1,19 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from multicred import cli
+from multicred import features as feat_mod
+from multicred import network as nn
 from multicred.cli import run
+from multicred.dataset import load_dataset
+from multicred.embedding import EmbedderSpec, embed_text
+from multicred.preprocess import preprocess
 
 
 def tree_digest(root: Path) -> str:
@@ -65,12 +73,108 @@ class TestPrepare:
     def test_unlabeled_data_is_validation_error(self, tmp_path, pipeline):
         data = pipeline / "data"
         unlabeled = tmp_path / "unlabeled"
-        import shutil
         shutil.copytree(data, unlabeled)
         (unlabeled / "labels.csv").unlink()
         code = run(["prepare", "--data", str(unlabeled), "--out", str(tmp_path / "p")]
                    + FAST_PREPARE)
         assert code == 1
+
+    def test_invalid_records_all_named_before_training(self, tmp_path, pipeline,
+                                                       monkeypatch, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        for user_id in ("user00003", "user00011"):
+            path = data / "tweets" / f"{user_id}.json"
+            tweets = json.loads(path.read_text("utf-8"))
+            tweets[0]["retweet_count"] = -1
+            path.write_text(json.dumps(tweets), "utf-8")
+        monkeypatch.setattr(cli.ae_mod, "train_autoencoder",
+                            lambda *a, **k: pytest.fail("trained on an invalid dataset"))
+        code = run(["prepare", "--data", str(data), "--out", str(tmp_path / "p")]
+                   + FAST_PREPARE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "user00003" in err and "user00011" in err
+
+    def test_corpus_cap_below_two_is_validation_error(self, tmp_path, pipeline, capsys):
+        code = run(["prepare", "--data", str(pipeline / "data"), "--out", str(tmp_path / "p"),
+                    "--ae-corpus-cap", "0"])
+        assert code == 1
+        assert "ae_corpus_cap" in capsys.readouterr().err
+
+    def test_each_tweet_embedded_once_plus_corpus_sample(self, tmp_path, pipeline,
+                                                         monkeypatch):
+        calls = []
+
+        def counting(spec, clean):
+            calls.append(clean)
+            return embed_text(spec, clean)
+
+        monkeypatch.setattr(cli, "embed_text", counting)
+        monkeypatch.setattr(feat_mod, "embed_text", counting)
+        assert run(["prepare", "--data", str(pipeline / "data"),
+                    "--out", str(tmp_path / "p")] + FAST_PREPARE) == 0
+        tweets, cap = 60 * 4, 120
+        assert len(calls) == tweets + cap
+
+    @pytest.mark.parametrize("cap", [120, 240, 1000])
+    def test_corpus_is_the_seeded_sample_of_all_tweets(self, tmp_path, pipeline,
+                                                       monkeypatch, cap):
+        class Captured(Exception):
+            pass
+
+        def capture(corpus, spec):
+            raise Captured(corpus)
+
+        monkeypatch.setattr(cli.ae_mod, "train_autoencoder", capture)
+        args = ["prepare", "--data", str(pipeline / "data"), "--out", str(tmp_path / "p"),
+                "--classes", "4", "--seed", "7", "--ae-corpus-cap", str(cap)]
+        with pytest.raises(Captured) as got:
+            run(args)
+
+        _, records = load_dataset(pipeline / "data")
+        spec = EmbedderSpec(hash_seed=0)
+        full = np.stack([embed_text(spec, preprocess(t.text))
+                         for r in records for t in r.tweets])
+        if cap < full.shape[0]:
+            keep = np.random.default_rng(7).choice(full.shape[0], size=cap, replace=False)
+            full = full[np.sort(keep)]
+        np.testing.assert_array_equal(got.value.args[0], full)
+
+
+def _autoencoder_doc(input_dim, latent_dim, meta):
+    net = nn.NetworkSpec((
+        nn.dense(input_dim, 128), nn.relu(128), nn.dense(128, latent_dim),
+        nn.dense(latent_dim, 128), nn.relu(128), nn.dense(128, input_dim),
+    ))
+    doc = nn.model_to_dict(nn.Model(net, rng=np.random.default_rng(0)), "autoencoder")
+    doc["autoencoder"] = meta
+    return doc
+
+
+class TestBundleCrossCheck:
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda b: b.update(num_classes=6), "num_classes"),
+        (lambda b: b["normalization"]["minimum"].pop(), "normalization.minimum"),
+        (lambda b: b["normalization"]["maximum"].append(1.0), "normalization.maximum"),
+        (lambda b: b.update(
+            autoencoder=_autoencoder_doc(700, 10, b["autoencoder"]["autoencoder"])),
+         "autoencoder input width"),
+        (lambda b: b.update(
+            autoencoder=_autoencoder_doc(768, 12, b["autoencoder"]["autoencoder"])),
+         "autoencoder latent width"),
+    ])
+    def test_mismatched_bundle_rejected_by_name(self, pipeline, tmp_path, capsys,
+                                                tamper, named):
+        bundle = json.loads((pipeline / "model.json").read_text("utf-8"))
+        tamper(bundle)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(bundle), "utf-8")
+        code = run(["predict", "--model", str(model), "--input", str(pipeline / "data"),
+                    "--out", str(tmp_path / "preds.csv")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "preds.csv").exists()
 
 
 class TestTrainEvaluate:

@@ -104,6 +104,19 @@ class TestLoad:
             load_dataset(tmp_path)
         assert len(err.value.failures) == 2
 
+    def test_invalid_records_all_named(self, tmp_path):
+        write_fixture(tmp_path, user_ids=("u1", "u2", "u3"))
+        (tmp_path / "tweets" / "u1.json").write_text(
+            json.dumps([TWEET, dict(TWEET, retweet_count=-4)]), "utf-8")
+        (tmp_path / "labels.csv").write_text(
+            "user_id,score\nu1,62.5\nu2,62.5\nu3,130\n", "utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            load_dataset(tmp_path)
+        assert err.value.failures == [
+            ("u1", "invalid record: tweets[1].retweet_count negative"),
+            ("u3", "invalid record: score out of [0,100]"),
+        ]
+
     def test_unlabeled_dataset_loads(self, tmp_path):
         write_fixture(tmp_path, with_labels=False)
         manifest, records = load_dataset(tmp_path)

@@ -17,7 +17,6 @@ from multicred.embedding import (
     analyze_sentiment,
     default_lexicon,
     embed_text,
-    embed_texts,
     remote_embed_batch,
 )
 from multicred.preprocess import CleanText, preprocess
@@ -116,9 +115,14 @@ class TestHashEmbedder:
         summed = sum(accumulate_hash_embedding(c, 7) for c in cleans)
         pooled_parts = [accumulate_hash_embedding(c, 7) for c in cleans]
         np.testing.assert_allclose(sum(pooled_parts), summed, atol=0)
-        pooled = embed_texts(EmbedderSpec(hash_seed=7), cleans)
-        norm = np.linalg.norm(summed)
-        np.testing.assert_allclose(pooled, summed / norm, atol=1e-12)
+        # Joining the texts adds exactly one bigram per boundary between them.
+        acc = lambda *tokens: accumulate_hash_embedding(CleanText.from_tokens(tokens), 7)
+        bridges = sum(
+            acc(a.tokens[-1], b.tokens[0]) - acc(a.tokens[-1]) - acc(b.tokens[0])
+            for a, b in zip(cleans, cleans[1:])
+        )
+        joined = CleanText.from_tokens(t for c in cleans for t in c.tokens)
+        np.testing.assert_array_equal(accumulate_hash_embedding(joined, 7), summed + bridges)
 
     def test_bigrams_contribute(self, hash_embedder):
         # Same unigram multiset, different order: bigrams must differ.

@@ -154,22 +154,12 @@ class TestBuildUserVector:
         records = [make_record(user_id=f"u{i}", n_tweets=2 + i) for i in range(4)]
         raw = [build_user_vector(r, hash_embedder, tiny_autoencoder) for r in records]
         stats = fit_scalar_stats(raw)
-        normalized = build_user_vector(records[0], hash_embedder, tiny_autoencoder,
-                                       stats=stats)
+        normalized = normalize_vectors(raw, stats)[0]
         scalars = normalized.values[:NUM_SCALAR_FEATURES]
         assert scalars.min() >= 0.0 and scalars.max() <= 1.0
         np.testing.assert_array_equal(
             normalized.values[NUM_SCALAR_FEATURES:], raw[0].values[NUM_SCALAR_FEATURES:]
         )
-
-    def test_normalize_vectors_matches_inline_stats(self, hash_embedder, tiny_autoencoder):
-        records = [make_record(user_id=f"u{i}", n_tweets=1 + i) for i in range(3)]
-        raw = [build_user_vector(r, hash_embedder, tiny_autoencoder) for r in records]
-        stats = fit_scalar_stats(raw)
-        via_helper = normalize_vectors(raw, stats)
-        for record, helper_vec in zip(records, via_helper):
-            inline = build_user_vector(record, hash_embedder, tiny_autoencoder, stats=stats)
-            np.testing.assert_allclose(helper_vec.values, inline.values, atol=1e-12)
 
     def test_wrong_width_vector_rejected(self):
         with pytest.raises(ShapeError):

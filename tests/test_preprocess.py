@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicred.preprocess import CleanText, default_stopwords, load_stopwords, preprocess
+from multicred.preprocess import CleanText, default_stopwords, preprocess
 
 
 class TestRules:
@@ -31,12 +31,6 @@ class TestRules:
 
     def test_uppercase_url_scheme_still_stripped(self):
         assert preprocess("HTTP://LOUD.example").tokens == ()
-
-    def test_custom_stopword_list(self, tmp_path):
-        path = tmp_path / "stops.txt"
-        path.write_text("breaking\n", "utf-8")
-        stops = load_stopwords(path)
-        assert preprocess("breaking story", stopwords=stops).tokens == ("story",)
 
 
 class TestShippedStopwords:
