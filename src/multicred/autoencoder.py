@@ -59,6 +59,7 @@ def _build_network(spec: AutoencoderSpec) -> nn.NetworkSpec:
 
 # Output of layers[ENCODER_END - 1] is the latent code.
 _ENCODER_END = 3
+_ENCODER_KINDS = ("dense", "relu", "dense")
 
 
 class Autoencoder:
@@ -75,7 +76,11 @@ class Autoencoder:
         return cls(spec, nn.Model(_build_network(spec), rng=rng), trained=False)
 
     def encode_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Map an [n x 768] matrix to its [n x 10] latent codes."""
+        """Map an [n x 768] matrix to its [n x 10] latent codes.
+
+        Runs the encoder layers only, with the arithmetic of
+        :func:`network.forward`, so the codes equal its layer-2 outputs.
+        """
         if not self.trained:
             raise nn.StateError("autoencoder is untrained; train it before encoding")
         x = np.asarray(vectors, dtype=float)
@@ -83,8 +88,12 @@ class Autoencoder:
             raise nn.ShapeError(
                 f"expected [n x {self.spec.input_dim}] input, got {x.shape}"
             )
-        self.model.inference_mode()
-        return nn.forward(self.model, x).layer_outputs[_ENCODER_END - 1]
+        for layer, params in zip(self.model.spec.layers[:_ENCODER_END], self.model.params):
+            if layer.kind == "relu":
+                x = np.maximum(x, 0.0)
+            else:
+                x = x @ params["weight"] + params["bias"]
+        return x
 
     def reconstruct(self, vectors: np.ndarray) -> np.ndarray:
         x = np.asarray(vectors, dtype=float)
@@ -164,7 +173,9 @@ def autoencoder_from_dict(doc: dict) -> Autoencoder:
         raise nn.StateError(
             f"autoencoder input width is {model.spec.input_dim}, expected {INPUT_DIM}"
         )
-    if len(layers) < _ENCODER_END or layers[_ENCODER_END - 1].output_dim != LATENT_DIM:
+    if tuple(layer.kind for layer in layers[:_ENCODER_END]) != _ENCODER_KINDS:
+        raise nn.StateError(f"autoencoder encoder layers are not {', '.join(_ENCODER_KINDS)}")
+    if layers[_ENCODER_END - 1].output_dim != LATENT_DIM:
         raise nn.StateError(f"autoencoder latent width is not {LATENT_DIM}")
     meta = doc.get("autoencoder", {})
     spec = AutoencoderSpec(

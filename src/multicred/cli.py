@@ -87,50 +87,71 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 }
 
 
+# Each command's flags, dest -> (type, help); a config file may set exactly
+# these keys, with values of the flag's type.
+_FLAGS: dict[str, dict[str, tuple[type, str | None]]] = {
+    "generate": {
+        "out": (str, "dataset directory to create"),
+        "users": (int, None), "classes": (int, None), "seed": (int, None),
+        "tweets_per_user": (int, None), "comments_per_user": (int, None),
+        "separation": (float, None),
+    },
+    "prepare": {
+        "data": (str, "labeled dataset directory"),
+        "out": (str, "directory for prepared artifacts"),
+        "classes": (int, None), "seed": (int, None), "smote_k": (int, None),
+        "embed_seed": (int, None), "ae_epochs": (int, None),
+        "ae_batch_size": (int, None), "ae_corpus_cap": (int, None),
+    },
+    "train": {
+        "prepared": (str, "directory written by prepare"),
+        "out": (str, "path for the model bundle JSON"),
+        "seed": (int, None), "max_epochs": (int, None), "patience": (int, None),
+        "batch_size": (int, None),
+    },
+    "evaluate": {
+        "model": (str, "model bundle JSON"),
+        "prepared": (str, "directory written by prepare"),
+        "out": (str, "also write the report JSON here"),
+    },
+    "predict": {
+        "model": (str, "model bundle JSON"),
+        "input": (str, "dataset directory (labels optional)"),
+        "out": (str, "predictions CSV path"),
+    },
+}
+
+_COMMAND_HELP = {
+    "generate": "write a labeled synthetic dataset",
+    "prepare": "features, autoencoder, stats, and splits",
+    "train": "train the classifier on prepared splits",
+    "evaluate": "score a trained model on the test split",
+    "predict": "per-user class probabilities for a dataset",
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="multicred", description=__doc__)
     parser.add_argument("--config", help="JSON file with option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="write a labeled synthetic dataset")
-    g.add_argument("--out", help="dataset directory to create")
-    g.add_argument("--users", type=int)
-    g.add_argument("--classes", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--tweets-per-user", type=int, dest="tweets_per_user")
-    g.add_argument("--comments-per-user", type=int, dest="comments_per_user")
-    g.add_argument("--separation", type=float)
-
-    p = sub.add_parser("prepare", help="features, autoencoder, stats, and splits")
-    p.add_argument("--data", help="labeled dataset directory")
-    p.add_argument("--out", help="directory for prepared artifacts")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--smote-k", type=int, dest="smote_k")
-    p.add_argument("--embed-seed", type=int, dest="embed_seed")
-    p.add_argument("--ae-epochs", type=int, dest="ae_epochs")
-    p.add_argument("--ae-batch-size", type=int, dest="ae_batch_size")
-    p.add_argument("--ae-corpus-cap", type=int, dest="ae_corpus_cap")
-
-    t = sub.add_parser("train", help="train the classifier on prepared splits")
-    t.add_argument("--prepared", help="directory written by prepare")
-    t.add_argument("--out", help="path for the model bundle JSON")
-    t.add_argument("--seed", type=int)
-    t.add_argument("--max-epochs", type=int, dest="max_epochs")
-    t.add_argument("--patience", type=int)
-    t.add_argument("--batch-size", type=int, dest="batch_size")
-
-    e = sub.add_parser("evaluate", help="score a trained model on the test split")
-    e.add_argument("--model", help="model bundle JSON")
-    e.add_argument("--prepared", help="directory written by prepare")
-    e.add_argument("--out", help="also write the report JSON here")
-
-    r = sub.add_parser("predict", help="per-user class probabilities for a dataset")
-    r.add_argument("--model", help="model bundle JSON")
-    r.add_argument("--input", help="dataset directory (labels optional)")
-    r.add_argument("--out", help="predictions CSV path")
-
+    for command, flags in _FLAGS.items():
+        sp = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for dest, (kind, text) in flags.items():
+            sp.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind, help=text)
     return parser
+
+
+def _config_value(command: str, key: str, value):
+    """A config-file value checked against the flag's type, as the flag gives it."""
+    if key not in _FLAGS[command]:
+        raise UsageError(f"multicred {command}: config key {key!r} is not an option "
+                         f"of this command")
+    kind = _FLAGS[command][key][0]
+    accepted = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise UsageError(f"multicred {command}: config key {key!r} must be "
+                         f"{kind.__name__}, got {json.dumps(value)}")
+    return kind(value)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -145,7 +166,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
     command = args.command
     merged = dict(_DEFAULTS.get(command, {}))
-    merged.update({k: v for k, v in file_values.items() if k in merged or k in vars(args)})
+    merged.update({k: _config_value(command, k, v) for k, v in file_values.items()})
     for key, value in vars(args).items():
         if key in ("config", "command"):
             continue
@@ -198,7 +219,7 @@ def _cmd_generate(cfg: RunConfig) -> int:
 def _cmd_prepare(cfg: RunConfig) -> int:
     data_dir = _require_dir(cfg.data, "dataset directory")
     system = ClassificationSystem(cfg.classes)
-    embedder = EmbedderSpec(kind="hash", hash_seed=cfg.embed_seed)
+    embedder = EmbedderSpec(hash_seed=cfg.embed_seed)
 
     manifest, records = load_dataset(data_dir)
     if not manifest.labels_present:
@@ -259,7 +280,7 @@ def _cmd_prepare(cfg: RunConfig) -> int:
     feat_mod.write_feature_csv(val_ds, out / "validation.csv")
     (out / "prepare_meta.json").write_text(json.dumps({
         "num_classes": system.num_classes,
-        "embedder": {"kind": embedder.kind, "hash_seed": embedder.hash_seed},
+        "embedder": {"kind": "hash", "hash_seed": embedder.hash_seed},
         "seed": cfg.seed,
         "smote_k": cfg.smote_k,
         "split_sizes": {
@@ -271,10 +292,26 @@ def _cmd_prepare(cfg: RunConfig) -> int:
     return 0
 
 
+def _read_object(path: Path, what: str) -> dict:
+    doc = json.loads(_require_file(path, what).read_text("utf-8"))
+    if not isinstance(doc, dict):
+        raise StateError(f"{what} {path} does not hold a JSON object")
+    return doc
+
+
+def _field(doc: dict, name: str, what: str):
+    """The value at dotted ``name`` in ``doc``; a StateError naming it if absent."""
+    value = doc
+    for key in name.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise StateError(f"{what} has no field {name}")
+        value = value[key]
+    return value
+
+
 def _load_prepared(prepared: Path):
-    meta = json.loads(_require_file(prepared / "prepare_meta.json", "prepare metadata")
-                      .read_text("utf-8"))
-    num_classes = meta["num_classes"]
+    meta = _read_object(prepared / "prepare_meta.json", "prepare metadata")
+    num_classes = _field(meta, "num_classes", "prepare metadata")
     splits = feat_mod.SplitDataset(
         train=feat_mod.read_feature_csv(
             _require_file(prepared / "train.csv", "train split"), num_classes),
@@ -290,6 +327,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     prepared = _require_dir(cfg.prepared, "prepared directory")
     meta, splits = _load_prepared(prepared)
     num_classes = meta["num_classes"]
+    embedder = _field(meta, "embedder", "prepare metadata")
 
     config = clf_mod.TrainConfig(
         num_classes=num_classes,
@@ -308,16 +346,14 @@ def _cmd_train(cfg: RunConfig) -> int:
         history.val_accuracy[history.best_epoch],
     )
 
-    stats_doc = json.loads(
-        _require_file(prepared / "norm_stats.json", "normalization stats").read_text("utf-8")
-    )
+    stats_doc = _read_object(prepared / "norm_stats.json", "normalization stats")
     ae = ae_mod.load_autoencoder(_require_file(prepared / "autoencoder.json", "autoencoder"))
 
     bundle = {
         "format_version": BUNDLE_VERSION,
         "artifact_kind": BUNDLE_KIND,
         "num_classes": num_classes,
-        "embedder": meta["embedder"],
+        "embedder": embedder,
         "normalization": stats_doc,
         "classifier": nn.model_to_dict(model, artifact_kind="classifier"),
         "autoencoder": ae_mod.autoencoder_to_dict(ae),
@@ -336,7 +372,8 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _load_bundle(path: Path):
-    doc = json.loads(path.read_text("utf-8"))
+    doc = _read_object(path, "model bundle")
+    field = lambda name: _field(doc, name, "model bundle")
     if doc.get("format_version") != BUNDLE_VERSION:
         raise StateError(
             f"unsupported bundle version {doc.get('format_version')!r}, "
@@ -344,28 +381,28 @@ def _load_bundle(path: Path):
         )
     if doc.get("artifact_kind") != BUNDLE_KIND:
         raise StateError(f"not a pipeline bundle: {doc.get('artifact_kind')!r}")
-    model = nn.model_from_dict(doc["classifier"], expected_kind="classifier")
-    if doc["num_classes"] != model.spec.output_dim:
+    kind = field("embedder.kind")
+    if kind != "hash":
+        raise StateError(f"bundle embedder.kind is {kind!r}; only 'hash' is supported")
+    embedder = EmbedderSpec(hash_seed=field("embedder.hash_seed"))
+    model = nn.model_from_dict(field("classifier"), expected_kind="classifier")
+    num_classes = field("num_classes")
+    if num_classes != model.spec.output_dim:
         raise StateError(
-            f"bundle num_classes {doc['num_classes']!r} does not match the "
+            f"bundle num_classes {num_classes!r} does not match the "
             f"classifier's output width {model.spec.output_dim}"
         )
-    ae = ae_mod.autoencoder_from_dict(doc["autoencoder"])
+    ae = ae_mod.autoencoder_from_dict(field("autoencoder"))
     bounds = {}
     for key in ("minimum", "maximum"):
-        bounds[key] = np.asarray(doc["normalization"][key], dtype=float)
+        bounds[key] = np.asarray(field("normalization." + key), dtype=float)
         if bounds[key].shape != (feat_mod.NUM_SCALAR_FEATURES,):
             raise StateError(
                 f"bundle normalization.{key} has shape {bounds[key].shape}, "
                 f"expected ({feat_mod.NUM_SCALAR_FEATURES},)"
             )
     stats = feat_mod.NormalizationStats(**bounds)
-    embedder = EmbedderSpec(
-        kind=doc["embedder"].get("kind", "hash"),
-        endpoint=doc["embedder"].get("endpoint"),
-        hash_seed=doc["embedder"].get("hash_seed", 0),
-    )
-    return doc["num_classes"], model, ae, stats, embedder
+    return num_classes, model, ae, stats, embedder
 
 
 def _cmd_evaluate(cfg: RunConfig) -> int:

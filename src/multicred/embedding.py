@@ -1,11 +1,10 @@
-"""Pluggable text-embedding and comment-sentiment stages.
+"""Text-embedding and comment-sentiment stages.
 
-The default embedder is a deterministic signed feature hasher producing
-the same 768-dimensional interface a transformer encoder would, with no
-model weights involved: every unigram and bigram is hashed into one of
-768 buckets with a hash-derived sign, accumulated, then L2-normalized.
-A remote HTTP embedder can be plugged in instead to supply real
-transformer vectors.
+Tweet text is embedded by a deterministic signed feature hasher that
+stands in for the paper's transformer encoder behind the same
+768-dimensional interface, with no model weights involved: every unigram
+and bigram is hashed into one of 768 buckets with a hash-derived sign,
+accumulated, then L2-normalized.
 
 Sentiment over comments is a six-emotion lexicon counter with add-one
 smoothing, producing a probability distribution over
@@ -16,55 +15,34 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-import requests
 
 from .preprocess import CleanText
 
 EMBEDDING_DIM = 768
 EMOTIONS = ("sadness", "joy", "love", "anger", "fear", "surprise")
 
-# One initial attempt plus up to three retries of transient failures.
-_REMOTE_ATTEMPTS = 4
-_BACKOFF_BASE_SECONDS = 0.1
-
-
-class EmbeddingError(Exception):
-    """Base class for embedding failures."""
-
-
-class TransportError(EmbeddingError):
-    """The remote endpoint stayed unreachable after all retries."""
-
-
-class ProtocolError(EmbeddingError):
-    """The remote endpoint answered, but not with the agreed format."""
-
 
 @dataclass(frozen=True)
 class EmbedderSpec:
-    """Selects and configures an embedder.
+    """Configures the hash embedder.
 
-    ``endpoint`` must be present exactly when ``kind`` is "remote".
+    ``hash_seed`` keys the feature hash; it comes from the command line or
+    a model bundle, so it is checked to be an unsigned 64-bit integer.
     """
 
-    kind: str = "hash"
-    endpoint: Optional[str] = None
     hash_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("hash", "remote"):
-            raise ValueError(f"unknown embedder kind: {self.kind!r}")
-        if (self.kind == "remote") != (self.endpoint is not None):
-            raise ValueError("endpoint must be set iff kind is 'remote'")
-        if self.hash_seed < 0:
-            raise ValueError("hash_seed must be unsigned")
+        if (not isinstance(self.hash_seed, int) or isinstance(self.hash_seed, bool)
+                or not 0 <= self.hash_seed < 2**64):
+            raise ValueError(f"hash_seed must be an unsigned 64-bit integer, "
+                             f"got {self.hash_seed!r}")
 
 
 def _hash_features(tokens: Sequence[str]) -> list[str]:
@@ -102,11 +80,8 @@ def _l2_normalize(vec: np.ndarray) -> np.ndarray:
 def embed_text(spec: EmbedderSpec, clean: CleanText) -> np.ndarray:
     """Embed one cleaned text into a 768-vector.
 
-    Hash kind: deterministic for a fixed seed; the zero vector stays zero
-    (empty text). Remote kind: delegates to :func:`remote_embed_batch`.
+    Deterministic for a fixed seed; the zero vector stays zero (empty text).
     """
-    if spec.kind == "remote":
-        return remote_embed_batch(spec.endpoint, [clean.joined])[0]
     return _l2_normalize(accumulate_hash_embedding(clean, spec.hash_seed))
 
 
@@ -137,59 +112,3 @@ def analyze_sentiment(clean: CleanText) -> np.ndarray:
     counts += 1.0
     return counts / counts.sum()
 
-
-def remote_embed_batch(endpoint: str, texts: Sequence[str]) -> list[np.ndarray]:
-    """Fetch 768-vectors for a batch of texts from an HTTP embedding service.
-
-    POSTs ``{"texts": [...]}`` and expects ``{"vectors": [[...], ...]}``,
-    order-preserving. Connection failures and 5xx responses are retried
-    up to 3 times with exponential backoff; an empty batch sends nothing.
-    """
-    if not texts:
-        return []
-
-    payload = {"texts": list(texts)}
-    last_failure = None
-    for attempt in range(_REMOTE_ATTEMPTS):
-        try:
-            response = requests.post(endpoint, json=payload, timeout=30)
-        except requests.RequestException as exc:
-            last_failure = str(exc)
-        else:
-            if response.status_code == 200:
-                return _parse_vectors(response, len(texts))
-            if response.status_code < 500:
-                raise ProtocolError(
-                    f"embedding endpoint returned HTTP {response.status_code}"
-                )
-            last_failure = f"HTTP {response.status_code}"
-        if attempt < _REMOTE_ATTEMPTS - 1:
-            time.sleep(_BACKOFF_BASE_SECONDS * 2**attempt)
-    raise TransportError(
-        f"embedding endpoint unreachable after {_REMOTE_ATTEMPTS} attempts: {last_failure}"
-    )
-
-
-def _parse_vectors(response, expected: int) -> list[np.ndarray]:
-    try:
-        body = response.json()
-    except ValueError as exc:
-        raise ProtocolError(f"embedding response is not JSON: {exc}") from None
-    vectors = body.get("vectors")
-    if not isinstance(vectors, list) or len(vectors) != expected:
-        raise ProtocolError(
-            f"expected {expected} vectors, got "
-            f"{len(vectors) if isinstance(vectors, list) else type(vectors).__name__}"
-        )
-    out = []
-    for i, values in enumerate(vectors):
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (EMBEDDING_DIM,):
-            raise ProtocolError(
-                f"vector at index {i} has {arr.shape[0] if arr.ndim == 1 else 'bad'} "
-                f"components, expected {EMBEDDING_DIM}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ProtocolError(f"vector at index {i} contains non-finite values")
-        out.append(arr)
-    return out

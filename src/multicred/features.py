@@ -25,7 +25,7 @@ import numpy as np
 
 from .autoencoder import Autoencoder
 from .domain import DomainError, Tweet, UserProfile, UserRecord, validate_record
-from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_text, remote_embed_batch
+from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_text
 from .network import ShapeError, StateError
 from .preprocess import preprocess
 
@@ -234,13 +234,7 @@ def build_user_vector(
         [tweet_scalars(t) for t in record.tweets], dim=len(TWEET_FEATURES)
     )
     if record.tweets:
-        cleans = [preprocess(t.text) for t in record.tweets]
-        if embedder.kind == "remote":
-            embedded = np.asarray(
-                remote_embed_batch(embedder.endpoint, [c.joined for c in cleans])
-            )
-        else:
-            embedded = np.stack([embed_text(embedder, c) for c in cleans])
+        embedded = np.stack([embed_text(embedder, preprocess(t.text)) for t in record.tweets])
         latent_block = ae.encode_batch(embedded).mean(axis=0)
     else:
         flags.add("no_tweets")

@@ -7,7 +7,7 @@ from multicred.embedding import EmbedderSpec
 
 @pytest.fixture(scope="session")
 def hash_embedder():
-    return EmbedderSpec(kind="hash", hash_seed=0)
+    return EmbedderSpec(hash_seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -180,7 +180,7 @@ def test_structural_contracts():
     config = SyntheticConfig(num_users=8, system=ClassificationSystem(4),
                              tweets_per_user=3, comments_per_user=2, seed=21)
     records = generate_synthetic(config)
-    embedder = EmbedderSpec(kind="hash", hash_seed=0)
+    embedder = EmbedderSpec(hash_seed=0)
     corpus = np.random.default_rng(0).normal(size=(8, 768)) * 0.1
     ae, _ = train_autoencoder(corpus, AutoencoderSpec(epochs=2, batch_size=4, seed=0))
     for record in records:

@@ -47,6 +47,11 @@ class TestEncode:
         x = np.random.default_rng(2).normal(size=(2, 768))
         np.testing.assert_array_equal(ae.encode_batch(x), ae.encode_batch(x))
 
+    def test_codes_equal_full_forward_latent_layer(self, trained, small_corpus):
+        ae, _ = trained
+        full = nn.forward(ae.model.inference_mode(), small_corpus)
+        np.testing.assert_array_equal(ae.encode_batch(small_corpus), full.layer_outputs[2])
+
     def test_wrong_width_is_shape_error(self, trained):
         ae, _ = trained
         with pytest.raises(nn.ShapeError):
@@ -126,6 +131,15 @@ class TestSerialization:
         np.testing.assert_array_equal(
             loaded.encode_batch(small_corpus[:4]), ae.encode_batch(small_corpus[:4])
         )
+
+    def test_non_encoder_layers_rejected(self, trained):
+        net = nn.NetworkSpec((
+            nn.dense(768, 128), nn.batchnorm(128), nn.dense(128, 10),
+            nn.dense(10, 128), nn.relu(128), nn.dense(128, 768),
+        ))
+        doc = nn.model_to_dict(nn.Model(net), artifact_kind="autoencoder")
+        with pytest.raises(nn.StateError, match="encoder layers"):
+            autoencoder_from_dict(doc)
 
     def test_kind_tag_prevents_cross_loading(self, trained):
         ae, _ = trained

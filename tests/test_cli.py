@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multicred
 from multicred import cli
 from multicred import features as feat_mod
 from multicred import network as nn
@@ -163,6 +167,13 @@ class TestBundleCrossCheck:
         (lambda b: b.update(
             autoencoder=_autoencoder_doc(768, 12, b["autoencoder"]["autoencoder"])),
          "autoencoder latent width"),
+        (lambda b: b["embedder"].update(kind="remote"), "embedder.kind"),
+        (lambda b: b["embedder"].pop("hash_seed"), "no field embedder.hash_seed"),
+        (lambda b: b.pop("num_classes"), "no field num_classes"),
+        (lambda b: b.pop("embedder"), "no field embedder"),
+        (lambda b: b.pop("normalization"), "no field normalization"),
+        (lambda b: b.pop("classifier"), "no field classifier"),
+        (lambda b: b.pop("autoencoder"), "no field autoencoder"),
     ])
     def test_mismatched_bundle_rejected_by_name(self, pipeline, tmp_path, capsys,
                                                 tamper, named):
@@ -173,8 +184,23 @@ class TestBundleCrossCheck:
         code = run(["predict", "--model", str(model), "--input", str(pipeline / "data"),
                     "--out", str(tmp_path / "preds.csv")])
         assert code == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert not (tmp_path / "preds.csv").exists()
+
+    @pytest.mark.parametrize("field", ["num_classes", "embedder"])
+    def test_prepare_meta_missing_field_rejected_by_name(self, pipeline, tmp_path, capsys,
+                                                         field):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        meta = json.loads((prep / "prepare_meta.json").read_text("utf-8"))
+        del meta[field]
+        (prep / "prepare_meta.json").write_text(json.dumps(meta), "utf-8")
+        code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "model.json")]
+                   + FAST_TRAIN)
+        assert code == 1
+        assert f"no field {field}" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestTrainEvaluate:
@@ -250,3 +276,39 @@ class TestConfigFile:
 
     def test_missing_config_file(self, capsys):
         assert run(["--config", "/does/not/exist.json", "generate", "--out", "x"]) == 2
+
+    @pytest.mark.parametrize("values, named", [
+        ({"users": 20, "sead": 3, "clases": 6}, "'sead'"),
+        ({"users": 20, "ae_epochs": 3}, "'ae_epochs'"),  # a prepare flag, not generate's
+        ({"users": 20, "command": "prepare"}, "'command'"),
+        ({"users": "20"}, "'users'"),
+        ({"seed": 7.5}, "'seed'"),
+        ({"users": True}, "'users'"),
+        ({"separation": "1.0"}, "'separation'"),
+        ({"out": 3}, "'out'"),
+    ])
+    def test_bad_config_key_or_type_is_usage_error(self, tmp_path, capsys, values, named):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values), "utf-8")
+        out = tmp_path / "data"
+        assert run(["--config", str(config), "generate", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_int_config_value_for_float_flag(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"users": 12, "separation": 1}), "utf-8")
+        assert run(["--config", str(config), "generate", "--out", str(tmp_path / "d"),
+                    "--tweets-per-user", "2", "--comments-per-user", "2"]) == 0
+
+
+def test_cli_import_pulls_in_no_http_client():
+    src = str(Path(multicred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, multicred.cli; "
+             "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,7 +1,3 @@
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,75 +7,12 @@ from multicred.embedding import (
     EMBEDDING_DIM,
     EMOTIONS,
     EmbedderSpec,
-    ProtocolError,
-    TransportError,
     accumulate_hash_embedding,
     analyze_sentiment,
     default_lexicon,
     embed_text,
-    remote_embed_batch,
 )
 from multicred.preprocess import CleanText, preprocess
-
-
-class _MockEmbedServer:
-    """Serves scripted responses; records how many requests arrived."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.requests = 0
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                outer.requests += 1
-                length = int(self.headers["Content-Length"])
-                body = json.loads(self.rfile.read(length))
-                action = outer.script.pop(0) if outer.script else "echo_zeros"
-                if action == "echo_zeros":
-                    vectors = [[0.0] * EMBEDDING_DIM for _ in body["texts"]]
-                    payload = json.dumps({"vectors": vectors}).encode()
-                    self.send_response(200)
-                elif action == "short_vector_at_2":
-                    vectors = [[0.0] * EMBEDDING_DIM for _ in body["texts"]]
-                    vectors[2] = [0.0] * (EMBEDDING_DIM - 1)
-                    payload = json.dumps({"vectors": vectors}).encode()
-                    self.send_response(200)
-                elif action == "error_500":
-                    payload = b"boom"
-                    self.send_response(500)
-                else:
-                    raise AssertionError(f"unknown action {action}")
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = HTTPServer(("127.0.0.1", 0), Handler)
-        self.endpoint = f"http://127.0.0.1:{self.server.server_port}/embed"
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-
-
-@pytest.fixture
-def mock_server():
-    servers = []
-
-    def factory(script=()):
-        server = _MockEmbedServer(script)
-        servers.append(server)
-        return server
-
-    yield factory
-    for server in servers:
-        server.close()
 
 
 class TestHashEmbedder:
@@ -131,12 +64,10 @@ class TestHashEmbedder:
         assert not np.allclose(a, b)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            EmbedderSpec(kind="remote")  # endpoint missing
-        with pytest.raises(ValueError):
-            EmbedderSpec(kind="hash", endpoint="http://x")
-        with pytest.raises(ValueError):
-            EmbedderSpec(kind="bert")
+        EmbedderSpec(hash_seed=2**64 - 1)
+        for bad in (-1, 2**64, 1.5, "3", True):
+            with pytest.raises(ValueError, match="hash_seed"):
+                EmbedderSpec(hash_seed=bad)
 
 
 class TestSentiment:
@@ -167,39 +98,3 @@ class TestSentiment:
         for emotion in EMOTIONS:
             assert len(lex[emotion]) >= 40
 
-
-class TestRemoteEmbedding:
-    def test_zeros_echo_preserves_order_and_length(self, mock_server):
-        server = mock_server(["echo_zeros"])
-        vectors = remote_embed_batch(server.endpoint, ["a", "b", "c"])
-        assert len(vectors) == 3
-        for v in vectors:
-            assert v.shape == (EMBEDDING_DIM,)
-            assert np.all(v == 0.0)
-
-    def test_short_vector_names_index(self, mock_server):
-        server = mock_server(["short_vector_at_2"])
-        with pytest.raises(ProtocolError, match="index 2"):
-            remote_embed_batch(server.endpoint, ["a", "b", "c", "d"])
-
-    def test_empty_batch_sends_nothing(self, mock_server):
-        server = mock_server()
-        assert remote_embed_batch(server.endpoint, []) == []
-        assert server.requests == 0
-
-    def test_transient_500_is_retried(self, mock_server):
-        server = mock_server(["error_500", "error_500", "echo_zeros"])
-        vectors = remote_embed_batch(server.endpoint, ["a"])
-        assert len(vectors) == 1
-        assert server.requests == 3
-
-    def test_connection_failure_after_retries(self):
-        with pytest.raises(TransportError, match="4 attempts"):
-            remote_embed_batch("http://127.0.0.1:9/embed", ["a"])
-
-    def test_embed_text_delegates_to_remote(self, mock_server):
-        server = mock_server(["echo_zeros"])
-        spec = EmbedderSpec(kind="remote", endpoint=server.endpoint)
-        vec = embed_text(spec, preprocess("hello world"))
-        assert vec.shape == (EMBEDDING_DIM,)
-        assert server.requests == 1
