@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .atomic import atomic_write
 from .domain import DomainError
 from . import network as nn
 
@@ -158,7 +159,8 @@ def reconstruction_error(ae: Autoencoder, vectors: np.ndarray) -> float:
 
 
 def save_autoencoder(ae: Autoencoder, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(autoencoder_to_dict(ae), sort_keys=True), "utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(autoencoder_to_dict(ae), sort_keys=True))
 
 
 def load_autoencoder(path: str | Path) -> Autoencoder:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .domain import ALLOWED_CLASS_COUNTS, DomainError
 from .features import NUM_FEATURES, LabeledDataset, SplitDataset, dataset_to_matrix
 from . import network as nn
@@ -271,7 +272,7 @@ def metrics_from_predictions(
 
 def write_history_csv(history: TrainHistory, path: str | Path) -> None:
     """Export curves as CSV: ``epoch,train_loss,val_accuracy,lr``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_accuracy", "lr"])
         rows = zip(history.train_loss, history.val_accuracy, history.learning_rate)

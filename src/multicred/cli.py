@@ -26,6 +26,7 @@ from . import autoencoder as ae_mod
 from . import classifier as clf_mod
 from . import features as feat_mod
 from . import network as nn
+from .atomic import atomic_write
 from .dataset import DatasetLoadError, SyntheticConfig, generate_synthetic, load_dataset, write_dataset
 from .domain import ClassificationSystem, DomainError, bin_score
 from .embedding import EmbedderSpec, embed_text
@@ -270,23 +271,25 @@ def _cmd_prepare(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     ae_mod.save_autoencoder(ae, out / "autoencoder.json")
-    (out / "norm_stats.json").write_text(json.dumps({
-        "minimum": stats.minimum.tolist(),
-        "maximum": stats.maximum.tolist(),
-    }, sort_keys=True), "utf-8")
+    with atomic_write(out / "norm_stats.json") as fh:
+        fh.write(json.dumps({
+            "minimum": stats.minimum.tolist(),
+            "maximum": stats.maximum.tolist(),
+        }, sort_keys=True))
     feat_mod.write_feature_layout(out / "feature_layout.json")
     feat_mod.write_feature_csv(train_ds, out / "train.csv")
     feat_mod.write_feature_csv(test_ds, out / "test.csv")
     feat_mod.write_feature_csv(val_ds, out / "validation.csv")
-    (out / "prepare_meta.json").write_text(json.dumps({
-        "num_classes": system.num_classes,
-        "embedder": {"kind": "hash", "hash_seed": embedder.hash_seed},
-        "seed": cfg.seed,
-        "smote_k": cfg.smote_k,
-        "split_sizes": {
-            "train": len(splits.train), "test": len(test_ds), "validation": len(val_ds),
-        },
-    }, indent=2, sort_keys=True), "utf-8")
+    with atomic_write(out / "prepare_meta.json") as fh:
+        fh.write(json.dumps({
+            "num_classes": system.num_classes,
+            "embedder": {"kind": "hash", "hash_seed": embedder.hash_seed},
+            "seed": cfg.seed,
+            "smote_k": cfg.smote_k,
+            "split_sizes": {
+                "train": len(splits.train), "test": len(test_ds), "validation": len(val_ds),
+            },
+        }, indent=2, sort_keys=True))
     print(json.dumps({"prepared": str(out), "train": len(train_ds),
                       "test": len(test_ds), "validation": len(val_ds)}, sort_keys=True))
     return 0
@@ -359,7 +362,8 @@ def _cmd_train(cfg: RunConfig) -> int:
         "autoencoder": ae_mod.autoencoder_to_dict(ae),
     }
     out = Path(cfg.out)
-    out.write_text(json.dumps(bundle, sort_keys=True), "utf-8")
+    with atomic_write(out) as fh:
+        fh.write(json.dumps(bundle, sort_keys=True))
     clf_mod.write_history_csv(history, out.with_suffix(".history.csv"))
     print(json.dumps({
         "model": str(out),
@@ -415,7 +419,8 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
     text = report.to_json()
     print(text)
     if cfg.out:
-        Path(cfg.out).write_text(text + "\n", "utf-8")
+        with atomic_write(cfg.out) as fh:
+            fh.write(text + "\n")
         logger.info("report written to %s", cfg.out)
     return 0
 
@@ -434,7 +439,7 @@ def _cmd_predict(cfg: RunConfig) -> int:
                     + [int(probs.argmax())])
 
     out = Path(cfg.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["user_id"] + [f"p_class{i}" for i in range(num_classes)] + ["predicted_class"]

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autoencoder import Autoencoder
 from .domain import DomainError, Tweet, UserProfile, UserRecord, validate_record
 from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_text
@@ -432,7 +433,7 @@ def dataset_to_matrix(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
 
 def write_feature_csv(dataset: LabeledDataset, path: str | Path) -> None:
     """Export as CSV: header ``user_id,f000..f050,class``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["user_id"] + [f"f{i:03d}" for i in range(NUM_FEATURES)] + ["class"]
@@ -457,4 +458,5 @@ def read_feature_csv(path: str | Path, num_classes: int) -> LabeledDataset:
 
 
 def write_feature_layout(path: str | Path) -> None:
-    Path(path).write_text(json.dumps(feature_layout(), indent=2, sort_keys=True), "utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(feature_layout(), indent=2, sort_keys=True))

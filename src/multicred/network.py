@@ -13,12 +13,21 @@ Conventions fixed here:
  - batchnorm normalizes with biased batch statistics in train mode and
    running statistics in inference mode; running statistics are
    non-trainable and receive no gradient;
- - dense weights initialize from N(0, 2/fan_in), biases at zero.
+ - dense weights initialize from N(0, 2/fan_in), biases at zero;
+ - every trainable parameter of a model lives in one contiguous float64
+   buffer, ``Model.flat``, in layer order (dense: weight then bias,
+   batchnorm: scale then shift); ``Model.params`` holds per-layer dicts
+   of views into it. Gradients and Adam's moments use the same layout in
+   buffers of their own, so an Adam step is a fixed sequence of in-place
+   operations over whole buffers and allocates nothing parameter-sized.
+   Code that changes a parameter writes into its view (``p[...] = x``);
+   rebinding a dict entry would detach it from the buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,36 +138,62 @@ def count_params(spec: NetworkSpec) -> tuple[int, int]:
     return total, trainable
 
 
+def _param_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
+    """Trainable parameter shapes of one layer, in buffer order."""
+    if layer.kind == "dense":
+        return {"weight": (layer.input_dim, layer.output_dim), "bias": (layer.output_dim,)}
+    if layer.kind == "batchnorm":
+        return {"scale": (layer.output_dim,), "shift": (layer.output_dim,)}
+    return {}
+
+
 class Model:
     """A layer graph plus its parameters, running statistics, and mode."""
 
     def __init__(self, spec: NetworkSpec, rng: Optional[np.random.Generator] = None):
         self.spec = spec
         self.mode = TRAIN
-        self.params: list[dict[str, np.ndarray]] = []
+        self._shapes = [_param_shapes(layer) for layer in spec.layers]
+        sizes = (math.prod(shape) for shapes in self._shapes for shape in shapes.values())
+        self.flat = np.zeros(sum(sizes))
+        self.params: list[dict[str, np.ndarray]] = self._views(self.flat)
         self.running: list[Optional[dict[str, np.ndarray]]] = []
+        self._grad_flat: Optional[np.ndarray] = None
+        self._grads: Optional[list[dict[str, np.ndarray]]] = None
         self._version = 0
         rng = rng if rng is not None else np.random.default_rng(0)
-        for layer in spec.layers:
+        for layer, params in zip(spec.layers, self.params):
             if layer.kind == "dense":
                 std = np.sqrt(2.0 / layer.input_dim)
-                self.params.append({
-                    "weight": rng.normal(0.0, std, size=(layer.input_dim, layer.output_dim)),
-                    "bias": np.zeros(layer.output_dim),
-                })
+                params["weight"][...] = rng.normal(0.0, std, size=params["weight"].shape)
                 self.running.append(None)
             elif layer.kind == "batchnorm":
-                self.params.append({
-                    "scale": np.ones(layer.output_dim),
-                    "shift": np.zeros(layer.output_dim),
-                })
+                params["scale"][...] = 1.0
                 self.running.append({
                     "mean": np.zeros(layer.output_dim),
                     "var": np.ones(layer.output_dim),
                 })
             else:
-                self.params.append({})
                 self.running.append(None)
+
+    def _views(self, buffer: np.ndarray) -> list[dict[str, np.ndarray]]:
+        """Per-layer dicts of views into ``buffer``, laid out like ``flat``."""
+        views, offset = [], 0
+        for shapes in self._shapes:
+            layer = {}
+            for key, shape in shapes.items():
+                n = math.prod(shape)
+                layer[key] = buffer[offset:offset + n].reshape(shape)
+                offset += n
+            views.append(layer)
+        return views
+
+    def _gradient_views(self) -> list[dict[str, np.ndarray]]:
+        """Per-layer views into the gradient buffer, allocated on first use."""
+        if self._grads is None:
+            self._grad_flat = np.zeros_like(self.flat)
+            self._grads = self._views(self._grad_flat)
+        return self._grads
 
     def train_mode(self) -> "Model":
         self.mode = TRAIN
@@ -169,7 +204,8 @@ class Model:
         return self
 
     def copy_params(self) -> list[dict[str, np.ndarray]]:
-        return [{k: v.copy() for k, v in p.items()} for p in self.params]
+        """A snapshot: per-layer views into one copy of the parameter buffer."""
+        return self._views(self.flat.copy())
 
     def load_params(self, params: list[dict[str, np.ndarray]]) -> None:
         for own, new in zip(self.params, params):
@@ -331,7 +367,11 @@ def backward(
     """Backpropagate the implied loss; returns per-layer parameter gradients.
 
     Requires activations from a train-mode forward on this exact model
-    state; running statistics receive no gradient.
+    state; running statistics receive no gradient. The returned arrays are
+    views into the model's one gradient buffer, laid out like
+    ``model.flat``: they stay valid until the next ``backward`` on this
+    model, which overwrites them. Copy them to keep them longer. The list
+    and dicts are the caller's own; rebinding an entry detaches nothing.
     """
     if activations.model is not model:
         raise StateError("activations came from a different model")
@@ -347,7 +387,7 @@ def backward(
 
     batch = activations.batch_shape[0]
     layers = model.spec.layers
-    grads: list[dict[str, np.ndarray]] = [{} for _ in layers]
+    grads = model._gradient_views()
 
     last = len(layers) - 1
     if layers[last].kind == "softmax":
@@ -363,8 +403,8 @@ def backward(
         cache = activations.caches[i]
         if layer.kind == "dense":
             x = cache["x"]
-            grads[i]["weight"] = x.T @ delta
-            grads[i]["bias"] = delta.sum(axis=0)
+            np.matmul(x.T, delta, out=grads[i]["weight"])
+            np.sum(delta, axis=0, out=grads[i]["bias"])
             delta = delta @ model.params[i]["weight"].T
         elif layer.kind == "relu":
             delta = delta * (cache["z"] > 0.0)
@@ -375,8 +415,8 @@ def backward(
             x_hat, inv_std = cache["x_hat"], cache["inv_std"]
             x, mu = cache["x"], cache["mu"]
             n = x.shape[0]
-            grads[i]["scale"] = (delta * x_hat).sum(axis=0)
-            grads[i]["shift"] = delta.sum(axis=0)
+            np.sum(delta * x_hat, axis=0, out=grads[i]["scale"])
+            np.sum(delta, axis=0, out=grads[i]["shift"])
             dx_hat = delta * model.params[i]["scale"]
             dvar = (dx_hat * (x - mu)).sum(axis=0) * (-0.5) * inv_std**3
             dmu = (-dx_hat * inv_std).sum(axis=0) + dvar * (-2.0 * (x - mu)).sum(axis=0) / n
@@ -384,46 +424,93 @@ def backward(
         elif layer.kind == "softmax":
             raise StateError("softmax is only supported as the final layer")
 
-    return grads
+    return [dict(layer_grads) for layer_grads in grads]
 
 
 @dataclass
 class AdamState:
-    """First and second moment estimates plus the shared step counter."""
+    """First and second moment estimates plus the shared step counter.
 
-    m: list[dict[str, np.ndarray]]
-    v: list[dict[str, np.ndarray]]
+    ``m`` and ``v`` are laid out like ``Model.flat``; the two scratch
+    buffers hold the step's intermediates, so a step allocates nothing
+    parameter-sized.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.zeros_like(self.m), np.zeros_like(self.m))
 
 
 def init_adam(model: Model, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
-    zeros = lambda: [{k: np.zeros_like(a) for k, a in p.items()} for p in model.params]
-    return AdamState(m=zeros(), v=zeros(), beta1=beta1, beta2=beta2, eps=eps)
+    return AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat),
+                     beta1=beta1, beta2=beta2, eps=eps)
+
+
+def _flat_gradient(model: Model, grads: list[dict[str, np.ndarray]]) -> np.ndarray:
+    """The gradient buffer holding ``grads``, copying in each array that is not its view."""
+    own = model._gradient_views()
+    if len(grads) != len(own):
+        raise ShapeError(f"gradients for {len(grads)} layers, model has {len(own)}")
+    for i, (dst, src) in enumerate(zip(own, grads)):
+        if src.keys() != dst.keys():
+            raise ShapeError(f"layer {i} gradients have keys {sorted(src)}, "
+                             f"expected {sorted(dst)}")
+        for key, g in src.items():
+            if g is dst[key]:
+                continue
+            if np.shape(g) != dst[key].shape:
+                raise ShapeError(f"layer {i} gradient {key!r} has shape {np.shape(g)}, "
+                                 f"expected {dst[key].shape}")
+            dst[key][...] = g
+    return model._grad_flat
 
 
 def adam_step(
     model: Model, grads: list[dict[str, np.ndarray]], state: AdamState, lr: float
 ) -> tuple[Model, AdamState]:
-    """One bias-corrected Adam update, in place, incrementing the step count."""
+    """One bias-corrected Adam update, in place, incrementing the step count.
+
+    ``grads`` are usually the views :func:`backward` returned; arrays of
+    any other origin are first copied into the model's gradient buffer.
+    The arithmetic, and its order, is per element
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``.
+    """
     if lr <= 0.0:
         raise DomainError(f"learning rate must be positive, got {lr}")
+    g = _flat_gradient(model, grads)
+    # Any non-finite entry makes the sum non-finite; a sum of finite values
+    # that merely overflows passes the per-array check below.
+    if not math.isfinite(g.sum()):
+        for i, layer_grads in enumerate(model._grads):
+            for key, arr in layer_grads.items():
+                if not np.isfinite(arr).all():
+                    raise NumericError(f"non-finite gradient for layer {i} parameter {key!r}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    for i, layer_grads in enumerate(grads):
-        for key, g in layer_grads.items():
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for layer {i} parameter {key!r}")
-            m = state.m[i][key]
-            v = state.v[i][key]
-            m[...] = b1 * m + (1.0 - b1) * g
-            v[...] = b2 * v + (1.0 - b2) * g**2
-            m_hat = m / (1.0 - b1**state.t)
-            v_hat = v / (1.0 - b2**state.t)
-            model.params[i][key] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    s1, s2 = state.scratch
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=s1)
+    m += s1
+    v *= b2
+    np.multiply(g, g, out=s1)
+    s1 *= 1.0 - b2
+    v += s1
+    np.divide(m, 1.0 - b1**state.t, out=s1)  # m_hat
+    np.divide(v, 1.0 - b2**state.t, out=s2)  # v_hat
+    np.sqrt(s2, out=s2)
+    s2 += state.eps
+    s1 *= lr
+    s1 /= s2
+    model.flat -= s1
     model._version += 1
     return model, state
 
@@ -500,13 +587,38 @@ def spec_to_json(spec: NetworkSpec) -> list[dict]:
     return out
 
 
+def _stored(container, key, kind: type, name: str):
+    """``container[key]``, checked to be a ``kind``; a StateError naming it if not."""
+    if not isinstance(container, dict) or key not in container:
+        raise StateError(f"serialized network has no field {name}")
+    value = container[key]
+    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
+        raise StateError(f"serialized network field {name} is not a {kind.__name__}")
+    return value
+
+
+def _stored_array(container, key, size: int, name: str) -> np.ndarray:
+    """The ``size`` finite numbers stored at ``container[key]``."""
+    try:
+        values = np.asarray(_stored(container, key, list, name), dtype=float)
+    except (TypeError, ValueError):
+        raise StateError(f"serialized network field {name} is not a list of numbers") from None
+    if values.shape != (size,):
+        raise StateError(f"serialized network field {name} has shape {values.shape}, "
+                         f"expected ({size},)")
+    if not np.isfinite(values).all():
+        raise StateError(f"serialized network field {name} holds non-finite values")
+    return values
+
+
 def spec_from_json(data: Sequence[dict]) -> NetworkSpec:
     layers = []
-    for entry in data:
+    for i, entry in enumerate(data):
+        name = lambda key: f"layers[{i}].{key}"
         layers.append(LayerSpec(
-            kind=entry["kind"],
-            input_dim=entry["input_dim"],
-            output_dim=entry["output_dim"],
+            kind=_stored(entry, "kind", str, name("kind")),
+            input_dim=_stored(entry, "input_dim", int, name("input_dim")),
+            output_dim=_stored(entry, "output_dim", int, name("output_dim")),
             dropout_rate=entry.get("dropout_rate", 0.0),
             momentum=entry.get("momentum", 0.99),
             epsilon=entry.get("epsilon", 1e-3),
@@ -536,6 +648,13 @@ def model_to_dict(model: Model, artifact_kind: str) -> dict:
 
 
 def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:
+    """Rebuild a model from :func:`model_to_dict`'s document.
+
+    A missing, mistyped or mis-sized field raises a StateError naming it,
+    such as ``layers``, ``parameters[1].weight`` or ``running_stats[3].mean``.
+    """
+    if not isinstance(data, dict):
+        raise StateError("serialized network is not a JSON object")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise StateError(
@@ -545,20 +664,21 @@ def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:
     if expected_kind is not None and kind != expected_kind:
         raise StateError(f"artifact kind {kind!r} where {expected_kind!r} was expected")
 
-    spec = spec_from_json(data["layers"])
+    spec = spec_from_json(_stored(data, "layers", list, "layers"))
     model = Model(spec, rng=np.random.default_rng(0))
-    for i, layer in enumerate(spec.layers):
-        stored = data["parameters"][i]
-        for key, arr in model.params[i].items():
-            flat = np.asarray(stored[key], dtype=float)
-            if flat.size != arr.size:
-                raise ShapeError(f"layer {i} parameter {key!r} has {flat.size} values, "
-                                 f"expected {arr.size}")
-            arr[...] = flat.reshape(arr.shape, order="C")
-        if model.running[i] is not None:
-            stats = data["running_stats"][i]
-            model.running[i]["mean"][...] = np.asarray(stats["mean"], dtype=float)
-            model.running[i]["var"][...] = np.asarray(stats["var"], dtype=float)
+    parameters = _stored(data, "parameters", list, "parameters")
+    if len(parameters) != len(spec.layers):
+        raise StateError(f"serialized network field parameters has {len(parameters)} "
+                         f"entries for {len(spec.layers)} layers")
+    for i, (params, running) in enumerate(zip(model.params, model.running)):
+        for key, arr in params.items():
+            name = f"parameters[{i}].{key}"
+            arr[...] = _stored_array(parameters[i], key, arr.size, name).reshape(arr.shape)
+        if running is not None:
+            stats = _stored(data, "running_stats", list, "running_stats")
+            if i >= len(stats):
+                raise StateError(f"serialized network has no field running_stats[{i}]")
+            for key, arr in running.items():
+                arr[...] = _stored_array(stats[i], key, arr.size, f"running_stats[{i}].{key}")
     model.inference_mode()
     return model
-

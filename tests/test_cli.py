@@ -174,6 +174,7 @@ class TestBundleCrossCheck:
         (lambda b: b.pop("normalization"), "no field normalization"),
         (lambda b: b.pop("classifier"), "no field classifier"),
         (lambda b: b.pop("autoencoder"), "no field autoencoder"),
+        (lambda b: b["classifier"].pop("layers"), "no field layers"),
     ])
     def test_mismatched_bundle_rejected_by_name(self, pipeline, tmp_path, capsys,
                                                 tamper, named):
@@ -233,6 +234,32 @@ class TestPredict:
             probs = [float(x) for x in row[1:-1]]
             assert abs(sum(probs) - 1.0) < 1e-9
             assert int(row[-1]) == max(range(4), key=lambda i: probs[i])
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file_and_leaves_no_temporary(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "preds.csv"
+        args = ["predict", "--model", str(pipeline / "model.json"),
+                "--input", str(pipeline / "data"), "--out", str(out)]
+        assert run(args) == 0
+        previous = out.read_bytes()
+        real_writer = csv.writer
+
+        class FailsAfterOneRow:
+            def __init__(self, fh):
+                self._writer = real_writer(fh)
+                self.writerow = self._writer.writerow
+
+            def writerows(self, rows):
+                self._writer.writerow(next(iter(rows)))
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli.csv, "writer", FailsAfterOneRow)
+        assert run(args) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
 
 
 class TestErrors:

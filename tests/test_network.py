@@ -1,10 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from multicred import network as nn
+from multicred.autoencoder import Autoencoder, AutoencoderSpec
+from multicred.classifier import build_multicred
 from multicred.domain import DomainError
 
 
@@ -300,6 +303,139 @@ class TestAdam:
             nn.adam_step(model, grads, state, lr=0.01)
 
 
+def reference_adam(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Per-array Adam: the formula and operation order adam_step must match bitwise."""
+    for i, layer_grads in enumerate(grads):
+        for key, g in layer_grads.items():
+            m[i][key] = b1 * m[i][key] + (1.0 - b1) * g
+            v[i][key] = b2 * v[i][key] + (1.0 - b2) * g**2
+            m_hat = m[i][key] / (1.0 - b1**t)
+            v_hat = v[i][key] / (1.0 - b2**t)
+            params[i][key] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def classifier_net():
+    return build_multicred(4, seed=3)
+
+
+def autoencoder_net():
+    return Autoencoder.initialize(AutoencoderSpec(seed=3)).model
+
+
+def batch_for(model, rng, rows=16):
+    x = rng.normal(size=(rows, model.spec.input_dim))
+    if model.spec.layers[-1].kind == "softmax":
+        return x, one_hot(rng.integers(model.spec.output_dim, size=rows), model.spec.output_dim)
+    return x, x
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("build", [classifier_net, autoencoder_net])
+    def test_adam_matches_per_array_reference_bitwise(self, build):
+        fused, ref = build(), build()
+        state = nn.init_adam(fused)
+        m = [{k: np.zeros_like(a) for k, a in p.items()} for p in ref.params]
+        v = [{k: np.zeros_like(a) for k, a in p.items()} for p in ref.params]
+        data = np.random.default_rng(5)
+        rng_fused, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
+        for step in range(50):
+            x, y = batch_for(fused, data)
+            lr = nn.lr_at(step // 10)
+            fused.train_mode()
+            nn.adam_step(fused, nn.backward(fused, nn.forward(fused, x, rng=rng_fused), y),
+                         state, lr)
+            ref.train_mode()
+            grads = nn.backward(ref, nn.forward(ref, x, rng=rng_ref), y)
+            reference_adam(ref.params, grads, m, v, step + 1, lr)
+        assert state.t == 50
+        for p_fused, p_ref in zip(fused.params, ref.params):
+            for key in p_ref:
+                np.testing.assert_array_equal(p_fused[key], p_ref[key])
+
+    @pytest.mark.parametrize("build", [classifier_net, autoencoder_net])
+    def test_params_and_grads_are_views_of_their_buffers(self, build):
+        model = build().train_mode()
+        x, y = batch_for(model, np.random.default_rng(7))
+        grads = nn.backward(model, nn.forward(model, x, rng=np.random.default_rng(8)), y)
+        assert model.flat.size == nn.count_params(model.spec)[1]
+        grad_buffer = model._grad_flat
+        assert grad_buffer.shape == model.flat.shape
+        for params, layer_grads in zip(model.params, grads):
+            assert params.keys() == layer_grads.keys()
+            for key in params:
+                assert np.shares_memory(params[key], model.flat)
+                assert np.shares_memory(layer_grads[key], grad_buffer)
+                assert not np.shares_memory(layer_grads[key], model.flat)
+
+    def test_rebound_gradient_entry_is_copied_in(self):
+        x, y = batch_for(softmax_ce_net(), np.random.default_rng(11))
+        rebound, copied = softmax_ce_net(seed=4), softmax_ce_net(seed=4)
+        grads = nn.backward(rebound, nn.forward(rebound.train_mode(), x), y)
+        grads[0]["weight"] = grads[0]["weight"] * 0.5
+        nn.adam_step(rebound, grads, nn.init_adam(rebound), lr=0.01)
+        reference = nn.backward(copied, nn.forward(copied.train_mode(), x), y)
+        reference = [{k: g.copy() for k, g in layer.items()} for layer in reference]
+        reference[0]["weight"] *= 0.5
+        nn.adam_step(copied, reference, nn.init_adam(copied), lr=0.01)
+        np.testing.assert_array_equal(rebound.flat, copied.flat)
+        again = nn.backward(rebound, nn.forward(rebound, x), y)
+        assert np.shares_memory(again[0]["weight"], rebound._grad_flat)
+
+    def test_copy_mutate_load_restores_bitwise(self):
+        model = classifier_net()
+        saved = model.copy_params()
+        before = model.flat.copy()
+        version = model._version
+        model.flat += 1.0
+        model.params[1]["weight"][0, 0] = np.pi
+        model.load_params(saved)
+        np.testing.assert_array_equal(model.flat, before)
+        assert model._version == version + 1
+        for layer in saved:
+            for arr in layer.values():
+                assert not np.shares_memory(arr, model.flat)
+
+    def test_adam_step_allocates_no_parameter_sized_temporaries(self):
+        model = build_multicred(4).train_mode()
+        x, y = batch_for(model, np.random.default_rng(9))
+        grads = nn.backward(model, nn.forward(model, x, rng=np.random.default_rng(10)), y)
+        state = nn.init_adam(model)
+        tracemalloc.start()
+        try:
+            nn.adam_step(model, grads, state, lr=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * model.flat.size
+
+    def test_inference_allocates_no_gradient_buffer(self):
+        doc = nn.model_to_dict(classifier_net(), artifact_kind="classifier")
+        model = nn.model_from_dict(json.loads(json.dumps(doc)), expected_kind="classifier")
+        nn.forward(model, np.zeros((3, model.spec.input_dim)))
+        assert model._grad_flat is None
+
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda g: g.pop(), "gradients for 3 layers"),
+        (lambda g: g[0].pop("bias"), "layer 0 gradients have keys"),
+        (lambda g: g[2].update(weight=np.zeros((4, 8))), "layer 2 gradient 'weight' has shape"),
+    ])
+    def test_caller_gradients_must_match_layout(self, tamper, named):
+        model = softmax_ce_net()
+        grads = [{k: np.zeros_like(v) for k, v in p.items()} for p in model.params]
+        tamper(grads)
+        before = model.flat.copy()
+        with pytest.raises(nn.ShapeError, match=named):
+            nn.adam_step(model, grads, nn.init_adam(model), lr=0.01)
+        np.testing.assert_array_equal(model.flat, before)
+
+    def test_overflowing_finite_gradient_is_not_rejected(self):
+        model = nn.Model(nn.NetworkSpec((nn.dense(2, 2),)), rng=np.random.default_rng(0))
+        grads = [{"weight": np.full((2, 2), 1e308), "bias": np.full(2, 1e308)}]
+        with np.errstate(over="ignore"):  # the sum and g**2 overflow to inf
+            nn.adam_step(model, grads, nn.init_adam(model), lr=0.01)
+        assert np.all(np.isfinite(model.flat))
+
+
 class TestLearningRate:
     def test_schedule_values(self):
         assert nn.lr_at(0) == pytest.approx(0.01)
@@ -331,4 +467,24 @@ class TestSerialization:
         model = softmax_ce_net()
         doc = nn.model_to_dict(model, artifact_kind="autoencoder")
         with pytest.raises(nn.StateError, match="classifier"):
+            nn.model_from_dict(doc, expected_kind="classifier")
+
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda d: d.pop("layers"), "no field layers"),
+        (lambda d: d["layers"][0].pop("input_dim"), r"no field layers\[0\]\.input_dim"),
+        (lambda d: d["parameters"].pop(), "parameters has 4 entries for 5 layers"),
+        (lambda d: d["parameters"][3]["weight"].pop(), r"parameters\[3\]\.weight has shape"),
+        (lambda d: d["parameters"][0]["bias"].__setitem__(1, float("nan")),
+         r"parameters\[0\]\.bias holds non-finite"),
+        (lambda d: d["running_stats"].__setitem__(2, None), r"running_stats\[2\]"),
+        (lambda d: d["running_stats"][2].update(mean=[0.0]),
+         r"running_stats\[2\]\.mean has shape \(1,\)"),
+    ], ids=["no-layers", "no-input-dim", "truncated-parameters", "short-weight",
+            "nan-bias", "running-stats-none", "one-element-mean"])
+    def test_malformed_document_rejected_by_name(self, tamper, named):
+        spec = nn.NetworkSpec((nn.dense(3, 4), nn.relu(4), nn.batchnorm(4),
+                               nn.dense(4, 2), nn.softmax(2)))
+        doc = json.loads(json.dumps(nn.model_to_dict(nn.Model(spec), "classifier")))
+        tamper(doc)
+        with pytest.raises(nn.StateError, match=named):
             nn.model_from_dict(doc, expected_kind="classifier")
