@@ -34,7 +34,7 @@ from .dataset import (
     write_dataset,
 )
 from .preprocess import CleanText, preprocess
-from .embedding import EmbedderSpec, analyze_sentiment, embed_text
+from .embedding import EmbedderSpec, analyze_sentiment, embed_text, embed_texts
 from .autoencoder import Autoencoder, AutoencoderSpec, reconstruction_error, train_autoencoder
 from .features import (
     LabeledDataset,
@@ -67,7 +67,7 @@ __all__ = [
     "DatasetLoadError", "DatasetManifest", "SyntheticConfig",
     "generate_synthetic", "load_dataset", "write_dataset",
     "CleanText", "preprocess",
-    "EmbedderSpec", "analyze_sentiment", "embed_text",
+    "EmbedderSpec", "analyze_sentiment", "embed_text", "embed_texts",
     "Autoencoder", "AutoencoderSpec", "reconstruction_error", "train_autoencoder",
     "LabeledDataset", "NormalizationStats", "SplitDataset", "UserFeatureVector",
     "aggregate_mean", "apply_minmax", "build_user_vector", "fit_minmax",

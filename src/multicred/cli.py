@@ -29,7 +29,7 @@ from . import network as nn
 from .atomic import atomic_write
 from .dataset import DatasetLoadError, SyntheticConfig, generate_synthetic, load_dataset, write_dataset
 from .domain import ClassificationSystem, DomainError, bin_score
-from .embedding import EmbedderSpec, embed_text
+from .embedding import EmbedderSpec, embed_texts
 from .network import ShapeError, StateError
 from .preprocess import preprocess
 
@@ -238,7 +238,7 @@ def _cmd_prepare(cfg: RunConfig) -> int:
     if len(texts) > cfg.ae_corpus_cap:
         picker = np.random.default_rng(cfg.seed)
         keep = np.sort(picker.choice(len(texts), size=cfg.ae_corpus_cap, replace=False))
-    corpus = np.stack([embed_text(embedder, preprocess(texts[i])) for i in keep])
+    corpus = embed_texts(embedder, [preprocess(texts[i]) for i in keep])
     logger.info("training autoencoder on %d tweet embeddings", corpus.shape[0])
     ae, ae_history = ae_mod.train_autoencoder(corpus, ae_mod.AutoencoderSpec(
         epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size, seed=cfg.seed,

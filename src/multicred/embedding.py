@@ -4,7 +4,15 @@ Tweet text is embedded by a deterministic signed feature hasher that
 stands in for the paper's transformer encoder behind the same
 768-dimensional interface, with no model weights involved: every unigram
 and bigram is hashed into one of 768 buckets with a hash-derived sign,
-accumulated, then L2-normalized.
+accumulated, then L2-normalized (Weinberger et al. 2009).
+
+:func:`embed_texts` embeds a batch of texts (one user's tweets, or the
+autoencoder corpus) into one matrix: each distinct feature of the batch
+is hashed once with a keyed 64-bit blake2b, and the signed counts of all
+rows are summed by one ``np.bincount``. The sums are over +-1.0, so they
+are exact in any order, and a row does not depend on the rest of its
+batch. :func:`embed_text` and :func:`accumulate_hash_embedding` are
+one-row views of the same arithmetic.
 
 Sentiment over comments is a six-emotion lexicon counter with add-one
 smoothing, producing a probability distribution over
@@ -16,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import Sequence
 
@@ -52,11 +60,38 @@ def _hash_features(tokens: Sequence[str]) -> list[str]:
     return feats
 
 
-def _bucket_sign(feature: str, seed: int) -> tuple[int, float]:
-    key = seed.to_bytes(8, "little", signed=False)
-    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8, key=key).digest()
-    h = int.from_bytes(digest, "little")
-    return h % EMBEDDING_DIM, 1.0 if (h >> 63) & 1 == 0 else -1.0
+def _hash_counts(cleans: Sequence[CleanText], seed: int) -> np.ndarray:
+    """Signed bucket counts of each text's features: one 768-wide row per text."""
+    per_text = [_hash_features(clean.tokens) for clean in cleans]
+    features = [f for feats in per_text for f in feats]
+    if not features:
+        return np.zeros((len(per_text), EMBEDDING_DIM))
+    # Hash each distinct feature of the batch once, in C: keyed 64-bit blake2b,
+    # bucket = code mod 768, sign from bit 63.
+    distinct = dict.fromkeys(features)
+    hasher = partial(hashlib.blake2b, digest_size=8, key=seed.to_bytes(8, "little"))
+    digests = b"".join(map(hashlib.blake2b.digest, map(hasher, map(str.encode, distinct))))
+    codes = np.frombuffer(digests, "<u8")
+    bucket = (codes % EMBEDDING_DIM).astype(np.intp)
+    sign = np.where(codes >> np.uint64(63), -1.0, 1.0)
+
+    index = dict(zip(distinct, range(len(distinct))))
+    which = np.fromiter(map(index.__getitem__, features), np.intp, len(features))
+    row = np.repeat(np.arange(len(per_text)), [len(feats) for feats in per_text])
+    counts = np.bincount(row * EMBEDDING_DIM + bucket[which], weights=sign[which],
+                         minlength=len(per_text) * EMBEDDING_DIM)
+    return counts.reshape(len(per_text), EMBEDDING_DIM)
+
+
+def embed_texts(spec: EmbedderSpec, cleans: Sequence[CleanText]) -> np.ndarray:
+    """Embed cleaned texts into an [n x 768] matrix of L2-normalized rows.
+
+    Deterministic for a fixed seed; a row depends on its own text only,
+    and the zero row stays zero (empty text).
+    """
+    rows = _hash_counts(cleans, spec.hash_seed)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    return np.divide(rows, norms, out=rows, where=norms > 0.0)
 
 
 def accumulate_hash_embedding(clean: CleanText, hash_seed: int = 0) -> np.ndarray:
@@ -65,24 +100,12 @@ def accumulate_hash_embedding(clean: CleanText, hash_seed: int = 0) -> np.ndarra
     Additive by construction: accumulating several texts separately and
     summing equals accumulating them together.
     """
-    vec = np.zeros(EMBEDDING_DIM)
-    for feature in _hash_features(clean.tokens):
-        bucket, sign = _bucket_sign(feature, hash_seed)
-        vec[bucket] += sign
-    return vec
-
-
-def _l2_normalize(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    return vec / norm if norm > 0.0 else vec
+    return _hash_counts([clean], hash_seed)[0]
 
 
 def embed_text(spec: EmbedderSpec, clean: CleanText) -> np.ndarray:
-    """Embed one cleaned text into a 768-vector.
-
-    Deterministic for a fixed seed; the zero vector stays zero (empty text).
-    """
-    return _l2_normalize(accumulate_hash_embedding(clean, spec.hash_seed))
+    """Embed one cleaned text into a 768-vector (one row of :func:`embed_texts`)."""
+    return embed_texts(spec, [clean])[0]
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ import numpy as np
 from .atomic import atomic_write
 from .autoencoder import Autoencoder
 from .domain import DomainError, Tweet, UserProfile, UserRecord, validate_record
-from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_text
+from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_texts
 from .network import ShapeError, StateError
 from .preprocess import preprocess
 
@@ -235,7 +235,7 @@ def build_user_vector(
         [tweet_scalars(t) for t in record.tweets], dim=len(TWEET_FEATURES)
     )
     if record.tweets:
-        embedded = np.stack([embed_text(embedder, preprocess(t.text)) for t in record.tweets])
+        embedded = embed_texts(embedder, [preprocess(t.text) for t in record.tweets])
         latent_block = ae.encode_batch(embedded).mean(axis=0)
     else:
         flags.add("no_tweets")

@@ -387,9 +387,13 @@ def backward(
 
     batch = activations.batch_shape[0]
     layers = model.spec.layers
-    grads = model._gradient_views()
-
     last = len(layers) - 1
+    if any(layer.kind == "softmax" for layer in layers[:last]):
+        raise StateError("softmax is only supported as the final layer")
+    grads = model._gradient_views()
+    # Nothing reads the gradient below the lowest layer with parameters.
+    lowest = next((i for i, params in enumerate(model.params) if params), len(layers))
+
     if layers[last].kind == "softmax":
         # Combined softmax + cross-entropy gradient w.r.t. the logits.
         delta = (activations.caches[last]["probs"] - y) / batch
@@ -398,13 +402,15 @@ def backward(
         delta = 2.0 * (activations.outputs - y) / batch
         start = last
 
-    for i in range(start, -1, -1):
+    for i in range(start, lowest - 1, -1):
         layer = layers[i]
         cache = activations.caches[i]
         if layer.kind == "dense":
             x = cache["x"]
             np.matmul(x.T, delta, out=grads[i]["weight"])
             np.sum(delta, axis=0, out=grads[i]["bias"])
+            if i == lowest:
+                break
             delta = delta @ model.params[i]["weight"].T
         elif layer.kind == "relu":
             delta = delta * (cache["z"] > 0.0)
@@ -417,12 +423,12 @@ def backward(
             n = x.shape[0]
             np.sum(delta * x_hat, axis=0, out=grads[i]["scale"])
             np.sum(delta, axis=0, out=grads[i]["shift"])
+            if i == lowest:
+                break
             dx_hat = delta * model.params[i]["scale"]
             dvar = (dx_hat * (x - mu)).sum(axis=0) * (-0.5) * inv_std**3
             dmu = (-dx_hat * inv_std).sum(axis=0) + dvar * (-2.0 * (x - mu)).sum(axis=0) / n
             delta = dx_hat * inv_std + dvar * 2.0 * (x - mu) / n + dmu / n
-        elif layer.kind == "softmax":
-            raise StateError("softmax is only supported as the final layer")
 
     return [dict(layer_grads) for layer_grads in grads]
 

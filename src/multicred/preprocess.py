@@ -39,12 +39,12 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(w for w in text.splitlines() if w and not w.startswith("#"))
 
 
-def _is_url(token: str) -> bool:
-    return token.startswith(("http://", "https://", "www."))
+# URL, hashtag and mention tokens are dropped whole.
+_DROPPED_PREFIXES = ("http://", "https://", "www.", "#", "@")
 
 
 def _is_punctuation_only(token: str) -> bool:
-    return not any(ch.isalnum() for ch in token)
+    return not (token.isalnum() or any(ch.isalnum() for ch in token))
 
 
 def preprocess(text: str | bytes) -> CleanText:
@@ -56,16 +56,8 @@ def preprocess(text: str | bytes) -> CleanText:
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     stopwords = default_stopwords()
-
-    kept = []
-    for token in text.lower().split():
-        if _is_url(token):
-            continue
-        if token.startswith("#") or token.startswith("@"):
-            continue
-        if token in stopwords:
-            continue
-        if _is_punctuation_only(token):
-            continue
-        kept.append(token)
-    return CleanText.from_tokens(kept)
+    return CleanText.from_tokens([
+        token for token in text.lower().split()
+        if not (token.startswith(_DROPPED_PREFIXES) or token in stopwords
+                or _is_punctuation_only(token))
+    ])

@@ -16,7 +16,7 @@ from multicred import features as feat_mod
 from multicred import network as nn
 from multicred.cli import run
 from multicred.dataset import load_dataset
-from multicred.embedding import EmbedderSpec, embed_text
+from multicred.embedding import EmbedderSpec, embed_text, embed_texts
 from multicred.preprocess import preprocess
 
 
@@ -108,18 +108,18 @@ class TestPrepare:
 
     def test_each_tweet_embedded_once_plus_corpus_sample(self, tmp_path, pipeline,
                                                          monkeypatch):
-        calls = []
+        rows = []
 
-        def counting(spec, clean):
-            calls.append(clean)
-            return embed_text(spec, clean)
+        def counting(spec, cleans):
+            rows.extend(cleans)
+            return embed_texts(spec, cleans)
 
-        monkeypatch.setattr(cli, "embed_text", counting)
-        monkeypatch.setattr(feat_mod, "embed_text", counting)
+        monkeypatch.setattr(cli, "embed_texts", counting)
+        monkeypatch.setattr(feat_mod, "embed_texts", counting)
         assert run(["prepare", "--data", str(pipeline / "data"),
                     "--out", str(tmp_path / "p")] + FAST_PREPARE) == 0
         tweets, cap = 60 * 4, 120
-        assert len(calls) == tweets + cap
+        assert len(rows) == tweets + cap
 
     @pytest.mark.parametrize("cap", [120, 240, 1000])
     def test_corpus_is_the_seeded_sample_of_all_tweets(self, tmp_path, pipeline,

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from multicred.embedding import (
     analyze_sentiment,
     default_lexicon,
     embed_text,
+    embed_texts,
 )
 from multicred.preprocess import CleanText, preprocess
 
@@ -68,6 +72,78 @@ class TestHashEmbedder:
         for bad in (-1, 2**64, 1.5, "3", True):
             with pytest.raises(ValueError, match="hash_seed"):
                 EmbedderSpec(hash_seed=bad)
+
+
+def _reference_counts(cleans, seed):
+    """Per-feature signed hashing, one blake2b call per feature occurrence."""
+    key = seed.to_bytes(8, "little")
+    out = np.zeros((len(cleans), EMBEDDING_DIM))
+    for r, clean in enumerate(cleans):
+        toks = clean.tokens
+        feats = ["1|" + t for t in toks] + ["2|" + a + " " + b for a, b in zip(toks, toks[1:])]
+        for feat in feats:
+            digest = hashlib.blake2b(feat.encode("utf-8"), digest_size=8, key=key).digest()
+            h = int.from_bytes(digest, "little")
+            out[r, h % EMBEDDING_DIM] += -1.0 if h >> 63 else 1.0
+    return out
+
+
+def _reference_rows(cleans, seed):
+    out = _reference_counts(cleans, seed)
+    for r in range(len(out)):
+        norm = math.sqrt(sum(v * v for v in out[r].tolist()))
+        if norm > 0.0:
+            out[r] = out[r] / norm
+    return out
+
+
+# Few distinct words, so features repeat within and across texts, plus any
+# non-surrogate text (surrogates cannot be UTF-8 encoded).
+_TOKEN = st.one_of(
+    st.sampled_from(["fox", "red", "fox red", "ünï", "42", "—"]),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6),
+)
+_BATCH = st.lists(st.lists(_TOKEN, max_size=10).map(CleanText.from_tokens), max_size=6)
+_SEED = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+class TestBatchedOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_BATCH, _SEED)
+    def test_rows_bitwise_equal_per_feature_reference(self, cleans, seed):
+        got = embed_texts(EmbedderSpec(hash_seed=seed), cleans)
+        assert got.shape == (len(cleans), EMBEDDING_DIM) and got.dtype == np.float64
+        assert got.tobytes() == _reference_rows(cleans, seed).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_BATCH.filter(bool), _SEED)
+    def test_row_independent_of_its_batch(self, cleans, seed):
+        spec = EmbedderSpec(hash_seed=seed)
+        batch = embed_texts(spec, cleans)
+        for i, clean in enumerate(cleans):
+            assert batch[i].tobytes() == embed_texts(spec, [clean])[0].tobytes()
+            assert batch[i].tobytes() == embed_text(spec, clean).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_edge_batches_match_reference(self, seed):
+        spec = EmbedderSpec(hash_seed=seed)
+        empty = embed_texts(spec, [])
+        assert empty.shape == (0, EMBEDDING_DIM) and empty.dtype == np.float64
+        cases = [
+            [preprocess("")],
+            [preprocess(""), preprocess("")],
+            [CleanText.from_tokens(["fox", "fox", "fox", "fox"])],  # repeats in one text
+            [preprocess("quick fox"), preprocess(""), preprocess("quick fox quick fox")],
+        ]
+        for cleans in cases:
+            got = embed_texts(spec, cleans)
+            assert got.tobytes() == _reference_rows(cleans, seed).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_TOKEN, max_size=10).map(CleanText.from_tokens), _SEED)
+    def test_unnormalized_accumulation_matches_reference_counts(self, clean, seed):
+        counts = accumulate_hash_embedding(clean, seed)
+        assert counts.tobytes() == _reference_counts([clean], seed)[0].tobytes()
 
 
 class TestSentiment:

@@ -64,3 +64,39 @@ class TestProperties:
         once = preprocess(text)
         twice = preprocess(once.joined)
         assert twice.tokens == once.tokens
+
+
+def _rule_by_rule(text: str) -> tuple[str, ...]:
+    """The cleaning rules applied one at a time, each dropping the token."""
+    stopwords = default_stopwords()
+    kept = []
+    for token in text.lower().split():
+        if token.startswith(("http://", "https://", "www.")):
+            continue
+        if token.startswith("#") or token.startswith("@"):
+            continue
+        if token in stopwords:
+            continue
+        if not any(ch.isalnum() for ch in token):
+            continue
+        kept.append(token)
+    return tuple(kept)
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["http://t.co/x", "HTTPS://A.b", "www.site.org", "wwwx", "http:/no"]),
+    st.sampled_from(["#news", "@user", "#", "@", "a#b", "x@y"]),
+    st.sampled_from(sorted(default_stopwords())).map(lambda w: w.upper() if len(w) % 2 else w),
+    st.sampled_from(["—", "–", "‐", "...", "!!!", "?!", "-—-", "'", "“”", "·"]),
+    st.sampled_from(["42", "2024", "٣", "²", "7th", "-5", "3.14", "—1", "é", "ǅ"]),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8),
+)
+
+
+class TestRuleEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_TOKENS, st.sampled_from([" ", "\t", "\n", "  ", "　"]))))
+    def test_comprehension_matches_rule_by_rule_loop(self, parts):
+        text = "".join(token + gap for token, gap in parts)
+        assert preprocess(text).tokens == _rule_by_rule(text)
+        assert preprocess(text.encode("utf-8")).tokens == _rule_by_rule(text)
