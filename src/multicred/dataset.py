@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .domain import (
     CRITERIA,
     MAX_COMMENTS_PER_USER,
@@ -312,7 +313,8 @@ def write_dataset(records: list[UserRecord], root: str | Path) -> DatasetManifes
 
     Records must be all labeled or all unlabeled; labels.csv is written
     only in the first case. Output is deterministic: users sorted by id,
-    JSON keys sorted.
+    JSON keys sorted. Each file is replaced atomically (see
+    :func:`~multicred.atomic.atomic_write`).
     """
     scored = [r.score is not None for r in records]
     if any(scored) and not all(scored):
@@ -333,7 +335,7 @@ def write_dataset(records: list[UserRecord], root: str | Path) -> DatasetManifes
                    [{"text": c.text} for c in record.comments])
 
     if labels_present:
-        with open(root / "labels.csv", "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(root / "labels.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["user_id", "score"])
             for record in ordered:
@@ -347,7 +349,8 @@ def write_dataset(records: list[UserRecord], root: str | Path) -> DatasetManifes
 
 
 def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True), "utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _in_bin_flag_sets(system: ClassificationSystem) -> dict[int, list[tuple[bool, ...]]]:

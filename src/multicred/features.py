@@ -2,6 +2,13 @@
 labeled datasets: min-max normalization, stratified splitting, and SMOTE
 oversampling.
 
+SMOTE draws every synthetic point's base, neighbour rank and lam first,
+then searches neighbours only for the distinct drawn bases, by exact
+brute-force kNN in blocks of at most :data:`SMOTE_BLOCK_FLOATS` float64
+differences (8 MiB), so its memory grows with the class size, not its
+square. :func:`smote_plan` gives each synthetic row's provenance as
+indices into the training split.
+
 Vector layout (stable, exported via :func:`feature_layout`):
   [ 0..17]  18 profile scalars (booleans as 0/1, creation time decomposed)
   [18..34]  17 tweet scalars, averaged over the user's tweets
@@ -59,6 +66,10 @@ NUM_FEATURES = len(FEATURE_NAMES)  # 51
 
 TRAIN_FRACTION = 0.7
 TEST_FRACTION = 0.2
+
+# SMOTE's neighbour search holds at most this many float64 differences
+# (8 MiB) at once, whatever the class size.
+SMOTE_BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -346,33 +357,40 @@ def split(dataset: LabeledDataset, seed: int) -> SplitDataset:
     return SplitDataset(train=pick(train_idx), test=pick(test_idx), validation=pick(val_idx))
 
 
-@dataclass(frozen=True)
-class SmoteTrace:
-    """Provenance of one synthetic point, for independent verification."""
+def _neighbor_ids(points: np.ndarray, rows: np.ndarray, k_eff: int) -> np.ndarray:
+    """The ``k_eff`` nearest neighbours of ``points[rows]`` among ``points``.
 
-    class_index: int
-    base: np.ndarray
-    neighbor: np.ndarray
-    synthetic: np.ndarray
-
-
-def smote(train: LabeledDataset, k: int = 5, seed: int = 0) -> LabeledDataset:
-    """Oversample every class up to the majority count.
-
-    Each synthetic point is base + lam * (neighbor - base) with the
-    neighbor drawn from the base's k nearest same-class points
-    (Euclidean; effectively min(k, class size - 1) neighbors) and lam
-    uniform in [0, 1]. Originals are retained; an already balanced input
-    comes back unchanged.
+    Exact brute-force Euclidean kNN, one block of at most
+    :data:`SMOTE_BLOCK_FLOATS` differences at a time. Each row's ids come
+    from a stable argsort of its distances, so a tie goes to the lower
+    index, with rank 0 skipped: the point itself, or an identical point of
+    lower index (the point itself is then one of its neighbours).
     """
-    balanced, _ = smote_with_trace(train, k=k, seed=seed)
-    return balanced
+    n, width = points.shape
+    step = max(1, SMOTE_BLOCK_FLOATS // (n * width))
+    ids = np.empty((len(rows), k_eff), dtype=np.intp)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        diff = points[block, None, :] - points[None, :, :]
+        diff **= 2  # in place: one block-sized temporary
+        distances = np.sqrt(diff.sum(axis=2))
+        del diff  # freed before the next block is allocated
+        ids[start:start + step] = np.argsort(distances, axis=1, kind="stable")[:, 1:k_eff + 1]
+    return ids
 
 
-def smote_with_trace(
+def smote_plan(
     train: LabeledDataset, k: int = 5, seed: int = 0
-) -> tuple[LabeledDataset, list[SmoteTrace]]:
-    """Like :func:`smote`, also returning per-synthetic-point provenance."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Which rows :func:`smote` synthesizes, as indices into ``train.items``.
+
+    Returns four arrays with one entry per synthetic row, in output order:
+    its class, its base row, its neighbour row and its ``lam``; the row is
+    ``base + lam * (neighbor - base)``. For each class short of the
+    majority count, in class order, every synthetic point's base, neighbour
+    rank and ``lam`` are drawn first; neighbours are then searched only for
+    the distinct drawn bases (see :func:`_neighbor_ids`).
+    """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
 
@@ -383,45 +401,52 @@ def smote_with_trace(
         raise DomainError(f"cannot oversample singleton classes: {singletons}")
     target = max(counts)
     if all(counts[c] == target for c in present):
-        return train, []
+        no_rows = np.empty(0, dtype=np.intp)
+        return no_rows, no_rows, no_rows, np.empty(0)
 
-    by_class: dict[int, list[UserFeatureVector]] = {c: [] for c in present}
-    for vec, label in train.items:
-        by_class[label].append(vec)
-
+    x, y = dataset_to_matrix(train)
     rng = np.random.default_rng(seed)
-    synthetic_items: list[tuple[UserFeatureVector, int]] = []
-    traces: list[SmoteTrace] = []
+    classes, bases, neighbors, lams = [], [], [], []
     for c in present:
         need = target - counts[c]
         if need == 0:
             continue
-        points = np.stack([v.values for v in by_class[c]])
-        n_c = points.shape[0]
+        members = np.flatnonzero(y == c)
+        n_c = len(members)
         k_eff = min(k, n_c - 1)
-        # Pairwise distances; self excluded by skipping rank 0 (distance 0).
-        deltas = points[:, None, :] - points[None, :, :]
-        distances = np.sqrt((deltas**2).sum(axis=2))
-        neighbor_ids = np.argsort(distances, axis=1, kind="stable")[:, 1:k_eff + 1]
+        draws = [(int(rng.integers(n_c)), int(rng.integers(k_eff)), float(rng.random()))
+                 for _ in range(need)]
+        base, rank, lam = (np.array(column) for column in zip(*draws))
+        drawn, slot = np.unique(base, return_inverse=True)
+        neighbor = _neighbor_ids(x[members], drawn, k_eff)[slot, rank]
+        classes.append(np.full(need, c))
+        bases.append(members[base])
+        neighbors.append(members[neighbor])
+        lams.append(lam)
+    return tuple(np.concatenate(parts) for parts in (classes, bases, neighbors, lams))
 
-        for j in range(need):
-            base_id = int(rng.integers(n_c))
-            nb_id = int(neighbor_ids[base_id][int(rng.integers(k_eff))])
-            lam = float(rng.random())
-            base = points[base_id]
-            neighbor = points[nb_id]
-            synthetic = base + lam * (neighbor - base)
-            vec = UserFeatureVector(
-                user_id=f"smote:{c}:{j}", values=synthetic, flags=frozenset()
-            )
-            synthetic_items.append((vec, c))
-            traces.append(SmoteTrace(
-                class_index=c, base=base.copy(), neighbor=neighbor.copy(),
-                synthetic=synthetic.copy(),
-            ))
 
-    balanced = LabeledDataset(train.items + tuple(synthetic_items), train.num_classes)
-    return balanced, traces
+def smote(train: LabeledDataset, k: int = 5, seed: int = 0) -> LabeledDataset:
+    """Oversample every class up to the majority count.
+
+    Each synthetic point is base + lam * (neighbor - base) with the
+    neighbor drawn from the base's k nearest same-class points
+    (Euclidean; effectively min(k, class size - 1) neighbors) and lam
+    uniform in [0, 1]; :func:`smote_plan` gives the indices and lams.
+    Originals are retained; an already balanced input comes back unchanged.
+    """
+    classes, base, neighbor, lam = smote_plan(train, k=k, seed=seed)
+    if len(classes) == 0:
+        return train
+    x, _ = dataset_to_matrix(train)
+    b = x[base]
+    rows = b + lam[:, None] * (x[neighbor] - b)
+    made = [0] * train.num_classes
+    synthetic_items = []
+    for c, values in zip(classes.tolist(), rows):
+        synthetic_items.append((UserFeatureVector(f"smote:{c}:{made[c]}", values), c))
+        made[c] += 1
+    return LabeledDataset(train.items + tuple(synthetic_items), train.num_classes)
 
 
 def dataset_to_matrix(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +468,10 @@ def write_feature_csv(dataset: LabeledDataset, path: str | Path) -> None:
 
 
 def read_feature_csv(path: str | Path, num_classes: int) -> LabeledDataset:
-    """Load a dataset previously written by :func:`write_feature_csv`."""
+    """Load a dataset previously written by :func:`write_feature_csv`.
+
+    A malformed row raises a DomainError naming the path and its 1-based line.
+    """
     items = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -452,8 +480,17 @@ def read_feature_csv(path: str | Path, num_classes: int) -> LabeledDataset:
             raise DomainError(f"feature CSV has {len(header)} columns, "
                               f"expected {NUM_FEATURES + 2}")
         for row in reader:
-            values = np.array([float(v) for v in row[1:-1]])
-            items.append((UserFeatureVector(row[0], values), int(row[-1])))
+            try:
+                if len(row) != NUM_FEATURES + 2:
+                    raise DomainError(f"{len(row)} columns, expected {NUM_FEATURES + 2}")
+                values = np.array([float(v) for v in row[1:-1]])
+                label = int(row[-1])
+                if not 0 <= label < num_classes:
+                    raise DomainError(f"class index {label} out of range for "
+                                      f"{num_classes} classes")
+                items.append((UserFeatureVector(row[0], values), label))
+            except ValueError as exc:
+                raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     return LabeledDataset(tuple(items), num_classes)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +74,10 @@ class LayerSpec:
             raise DomainError(f"{self.kind} cannot change dimension")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise DomainError("dropout_rate must lie in [0, 1)")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise DomainError("momentum must lie in [0, 1]")
+        if not 0.0 < self.epsilon < math.inf:
+            raise DomainError("epsilon must be finite and > 0")
 
 
 def dense(input_dim: int, output_dim: int) -> LayerSpec:
@@ -617,6 +621,21 @@ def _stored_array(container, key, size: int, name: str) -> np.ndarray:
     return values
 
 
+def _stored_real(container: dict, key: str, default: float, valid: Callable[[float], bool],
+                 requirement: str, name: str) -> float:
+    """``container[key]``, or ``default`` if absent: a finite number passing ``valid``."""
+    value = container.get(key, default)
+    try:
+        # type(), not isinstance(): a bool is not a number here
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not (math.isfinite(number) and valid(number)):
+        raise StateError(f"serialized network field {name} is {value!r}, "
+                         f"expected a finite number {requirement}")
+    return number
+
+
 def spec_from_json(data: Sequence[dict]) -> NetworkSpec:
     layers = []
     for i, entry in enumerate(data):
@@ -625,9 +644,12 @@ def spec_from_json(data: Sequence[dict]) -> NetworkSpec:
             kind=_stored(entry, "kind", str, name("kind")),
             input_dim=_stored(entry, "input_dim", int, name("input_dim")),
             output_dim=_stored(entry, "output_dim", int, name("output_dim")),
-            dropout_rate=entry.get("dropout_rate", 0.0),
-            momentum=entry.get("momentum", 0.99),
-            epsilon=entry.get("epsilon", 1e-3),
+            dropout_rate=_stored_real(entry, "dropout_rate", 0.0, lambda v: 0.0 <= v < 1.0,
+                                      "in [0, 1)", name("dropout_rate")),
+            momentum=_stored_real(entry, "momentum", 0.99, lambda v: 0.0 <= v <= 1.0,
+                                  "in [0, 1]", name("momentum")),
+            epsilon=_stored_real(entry, "epsilon", 1e-3, lambda v: v > 0.0,
+                                 "> 0", name("epsilon")),
         ))
     return NetworkSpec(tuple(layers))
 

@@ -28,8 +28,10 @@ from multicred.features import (
     UserFeatureVector,
     apply_minmax,
     build_user_vector,
+    dataset_to_matrix,
     fit_minmax,
-    smote_with_trace,
+    smote,
+    smote_plan,
 )
 from multicred.preprocess import preprocess
 
@@ -116,16 +118,23 @@ def test_smote_equalization_and_geometry():
             items.append((UserFeatureVector(f"u{c}_{i}", values), c))
     dataset = LabeledDataset(tuple(items), num_classes=4)
 
-    balanced, traces = smote_with_trace(dataset, k=5, seed=13)
+    balanced = smote(dataset, k=5, seed=13)
     assert balanced.class_counts() == [507, 507, 507, 507]
 
-    # Independent projection oracle over every synthetic point.
-    for trace in traces:
-        direction = trace.neighbor - trace.base
+    # Independent projection oracle over every synthetic point, rebuilt
+    # from the plan's row indices.
+    x, y = dataset_to_matrix(dataset)
+    classes, base_ids, neighbor_ids, _ = smote_plan(dataset, k=5, seed=13)
+    synthetic_rows = dataset_to_matrix(balanced)[0][len(dataset):]
+    assert len(classes) == len(synthetic_rows) == 3 * 507 - 83 - 33 - 24
+    for c, b, nb, synthetic in zip(classes, base_ids, neighbor_ids, synthetic_rows):
+        assert y[b] == c and y[nb] == c
+        base, neighbor = x[b], x[nb]
+        direction = neighbor - base
         denom = float(direction @ direction)
         assert denom > 0.0
-        lam = float((trace.synthetic - trace.base) @ direction) / denom
-        residual = float(np.linalg.norm((trace.synthetic - trace.base) - lam * direction))
+        lam = float((synthetic - base) @ direction) / denom
+        residual = float(np.linalg.norm((synthetic - base) - lam * direction))
         assert residual < 1e-9
         assert -1e-12 <= lam <= 1.0 + 1e-12
 

@@ -175,6 +175,10 @@ class TestBundleCrossCheck:
         (lambda b: b.pop("classifier"), "no field classifier"),
         (lambda b: b.pop("autoencoder"), "no field autoencoder"),
         (lambda b: b["classifier"].pop("layers"), "no field layers"),
+        (lambda b: b["classifier"]["layers"][0].update(dropout_rate="x"),
+         "layers[0].dropout_rate"),
+        (lambda b: b["classifier"]["layers"][3].update(epsilon=-1000.0), "layers[3].epsilon"),
+        (lambda b: b["classifier"]["layers"][7].update(momentum="a"), "layers[7].momentum"),
     ])
     def test_mismatched_bundle_rejected_by_name(self, pipeline, tmp_path, capsys,
                                                 tamper, named):
@@ -202,6 +206,33 @@ class TestBundleCrossCheck:
         assert code == 1
         assert f"no field {field}" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
+
+
+class TestFeatureCsvRows:
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda row: row[:-2] + row[-1:], "52 columns, expected 53"),
+        (lambda row: [], "0 columns, expected 53"),
+        (lambda row: row[:11] + ["abc"] + row[12:], "could not convert string to float: 'abc'"),
+        (lambda row: row[:5] + ["nan"] + row[6:], "non-finite feature values"),
+        (lambda row: row[:-1] + ["1.5"], "invalid literal for int()"),
+        (lambda row: row[:-1] + ["4"], "class index 4 out of range for 4 classes"),
+    ], ids=["short-row", "blank-row", "non-numeric", "nan", "fractional-class",
+            "class-out-of-range"])
+    def test_malformed_row_named_by_path_and_line(self, pipeline, tmp_path, capsys,
+                                                  tamper, named):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        path = prep / "test.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[2] = tamper(rows[2])
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        code = run(["evaluate", "--model", str(pipeline / "model.json"),
+                    "--prepared", str(prep)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: {named}" in err and "Traceback" not in err
 
 
 class TestTrainEvaluate:

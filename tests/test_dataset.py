@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multicred import dataset as dataset_mod
 from multicred.dataset import (
     REFERENCE_INSTANT,
     DatasetLoadError,
@@ -161,6 +163,33 @@ class TestWrite:
                               tweets_per_user=1, comments_per_user=1, seed=0)
         with pytest.raises(OSError):
             write_dataset(generate_synthetic(cfg), tmp_path / "blocked" / "nested")
+
+    def test_failed_write_keeps_previous_file_and_leaves_no_temporary(
+            self, tmp_path, monkeypatch):
+        root = tmp_path / "ds"
+        config = lambda seed: SyntheticConfig(num_users=6, system=ClassificationSystem(4),
+                                              tweets_per_user=2, comments_per_user=1,
+                                              seed=seed)
+        write_dataset(generate_synthetic(config(1)), root)
+        previous = (root / "labels.csv").read_bytes()
+        real_writer = csv.writer
+
+        class FailsAfterTwoRows:
+            def __init__(self, fh, **kwargs):
+                self._writer = real_writer(fh, **kwargs)
+                self._rows = 0
+
+            def writerow(self, row):
+                if self._rows == 2:
+                    raise OSError("disk full")
+                self._rows += 1
+                self._writer.writerow(row)
+
+        monkeypatch.setattr(dataset_mod.csv, "writer", FailsAfterTwoRows)
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(generate_synthetic(config(2)), root)
+        assert (root / "labels.csv").read_bytes() == previous
+        assert [p for p in root.rglob("*") if p.name.endswith(".tmp")] == []
 
     def test_mixed_labels_rejected(self, tmp_path):
         cfg = SyntheticConfig(num_users=2, system=ClassificationSystem(4),

@@ -1,8 +1,12 @@
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multicred import features as feat_mod
 from multicred.domain import Comment, DomainError, Tweet, UserProfile, UserRecord
 from multicred.features import (
     FEATURE_NAMES,
@@ -21,7 +25,7 @@ from multicred.features import (
     normalize_vectors,
     read_feature_csv,
     smote,
-    smote_with_trace,
+    smote_plan,
     split,
     write_feature_csv,
 )
@@ -228,14 +232,18 @@ class TestSmote:
 
     def test_synthetic_points_on_segments(self):
         ds = dataset_from_counts([60, 12, 8, 5])
-        _, traces = smote_with_trace(ds, k=5, seed=4)
-        assert traces
-        for t in traces:
-            direction = t.neighbor - t.base
+        x, y = dataset_to_matrix(ds)
+        classes, base_ids, neighbor_ids, lams = smote_plan(ds, k=5, seed=4)
+        assert len(classes)
+        synthetic_rows = dataset_to_matrix(smote(ds, k=5, seed=4))[0][len(ds):]
+        for c, b, nb, synthetic in zip(classes, base_ids, neighbor_ids, synthetic_rows):
+            assert y[b] == c and y[nb] == c
+            base, neighbor = x[b], x[nb]
+            direction = neighbor - base
             denom = float(direction @ direction)
             assert denom > 0.0
-            lam = float((t.synthetic - t.base) @ direction) / denom
-            residual = np.linalg.norm((t.synthetic - t.base) - lam * direction)
+            lam = float((synthetic - base) @ direction) / denom
+            residual = np.linalg.norm((synthetic - base) - lam * direction)
             assert residual < 1e-9
             assert -1e-12 <= lam <= 1.0 + 1e-12
 
@@ -269,6 +277,117 @@ class TestSmote:
         ds = dataset_from_counts([10, 2])
         balanced = smote(ds, k=5, seed=2)
         assert balanced.class_counts() == [10, 10]
+
+
+def brute_force_neighbors(points, k):
+    """Every point's k nearest neighbours, from the full n x n x d tensor."""
+    distances = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    return np.argsort(distances, axis=1, kind="stable")[:, 1:k + 1]
+
+
+def reference_smote_plan(train, k, seed):
+    """SMOTE's (class, base, neighbour, lam) drawn point by point, with one
+    brute-force neighbour table per class."""
+    x, y = dataset_to_matrix(train)
+    counts = train.class_counts()
+    rng = np.random.default_rng(seed)
+    plan = []
+    for c, n_c in enumerate(counts):
+        need = max(counts) - n_c
+        if n_c == 0 or need == 0:
+            continue
+        members = np.flatnonzero(y == c)
+        k_eff = min(k, n_c - 1)
+        table = brute_force_neighbors(x[members], k_eff)
+        for _ in range(need):
+            base = int(rng.integers(n_c))
+            neighbor = int(table[base][int(rng.integers(k_eff))])
+            plan.append((c, int(members[base]), int(members[neighbor]), float(rng.random())))
+    return plan
+
+
+# Rows on a small grid, so that distances tie and points repeat: the first
+# four are at distance 1 from the origin, and each candidate can be drawn
+# more than once.
+_EYE = np.eye(NUM_FEATURES)
+_CANDIDATES = np.stack([np.zeros(NUM_FEATURES), _EYE[0], -_EYE[0], _EYE[1],
+                        2 * _EYE[0], np.full(NUM_FEATURES, 0.5)])
+_GRID_CLASSES = st.lists(
+    st.lists(st.integers(0, len(_CANDIDATES) - 1), min_size=2, max_size=9)
+    | st.just([]),
+    min_size=1, max_size=4,
+).filter(any)
+
+
+def grid_dataset(classes):
+    items = [(UserFeatureVector(f"u{c}_{i}", _CANDIDATES[pick].copy()), c)
+             for c, picks in enumerate(classes) for i, pick in enumerate(picks)]
+    return LabeledDataset(tuple(items), num_classes=len(classes))
+
+
+class TestSmoteOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.integers(2, 12).flatmap(lambda n: st.lists(
+               st.lists(st.sampled_from([0.0, 1.0, 2.0, -0.5]), min_size=3, max_size=3),
+               min_size=n, max_size=n)),
+           k=st.integers(1, 14), block_floats=st.integers(1, 400), data=st.data())
+    def test_blocked_search_matches_brute_force(self, points, k, block_floats, data):
+        points = np.array(points)
+        n = len(points)
+        k_eff = min(k, n - 1)
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), unique=True).map(sorted)),
+                        dtype=np.intp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(feat_mod, "SMOTE_BLOCK_FLOATS", block_floats)
+            got = feat_mod._neighbor_ids(points, rows, k_eff)
+        np.testing.assert_array_equal(got, brute_force_neighbors(points, k_eff)[rows])
+
+    @settings(max_examples=150, deadline=None)
+    @given(classes=_GRID_CLASSES, k=st.integers(1, 10), seed=st.integers(0, 2**32),
+           one_row_blocks=st.booleans())
+    def test_plan_matches_point_by_point_reference(self, classes, k, seed, one_row_blocks):
+        ds = grid_dataset(classes)
+        with pytest.MonkeyPatch.context() as mp:
+            if one_row_blocks:
+                mp.setattr(feat_mod, "SMOTE_BLOCK_FLOATS", 1)
+            plan = smote_plan(ds, k=k, seed=seed)
+        assert list(zip(*(a.tolist() for a in plan))) == reference_smote_plan(ds, k, seed)
+
+    @pytest.mark.parametrize("ds", [
+        dataset_from_counts([507, 83, 33, 24]),
+        grid_dataset([[0] * 9, [0, 0, 1, 2, 3], [4, 5], [1, 1, 1]]),
+    ], ids=["gaussian", "grid-with-ties"])
+    def test_rows_bitwise_equal_rows_rebuilt_from_plan(self, ds):
+        x, y = dataset_to_matrix(ds)
+        classes, base_ids, neighbor_ids, lams = smote_plan(ds, k=5, seed=3)
+        balanced = smote(ds, k=5, seed=3)
+        assert balanced.items[:len(ds)] == ds.items
+        synthetic = balanced.items[len(ds):]
+        assert len(synthetic) == len(classes)
+        made = [0] * ds.num_classes
+        for (vec, label), c, b, nb, lam in zip(synthetic, classes, base_ids, neighbor_ids, lams):
+            rebuilt = x[b] + float(lam) * (x[nb] - x[b])
+            assert vec.values.tobytes() == rebuilt.tobytes()
+            assert label == c == y[b] == y[nb]
+            assert vec.user_id == f"smote:{c}:{made[c]}"
+            made[c] += 1
+
+    def test_balanced_input_has_empty_plan(self):
+        plan = smote_plan(dataset_from_counts([20, 20]), k=5, seed=0)
+        assert [a.shape for a in plan] == [(0,)] * 4
+
+    def test_memory_bounded_by_one_block(self):
+        # A 500-point class: the full n x n x 51 tensor and its square take
+        # about 200 MiB; one block is at most 8 MiB.
+        ds = dataset_from_counts([1000, 500])
+        tracemalloc.start()
+        try:
+            balanced = smote(ds, k=5, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert balanced.class_counts() == [1000, 1000]
+        assert peak < 32 * 2**20
 
 
 class TestCsvRoundtrip:

@@ -31,6 +31,14 @@ class TestSpecs:
         with pytest.raises(DomainError):
             nn.dropout(4, rate=1.0)
 
+    @pytest.mark.parametrize("momentum, epsilon, named", [
+        (-0.1, 1e-3, "momentum"), (1.5, 1e-3, "momentum"), (float("nan"), 1e-3, "momentum"),
+        (0.99, 0.0, "epsilon"), (0.99, -1000.0, "epsilon"), (0.99, float("inf"), "epsilon"),
+    ])
+    def test_batchnorm_momentum_and_epsilon_range(self, momentum, epsilon, named):
+        with pytest.raises(DomainError, match=named):
+            nn.batchnorm(4, momentum=momentum, epsilon=epsilon)
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             nn.LayerSpec("conv", 4, 4)
@@ -479,8 +487,20 @@ class TestSerialization:
         (lambda d: d["running_stats"].__setitem__(2, None), r"running_stats\[2\]"),
         (lambda d: d["running_stats"][2].update(mean=[0.0]),
          r"running_stats\[2\]\.mean has shape \(1,\)"),
+        (lambda d: d["layers"][2].update(epsilon=-1000.0), r"layers\[2\]\.epsilon is -1000\.0"),
+        (lambda d: d["layers"][2].update(epsilon=0), r"layers\[2\]\.epsilon is 0,"),
+        (lambda d: d["layers"][2].update(epsilon=10**400), r"layers\[2\]\.epsilon"),
+        (lambda d: d["layers"][2].update(momentum="a"), r"layers\[2\]\.momentum is 'a'"),
+        (lambda d: d["layers"][2].update(momentum=True), r"layers\[2\]\.momentum is True"),
+        (lambda d: d["layers"][2].update(momentum=1.01), r"layers\[2\]\.momentum"),
+        (lambda d: d["layers"][1].update(dropout_rate="x"), r"layers\[1\]\.dropout_rate"),
+        (lambda d: d["layers"][1].update(dropout_rate=1.0), r"layers\[1\]\.dropout_rate"),
+        (lambda d: d["layers"][1].update(dropout_rate=None), r"layers\[1\]\.dropout_rate"),
     ], ids=["no-layers", "no-input-dim", "truncated-parameters", "short-weight",
-            "nan-bias", "running-stats-none", "one-element-mean"])
+            "nan-bias", "running-stats-none", "one-element-mean", "negative-epsilon",
+            "zero-epsilon", "huge-int-epsilon", "string-momentum", "bool-momentum",
+            "momentum-above-one", "string-dropout-rate", "dropout-rate-one",
+            "null-dropout-rate"])
     def test_malformed_document_rejected_by_name(self, tamper, named):
         spec = nn.NetworkSpec((nn.dense(3, 4), nn.relu(4), nn.batchnorm(4),
                                nn.dense(4, 2), nn.softmax(2)))
