@@ -379,8 +379,10 @@ def _sample_flags_for_class(
     return CriteriaFlags(options[int(rng.integers(len(options)))])
 
 
-def _pick_words(rng: np.random.Generator, pool: tuple[str, ...], count: int) -> list[str]:
-    return [pool[int(i)] for i in rng.integers(len(pool), size=count)]
+def _pick_word(rng: np.random.Generator, pool: tuple[str, ...]) -> str:
+    # A scalar draw takes the same value from the stream as ``size=1`` and
+    # skips numpy's per-call ``size`` handling.
+    return pool[int(rng.integers(len(pool)))]
 
 
 def generate_synthetic(config: SyntheticConfig) -> list[UserRecord]:
@@ -438,9 +440,9 @@ def generate_synthetic(config: SyntheticConfig) -> list[UserRecord]:
             mentions = int(rng.poisson(0.5 + 1.5 * (1.0 - cred)))
             n_words = int(rng.integers(6, 13))
             words = [
-                (_pick_words(rng, _SENSATIONAL_WORDS, 1)[0]
+                (_pick_word(rng, _SENSATIONAL_WORDS)
                  if rng.random() < (1.0 - cred)
-                 else _pick_words(rng, _CREDIBLE_WORDS, 1)[0])
+                 else _pick_word(rng, _CREDIBLE_WORDS))
                 for _ in range(n_words)
             ]
             words.extend(f"#tag{int(rng.integers(50))}" for _ in range(hashtags))
@@ -469,9 +471,9 @@ def generate_synthetic(config: SyntheticConfig) -> list[UserRecord]:
         for _ in range(config.comments_per_user):
             n_words = int(rng.integers(5, 11))
             words = [
-                (_pick_words(rng, anger_pool, 1)[0] if rng.random() < angry
-                 else _pick_words(rng, upbeat_pool, 1)[0] if rng.random() < 0.5
-                 else _pick_words(rng, _NEUTRAL_COMMENT_WORDS, 1)[0])
+                (_pick_word(rng, anger_pool) if rng.random() < angry
+                 else _pick_word(rng, upbeat_pool) if rng.random() < 0.5
+                 else _pick_word(rng, _NEUTRAL_COMMENT_WORDS))
                 for _ in range(n_words)
             ]
             comments.append(Comment(text=" ".join(words)))

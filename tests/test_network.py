@@ -157,6 +157,18 @@ class TestCrossEntropy:
         with pytest.raises(DomainError):
             nn.cross_entropy(np.array([[0.9, 0.3]]), one_hot([0], 2))
 
+    # The tolerance is np.allclose's at atol=1e-6: 1e-6 + 1e-5 * |1.0| = 1.1e-5.
+    @pytest.mark.parametrize("offset, accepted", [
+        (1.09e-5, True), (-1.09e-5, True), (1.11e-5, False), (-1.11e-5, False),
+    ])
+    def test_row_sum_tolerance_boundary(self, offset, accepted):
+        probs = np.array([[0.5, 0.5], [0.5 + offset, 0.5]])
+        if accepted:
+            assert np.isfinite(nn.cross_entropy(probs, one_hot([0, 1], 2)).scalar)
+        else:
+            with pytest.raises(DomainError, match="sum to 1"):
+                nn.cross_entropy(probs, one_hot([0, 1], 2))
+
     def test_shape_mismatch(self):
         with pytest.raises(nn.ShapeError):
             nn.cross_entropy(np.full((2, 4), 0.25), one_hot([0], 2))
@@ -339,26 +351,37 @@ def batch_for(model, rng, rows=16):
 
 class TestFlatBuffer:
     @pytest.mark.parametrize("build", [classifier_net, autoencoder_net])
-    def test_adam_matches_per_array_reference_bitwise(self, build):
-        fused, ref = build(), build()
-        state = nn.init_adam(fused)
-        m = [{k: np.zeros_like(a) for k, a in p.items()} for p in ref.params]
-        v = [{k: np.zeros_like(a) for k, a in p.items()} for p in ref.params]
-        data = np.random.default_rng(5)
-        rng_fused, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
-        for step in range(50):
-            x, y = batch_for(fused, data)
-            lr = nn.lr_at(step // 10)
-            fused.train_mode()
-            nn.adam_step(fused, nn.backward(fused, nn.forward(fused, x, rng=rng_fused), y),
-                         state, lr)
-            ref.train_mode()
-            grads = nn.backward(ref, nn.forward(ref, x, rng=rng_ref), y)
-            reference_adam(ref.params, grads, m, v, step + 1, lr)
-        assert state.t == 50
-        for p_fused, p_ref in zip(fused.params, ref.params):
-            for key in p_ref:
-                np.testing.assert_array_equal(p_fused[key], p_ref[key])
+    def test_adam_matches_per_array_reference_bitwise(self, build, monkeypatch):
+        # 7 and 4,096 leave a partial last block on both networks; the default
+        # covers the classifier in three blocks and the autoencoder in seven.
+        assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
+        for block in (7, 4_096, nn.ADAM_BLOCK):
+            monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+            fused, ref = build(), build()
+            state = nn.init_adam(fused)
+            # Start past step 350 so the run crosses step 356, where 1 - 0.9**t
+            # first rounds to 1.0 and adam_step stops dividing m by it.
+            start = 350
+            state.t = start
+            m = [{k: np.zeros_like(a) for k, a in p.items()} for p in ref.params]
+            v = [{k: np.zeros_like(a) for k, a in p.items()} for p in ref.params]
+            data = np.random.default_rng(5)
+            rng_fused, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
+            for step in range(50):
+                x, y = batch_for(fused, data)
+                lr = nn.lr_at(step // 10)
+                fused.train_mode()
+                nn.adam_step(fused,
+                             nn.backward(fused, nn.forward(fused, x, rng=rng_fused), y),
+                             state, lr)
+                ref.train_mode()
+                grads = nn.backward(ref, nn.forward(ref, x, rng=rng_ref), y)
+                reference_adam(ref.params, grads, m, v, start + step + 1, lr)
+            assert state.t == start + 50
+            for p_fused, p_ref in zip(fused.params, ref.params):
+                for key in p_ref:
+                    np.testing.assert_array_equal(p_fused[key], p_ref[key],
+                                                  err_msg=f"ADAM_BLOCK={block}")
 
     @pytest.mark.parametrize("build", [classifier_net, autoencoder_net])
     def test_params_and_grads_are_views_of_their_buffers(self, build):
@@ -404,17 +427,20 @@ class TestFlatBuffer:
                 assert not np.shares_memory(arr, model.flat)
 
     def test_adam_step_allocates_no_parameter_sized_temporaries(self):
-        model = build_multicred(4).train_mode()
-        x, y = batch_for(model, np.random.default_rng(9))
-        grads = nn.backward(model, nn.forward(model, x, rng=np.random.default_rng(10)), y)
-        state = nn.init_adam(model)
-        tracemalloc.start()
-        try:
-            nn.adam_step(model, grads, state, lr=0.01)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * model.flat.size
+        for model in (build_multicred(4), autoencoder_net()):
+            model.train_mode()
+            x, y = batch_for(model, np.random.default_rng(9))
+            grads = nn.backward(model, nn.forward(model, x, rng=np.random.default_rng(10)), y)
+            state = nn.init_adam(model)
+            block = min(nn.ADAM_BLOCK, model.flat.size)
+            assert [a.shape for a in state.scratch] == [(block,), (block,)]
+            tracemalloc.start()
+            try:
+                nn.adam_step(model, grads, state, lr=0.01)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * model.flat.size
 
     def test_inference_allocates_no_gradient_buffer(self):
         doc = nn.model_to_dict(classifier_net(), artifact_kind="classifier")
