@@ -8,7 +8,8 @@ MLP classifier, and report multiclass metrics.
 Main entry points:
 - domain: UserRecord and friends, score binning, criterion scoring
 - dataset: load_dataset / write_dataset / generate_synthetic
-- features: build_user_vector, split, smote, normalization
+- features: build_user_vector, LabeledDataset (ids, an n x 51 matrix, labels),
+  split, smote, normalization
 - classifier: build_multicred, train, predict, evaluate
 - cli: the `multicred` command
 """
@@ -34,13 +35,12 @@ from .dataset import (
     write_dataset,
 )
 from .preprocess import CleanText, preprocess
-from .embedding import EmbedderSpec, analyze_sentiment, embed_text, embed_texts
-from .autoencoder import Autoencoder, AutoencoderSpec, reconstruction_error, train_autoencoder
+from .embedding import EmbedderSpec, analyze_sentiment, embed_texts
+from .autoencoder import Autoencoder, AutoencoderSpec, train_autoencoder
 from .features import (
     LabeledDataset,
     NormalizationStats,
     SplitDataset,
-    UserFeatureVector,
     aggregate_mean,
     apply_minmax,
     build_user_vector,
@@ -67,9 +67,9 @@ __all__ = [
     "DatasetLoadError", "DatasetManifest", "SyntheticConfig",
     "generate_synthetic", "load_dataset", "write_dataset",
     "CleanText", "preprocess",
-    "EmbedderSpec", "analyze_sentiment", "embed_text", "embed_texts",
-    "Autoencoder", "AutoencoderSpec", "reconstruction_error", "train_autoencoder",
-    "LabeledDataset", "NormalizationStats", "SplitDataset", "UserFeatureVector",
+    "EmbedderSpec", "analyze_sentiment", "embed_texts",
+    "Autoencoder", "AutoencoderSpec", "train_autoencoder",
+    "LabeledDataset", "NormalizationStats", "SplitDataset",
     "aggregate_mean", "apply_minmax", "build_user_vector", "fit_minmax",
     "smote", "split",
     "MetricsReport", "TrainConfig", "TrainHistory",

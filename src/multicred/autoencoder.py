@@ -71,11 +71,6 @@ class Autoencoder:
         self.model = model
         self.trained = trained
 
-    @classmethod
-    def initialize(cls, spec: AutoencoderSpec) -> "Autoencoder":
-        rng = np.random.default_rng(spec.seed)
-        return cls(spec, nn.Model(_build_network(spec), rng=rng), trained=False)
-
     def encode_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Map an [n x 768] matrix to its [n x 10] latent codes.
 
@@ -95,15 +90,6 @@ class Autoencoder:
             else:
                 x = x @ params["weight"] + params["bias"]
         return x
-
-    def reconstruct(self, vectors: np.ndarray) -> np.ndarray:
-        x = np.asarray(vectors, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise nn.ShapeError(
-                f"expected [n x {self.spec.input_dim}] input, got {x.shape}"
-            )
-        self.model.inference_mode()
-        return nn.forward(self.model, x).outputs
 
 
 def train_autoencoder(
@@ -146,16 +132,6 @@ def train_autoencoder(
     ae.trained = True
     ae.model.inference_mode()
     return ae, history
-
-
-def reconstruction_error(ae: Autoencoder, vectors: np.ndarray) -> float:
-    """Mean over samples of the squared Euclidean reconstruction distance.
-
-    Also meaningful for an untrained instance, as the baseline against
-    which training progress is judged.
-    """
-    x = np.asarray(vectors, dtype=float)
-    return nn.mean_squared_error(ae.reconstruct(x), x).scalar
 
 
 def save_autoencoder(ae: Autoencoder, path: str | Path) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .domain import ALLOWED_CLASS_COUNTS, DomainError
-from .features import NUM_FEATURES, LabeledDataset, SplitDataset, dataset_to_matrix
+from .features import NUM_FEATURES, LabeledDataset, SplitDataset
 from . import network as nn
 
 INPUT_DIM = NUM_FEATURES
@@ -159,8 +159,8 @@ def train(
             f"{config.num_classes}"
         )
 
-    x_train, y_train = dataset_to_matrix(splits.train)
-    x_val, y_val = dataset_to_matrix(splits.validation)
+    x_train, y_train = splits.train.x, splits.train.y
+    x_val, y_val = splits.validation.x, splits.validation.y
     targets = _one_hot(y_train, config.num_classes)
     n = x_train.shape[0]
 
@@ -233,11 +233,15 @@ def evaluate(model: nn.Model, test: LabeledDataset) -> MetricsReport:
     Rates with zero denominators are defined as 0 so macro averages stay
     finite even for classes absent from both truth and predictions.
     """
+    if model.spec.output_dim != test.num_classes:
+        raise nn.StateError(
+            f"model has num_classes {model.spec.output_dim} but the test set has "
+            f"num_classes {test.num_classes}"
+        )
     if len(test) == 0:
         raise DomainError("test set is empty")
-    x, truth = dataset_to_matrix(test)
-    predicted = predict_batch(model, x).argmax(axis=1)
-    return metrics_from_predictions(truth, predicted, test.num_classes)
+    predicted = predict_batch(model, test.x).argmax(axis=1)
+    return metrics_from_predictions(test.y, predicted, test.num_classes)
 
 
 def metrics_from_predictions(

@@ -28,7 +28,7 @@ from . import features as feat_mod
 from . import network as nn
 from .atomic import atomic_write
 from .dataset import DatasetLoadError, SyntheticConfig, generate_synthetic, load_dataset, write_dataset
-from .domain import ClassificationSystem, DomainError, bin_score
+from .domain import ALLOWED_CLASS_COUNTS, ClassificationSystem, DomainError, bin_score
 from .embedding import EmbedderSpec, embed_texts
 from .network import ShapeError, StateError
 from .preprocess import preprocess
@@ -245,24 +245,21 @@ def _cmd_prepare(cfg: RunConfig) -> int:
     ))
     logger.info("autoencoder loss %.6f -> %.6f", ae_history[0], ae_history[-1])
 
-    raw_vectors = [feat_mod.build_user_vector(r, embedder, ae) for r in records]
-    labels = [bin_score(r.score, system) for r in records]
     dataset = feat_mod.LabeledDataset(
-        tuple(zip(raw_vectors, labels)), num_classes=system.num_classes
+        tuple(r.user_id for r in records),
+        np.array([feat_mod.build_user_vector(r, embedder, ae) for r in records]),
+        np.array([bin_score(r.score, system) for r in records], dtype=np.intp),
+        num_classes=system.num_classes,
     )
 
     splits = feat_mod.split(dataset, seed=cfg.seed)
-    stats = feat_mod.fit_scalar_stats([v for v, _ in splits.train.items])
-
-    def _normalized(ds: feat_mod.LabeledDataset) -> feat_mod.LabeledDataset:
-        normals = feat_mod.normalize_vectors([v for v, _ in ds.items], stats)
-        return feat_mod.LabeledDataset(
-            tuple(zip(normals, (lbl for _, lbl in ds.items))), ds.num_classes
-        )
-
-    train_ds = feat_mod.smote(_normalized(splits.train), k=cfg.smote_k, seed=cfg.seed)
-    test_ds = _normalized(splits.test)
-    val_ds = _normalized(splits.validation)
+    scalars = slice(0, feat_mod.NUM_SCALAR_FEATURES)
+    stats = feat_mod.fit_minmax(splits.train.x[:, scalars])
+    for part in (splits.train, splits.test, splits.validation):
+        # split gave each part its own matrix, so it is rescaled in place.
+        part.x[:, scalars] = feat_mod.apply_minmax(stats, part.x[:, scalars])
+    train_ds = feat_mod.smote(splits.train, k=cfg.smote_k, seed=cfg.seed)
+    test_ds, val_ds = splits.test, splits.validation
     logger.info(
         "splits: train %d (balanced from %d), test %d, validation %d",
         len(train_ds), len(splits.train), len(test_ds), len(val_ds),
@@ -315,6 +312,9 @@ def _field(doc: dict, name: str, what: str):
 def _load_prepared(prepared: Path):
     meta = _read_object(prepared / "prepare_meta.json", "prepare metadata")
     num_classes = _field(meta, "num_classes", "prepare metadata")
+    if type(num_classes) is not int or num_classes not in ALLOWED_CLASS_COUNTS:
+        raise StateError(f"prepare metadata num_classes must be one of "
+                         f"{ALLOWED_CLASS_COUNTS}, got {json.dumps(num_classes)}")
     splits = feat_mod.SplitDataset(
         train=feat_mod.read_feature_csv(
             _require_file(prepared / "train.csv", "train split"), num_classes),
@@ -431,11 +431,14 @@ def _cmd_predict(cfg: RunConfig) -> int:
     num_classes, model, ae, stats, embedder = _load_bundle(bundle_path)
 
     _, records = load_dataset(data_dir)
-    raw_vectors = [feat_mod.build_user_vector(r, embedder, ae) for r in records]
+    x = np.array([feat_mod.build_user_vector(r, embedder, ae) for r in records])
+    x = x.reshape(len(records), feat_mod.NUM_FEATURES)  # [0 x 51] for a dataset without users
+    scalars = slice(0, feat_mod.NUM_SCALAR_FEATURES)
+    x[:, scalars] = feat_mod.apply_minmax(stats, x[:, scalars])
     rows = []
-    for vec in feat_mod.normalize_vectors(raw_vectors, stats):
-        probs = clf_mod.predict(model, vec.values)
-        rows.append([vec.user_id] + [repr(float(p)) for p in probs]
+    for record, vector in zip(records, x):
+        probs = clf_mod.predict(model, vector)
+        rows.append([record.user_id] + [repr(float(p)) for p in probs]
                     + [int(probs.argmax())])
 
     out = Path(cfg.out)

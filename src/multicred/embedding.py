@@ -11,8 +11,7 @@ autoencoder corpus) into one matrix: each distinct feature of the batch
 is hashed once with a keyed 64-bit blake2b, and the signed counts of all
 rows are summed by one ``np.bincount``. The sums are over +-1.0, so they
 are exact in any order, and a row does not depend on the rest of its
-batch. :func:`embed_text` and :func:`accumulate_hash_embedding` are
-one-row views of the same arithmetic.
+batch.
 
 Sentiment over comments is a six-emotion lexicon counter with add-one
 smoothing, producing a probability distribution over
@@ -92,20 +91,6 @@ def embed_texts(spec: EmbedderSpec, cleans: Sequence[CleanText]) -> np.ndarray:
     rows = _hash_counts(cleans, spec.hash_seed)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
     return np.divide(rows, norms, out=rows, where=norms > 0.0)
-
-
-def accumulate_hash_embedding(clean: CleanText, hash_seed: int = 0) -> np.ndarray:
-    """Unnormalized signed-hash accumulation of one text's features.
-
-    Additive by construction: accumulating several texts separately and
-    summing equals accumulating them together.
-    """
-    return _hash_counts([clean], hash_seed)[0]
-
-
-def embed_text(spec: EmbedderSpec, clean: CleanText) -> np.ndarray:
-    """Embed one cleaned text into a 768-vector (one row of :func:`embed_texts`)."""
-    return embed_texts(spec, [clean])[0]
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,11 @@
 labeled datasets: min-max normalization, stratified splitting, and SMOTE
 oversampling.
 
+A :class:`LabeledDataset` holds its users as arrays: a tuple of user ids,
+an [n x 51] float64 matrix with one row per user, and an [n] label
+vector. Splitting, SMOTE, the feature CSVs and the classifier all work
+on those arrays directly.
+
 SMOTE draws every synthetic point's base, neighbour rank and lam first,
 then searches neighbours only for the distinct drawn bases, by exact
 brute-force kNN in blocks of at most :data:`SMOTE_BLOCK_FLOATS` float64
@@ -24,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +37,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .autoencoder import Autoencoder
-from .domain import DomainError, Tweet, UserProfile, UserRecord, validate_record
+from .domain import DomainError, Tweet, UserProfile, UserRecord
 from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_texts
 from .network import ShapeError, StateError
 from .preprocess import preprocess
@@ -87,43 +92,53 @@ class NormalizationStats:
 
 
 @dataclass(frozen=True)
-class UserFeatureVector:
-    """One user's 51-component embedding plus data-quality flags."""
-
-    user_id: str
-    values: np.ndarray
-    flags: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.values.shape != (NUM_FEATURES,):
-            raise ShapeError(f"expected {NUM_FEATURES} components, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError(f"non-finite feature values for user {self.user_id}")
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
-    items: tuple[tuple[UserFeatureVector, int], ...]
+    """Labeled users as arrays: row ``i`` of ``x`` is user ``user_ids[i]``,
+    of class ``y[i]``.
+
+    ``x`` is a C-contiguous float64 [n x 51] matrix and ``y`` an intp [n]
+    vector; both are converted on construction, without a copy when they
+    already are. Every value must be finite and every label in
+    ``[0, num_classes)``; a failure names the first offending user.
+    """
+
+    user_ids: tuple[str, ...]
+    x: np.ndarray
+    y: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        if not isinstance(self.items, tuple):
-            object.__setattr__(self, "items", tuple(self.items))
-        for vec, label in self.items:
-            if not 0 <= label < self.num_classes:
-                raise DomainError(
-                    f"class index {label} out of range for {self.num_classes} classes "
-                    f"(user {vec.user_id})"
-                )
+        ids = tuple(self.user_ids)
+        x = np.ascontiguousarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y)
+        if y.size and not np.issubdtype(y.dtype, np.integer):
+            raise DomainError(f"class labels must be integers, got {y.dtype}")
+        y = y.astype(np.intp, copy=False)
+        object.__setattr__(self, "user_ids", ids)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        if x.ndim != 2 or x.shape[1] != NUM_FEATURES:
+            raise ShapeError(f"expected {NUM_FEATURES} components per user, got {x.shape}")
+        if y.ndim != 1 or not len(ids) == x.shape[0] == y.shape[0]:
+            raise ShapeError(f"{len(ids)} user ids, {x.shape[0]} feature rows "
+                             f"and labels of shape {y.shape}")
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise DomainError(
+                f"non-finite feature values for user {ids[int(np.argmin(finite))]}")
+        in_range = (y >= 0) & (y < self.num_classes)
+        if not in_range.all():
+            i = int(np.argmin(in_range))
+            raise DomainError(
+                f"class index {y[i]} out of range for {self.num_classes} classes "
+                f"(user {ids[i]})"
+            )
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.user_ids)
 
     def class_counts(self) -> list[int]:
-        counts = [0] * self.num_classes
-        for _, label in self.items:
-            counts[label] += 1
-        return counts
+        return np.bincount(self.y, minlength=self.num_classes).tolist()
 
 
 @dataclass(frozen=True)
@@ -226,21 +241,17 @@ def build_user_vector(
     embedder: EmbedderSpec,
     ae: Autoencoder,
     sentiment: Callable[..., np.ndarray] = analyze_sentiment,
-) -> UserFeatureVector:
+) -> np.ndarray:
     """Assemble one user's raw 51-component vector.
 
     Users without tweets get zero tweet-scalar and latent blocks; users
     without comments get a zero sentiment block (no opinions is not the
-    same as neutral opinions). Both cases are flagged. The scalar block
-    is left raw; :func:`normalize_vectors` rescales it.
+    same as neutral opinions). The scalar block is left raw; ``prepare``
+    and ``predict`` rescale it with :func:`apply_minmax`. The record is
+    taken as valid: :func:`~multicred.dataset.load_dataset` has checked it.
     """
-    violations = validate_record(record)
-    if violations:
-        raise DomainError(f"invalid record {record.user_id}: {'; '.join(violations)}")
     if not ae.trained:
         raise StateError("autoencoder is untrained; train it before building features")
-
-    flags = set()
 
     tweet_block = aggregate_mean(
         [tweet_scalars(t) for t in record.tweets], dim=len(TWEET_FEATURES)
@@ -249,7 +260,6 @@ def build_user_vector(
         embedded = embed_texts(embedder, [preprocess(t.text) for t in record.tweets])
         latent_block = ae.encode_batch(embedded).mean(axis=0)
     else:
-        flags.add("no_tweets")
         latent_block = np.zeros(len(LATENT_FEATURES))
 
     if record.comments:
@@ -257,33 +267,14 @@ def build_user_vector(
             [sentiment(preprocess(c.text)) for c in record.comments], axis=0
         )
     else:
-        flags.add("no_comments")
         sentiment_block = np.zeros(len(SENTIMENT_FEATURES))
 
     values = np.concatenate([
         profile_scalars(record.profile), tweet_block, latent_block, sentiment_block,
     ])
-    return UserFeatureVector(
-        user_id=record.user_id, values=values, flags=frozenset(flags)
-    )
-
-
-def fit_scalar_stats(vectors: Sequence[UserFeatureVector]) -> NormalizationStats:
-    """Fit min-max stats over the 35 scalar components of raw vectors."""
-    matrix = np.stack([v.values[:NUM_SCALAR_FEATURES] for v in vectors])
-    return fit_minmax(matrix)
-
-
-def normalize_vectors(
-    vectors: Sequence[UserFeatureVector], stats: NormalizationStats
-) -> list[UserFeatureVector]:
-    """Min-max normalize the 35 scalar components of raw vectors with ``stats``."""
-    out = []
-    for v in vectors:
-        values = v.values.copy()
-        values[:NUM_SCALAR_FEATURES] = apply_minmax(stats, values[:NUM_SCALAR_FEATURES])
-        out.append(UserFeatureVector(v.user_id, values, v.flags))
-    return out
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"non-finite feature values for user {record.user_id}")
+    return values
 
 
 def _largest_remainder(targets: list[float], total: int, caps: list[int]) -> list[int]:
@@ -318,18 +309,15 @@ def split(dataset: LabeledDataset, seed: int) -> SplitDataset:
     if n < 10:
         raise DomainError(f"need at least 10 samples to split, got {n}")
 
-    by_class: dict[int, list[int]] = {c: [] for c in range(dataset.num_classes)}
-    for idx, (_, label) in enumerate(dataset.items):
-        by_class[label].append(idx)
-    present = [c for c in sorted(by_class) if by_class[c]]
+    by_class = {c: np.flatnonzero(dataset.y == c) for c in range(dataset.num_classes)}
+    present = [c for c in sorted(by_class) if len(by_class[c])]
     too_small = [c for c in present if len(by_class[c]) < 3]
     if too_small:
         raise DomainError(f"classes with fewer than 3 samples cannot be stratified: {too_small}")
 
     rng = np.random.default_rng(seed)
     for c in present:
-        order = rng.permutation(len(by_class[c]))
-        by_class[c] = [by_class[c][i] for i in order]
+        by_class[c] = by_class[c][rng.permutation(len(by_class[c]))]
 
     sizes = [len(by_class[c]) for c in present]
     train_total = int(TRAIN_FRACTION * n)
@@ -342,19 +330,15 @@ def split(dataset: LabeledDataset, seed: int) -> SplitDataset:
         [s - t for s, t in zip(sizes, train_counts)],
     )
 
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    val_idx: list[int] = []
-    for c, n_train, n_test in zip(present, train_counts, test_counts):
-        pool = by_class[c]
-        train_idx.extend(pool[:n_train])
-        test_idx.extend(pool[n_train:n_train + n_test])
-        val_idx.extend(pool[n_train + n_test:])
+    # Each class's shuffled rows, cut into its train, test and validation parts.
+    cuts = [np.split(by_class[c], [n_train, n_train + n_test])
+            for c, n_train, n_test in zip(present, train_counts, test_counts)]
 
-    pick = lambda idx: LabeledDataset(
-        tuple(dataset.items[i] for i in idx), dataset.num_classes
-    )
-    return SplitDataset(train=pick(train_idx), test=pick(test_idx), validation=pick(val_idx))
+    def pick(idx: np.ndarray) -> LabeledDataset:
+        return LabeledDataset(tuple(dataset.user_ids[i] for i in idx.tolist()),
+                              dataset.x[idx], dataset.y[idx], dataset.num_classes)
+
+    return SplitDataset(*(pick(np.concatenate(part)) for part in zip(*cuts)))
 
 
 def _neighbor_ids(points: np.ndarray, rows: np.ndarray, k_eff: int) -> np.ndarray:
@@ -382,7 +366,7 @@ def _neighbor_ids(points: np.ndarray, rows: np.ndarray, k_eff: int) -> np.ndarra
 def smote_plan(
     train: LabeledDataset, k: int = 5, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Which rows :func:`smote` synthesizes, as indices into ``train.items``.
+    """Which rows :func:`smote` synthesizes, as row indices into ``train``.
 
     Returns four arrays with one entry per synthetic row, in output order:
     its class, its base row, its neighbour row and its ``lam``; the row is
@@ -404,7 +388,7 @@ def smote_plan(
         no_rows = np.empty(0, dtype=np.intp)
         return no_rows, no_rows, no_rows, np.empty(0)
 
-    x, y = dataset_to_matrix(train)
+    x, y = train.x, train.y
     rng = np.random.default_rng(seed)
     classes, bases, neighbors, lams = [], [], [], []
     for c in present:
@@ -438,22 +422,13 @@ def smote(train: LabeledDataset, k: int = 5, seed: int = 0) -> LabeledDataset:
     classes, base, neighbor, lam = smote_plan(train, k=k, seed=seed)
     if len(classes) == 0:
         return train
-    x, _ = dataset_to_matrix(train)
-    b = x[base]
-    rows = b + lam[:, None] * (x[neighbor] - b)
-    made = [0] * train.num_classes
-    synthetic_items = []
-    for c, values in zip(classes.tolist(), rows):
-        synthetic_items.append((UserFeatureVector(f"smote:{c}:{made[c]}", values), c))
-        made[c] += 1
-    return LabeledDataset(train.items + tuple(synthetic_items), train.num_classes)
-
-
-def dataset_to_matrix(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix [n x 51] and label vector [n]."""
-    x = np.stack([vec.values for vec, _ in dataset.items])
-    y = np.array([label for _, label in dataset.items], dtype=int)
-    return x, y
+    b = train.x[base]
+    rows = b + lam[:, None] * (train.x[neighbor] - b)
+    # The plan runs class by class, in class order: number each class's rows.
+    ids = [f"smote:{c}:{j}"
+           for c, n in zip(*np.unique(classes, return_counts=True)) for j in range(n)]
+    return LabeledDataset(train.user_ids + tuple(ids), np.concatenate([train.x, rows]),
+                          np.concatenate([train.y, classes]), train.num_classes)
 
 
 def write_feature_csv(dataset: LabeledDataset, path: str | Path) -> None:
@@ -463,35 +438,43 @@ def write_feature_csv(dataset: LabeledDataset, path: str | Path) -> None:
         writer.writerow(
             ["user_id"] + [f"f{i:03d}" for i in range(NUM_FEATURES)] + ["class"]
         )
-        for vec, label in dataset.items:
-            writer.writerow([vec.user_id] + [repr(float(v)) for v in vec.values] + [label])
+        for user_id, values, label in zip(dataset.user_ids, dataset.x, dataset.y.tolist()):
+            writer.writerow([user_id] + [repr(v) for v in values.tolist()] + [label])
 
 
 def read_feature_csv(path: str | Path, num_classes: int) -> LabeledDataset:
     """Load a dataset previously written by :func:`write_feature_csv`.
 
-    A malformed row raises a DomainError naming the path and its 1-based line.
+    A missing header or a malformed row raises a DomainError naming the
+    path and its 1-based line.
     """
-    items = []
+    ids, rows, labels = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DomainError(f"{path}:1: missing header, the file is empty")
         if len(header) != NUM_FEATURES + 2:
-            raise DomainError(f"feature CSV has {len(header)} columns, "
+            raise DomainError(f"{path}:1: header has {len(header)} columns, "
                               f"expected {NUM_FEATURES + 2}")
         for row in reader:
             try:
                 if len(row) != NUM_FEATURES + 2:
                     raise DomainError(f"{len(row)} columns, expected {NUM_FEATURES + 2}")
-                values = np.array([float(v) for v in row[1:-1]])
+                values = np.fromiter(map(float, row[1:-1]), np.float64, NUM_FEATURES)
                 label = int(row[-1])
                 if not 0 <= label < num_classes:
                     raise DomainError(f"class index {label} out of range for "
                                       f"{num_classes} classes")
-                items.append((UserFeatureVector(row[0], values), label))
+                if not np.isfinite(values).all():
+                    raise DomainError(f"non-finite feature values for user {row[0]}")
             except ValueError as exc:
                 raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
-    return LabeledDataset(tuple(items), num_classes)
+            ids.append(row[0])
+            rows.append(values)
+            labels.append(label)
+    x = np.array(rows, dtype=np.float64).reshape(len(rows), NUM_FEATURES)
+    return LabeledDataset(tuple(ids), x, np.array(labels, dtype=np.intp), num_classes)
 
 
 def write_feature_layout(path: str | Path) -> None:

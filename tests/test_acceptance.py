@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from multicred import network as nn
-from multicred.autoencoder import Autoencoder, AutoencoderSpec, reconstruction_error, train_autoencoder
+from multicred.autoencoder import AutoencoderSpec, train_autoencoder
 from multicred.classifier import TrainConfig, build_multicred, predict, train
 from multicred.cli import run
 from multicred.dataset import SyntheticConfig, generate_synthetic
@@ -25,15 +25,15 @@ from multicred.features import (
     LabeledDataset,
     NormalizationStats,
     SplitDataset,
-    UserFeatureVector,
     apply_minmax,
     build_user_vector,
-    dataset_to_matrix,
     fit_minmax,
     smote,
     smote_plan,
 )
 from multicred.preprocess import preprocess
+
+from conftest import reconstruction_mse, untrained_autoencoder_model
 
 NUM_FEATURES = 51
 
@@ -111,21 +111,22 @@ def test_gradient_oracle():
 @criterion(4, "SMOTE equalizes a skewed class distribution and stays on segments")
 def test_smote_equalization_and_geometry():
     rng = np.random.default_rng(0)
-    items = []
+    ids, rows, labels = [], [], []
     for c, count in enumerate((507, 83, 33, 24)):
         for i in range(count):
-            values = rng.normal(size=NUM_FEATURES) + 2.5 * c
-            items.append((UserFeatureVector(f"u{c}_{i}", values), c))
-    dataset = LabeledDataset(tuple(items), num_classes=4)
+            ids.append(f"u{c}_{i}")
+            rows.append(rng.normal(size=NUM_FEATURES) + 2.5 * c)
+            labels.append(c)
+    dataset = LabeledDataset(tuple(ids), np.array(rows), np.array(labels), num_classes=4)
 
     balanced = smote(dataset, k=5, seed=13)
     assert balanced.class_counts() == [507, 507, 507, 507]
 
     # Independent projection oracle over every synthetic point, rebuilt
     # from the plan's row indices.
-    x, y = dataset_to_matrix(dataset)
+    x, y = dataset.x, dataset.y
     classes, base_ids, neighbor_ids, _ = smote_plan(dataset, k=5, seed=13)
-    synthetic_rows = dataset_to_matrix(balanced)[0][len(dataset):]
+    synthetic_rows = balanced.x[len(dataset):]
     assert len(classes) == len(synthetic_rows) == 3 * 507 - 83 - 33 - 24
     for c, b, nb, synthetic in zip(classes, base_ids, neighbor_ids, synthetic_rows):
         assert y[b] == c and y[nb] == c
@@ -158,16 +159,16 @@ def test_autoencoder_convergence():
     base /= np.linalg.norm(base)
     constant = np.tile(base, (64, 1))
     spec = AutoencoderSpec(epochs=200, batch_size=16, seed=3)
-    initial = reconstruction_error(Autoencoder.initialize(spec), constant)
+    initial = reconstruction_mse(untrained_autoencoder_model(spec), constant)
     trained_ae, _ = train_autoencoder(constant, spec)
-    final = reconstruction_error(trained_ae, constant)
+    final = reconstruction_mse(trained_ae.model, constant)
     assert final < 0.01 * initial
 
     corpus = np.random.default_rng(5).normal(size=(500, 768)) * 0.05
     quick_spec = AutoencoderSpec(epochs=8, batch_size=16, seed=3)
-    untrained_err = reconstruction_error(Autoencoder.initialize(quick_spec), corpus)
+    untrained_err = reconstruction_mse(untrained_autoencoder_model(quick_spec), corpus)
     quick_ae, _ = train_autoencoder(corpus, quick_spec)
-    assert reconstruction_error(quick_ae, corpus) < untrained_err
+    assert reconstruction_mse(quick_ae.model, corpus) < untrained_err
 
 
 @criterion(7, "end-to-end pipeline reaches macro-F1 >= 0.90 with exact split sizes")
@@ -194,7 +195,7 @@ def test_structural_contracts():
     ae, _ = train_autoencoder(corpus, AutoencoderSpec(epochs=2, batch_size=4, seed=0))
     for record in records:
         vec = build_user_vector(record, embedder, ae)
-        assert vec.values.shape == (51,)
+        assert vec.shape == (51,)
 
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -213,17 +214,13 @@ def test_early_stopping_contract():
     rng = np.random.default_rng(2)
     # Single-label data: validation accuracy saturates immediately and can
     # never improve afterwards.
-    train_items = tuple(
-        (UserFeatureVector(f"t{i}", rng.normal(size=NUM_FEATURES)), 0) for i in range(8)
-    )
-    val_items = tuple(
-        (UserFeatureVector(f"v{i}", rng.normal(size=NUM_FEATURES)), 0) for i in range(4)
-    )
-    splits = SplitDataset(
-        train=LabeledDataset(train_items, 4),
-        test=LabeledDataset(val_items, 4),
-        validation=LabeledDataset(val_items, 4),
-    )
+    train_set = LabeledDataset(tuple(f"t{i}" for i in range(8)),
+                               np.array([rng.normal(size=NUM_FEATURES) for _ in range(8)]),
+                               np.zeros(8, dtype=np.intp), 4)
+    val_set = LabeledDataset(tuple(f"v{i}" for i in range(4)),
+                             np.array([rng.normal(size=NUM_FEATURES) for _ in range(4)]),
+                             np.zeros(4, dtype=np.intp), 4)
+    splits = SplitDataset(train=train_set, test=val_set, validation=val_set)
 
     def fresh_model():
         spec = nn.NetworkSpec((nn.dense(NUM_FEATURES, 4), nn.softmax(4)))

@@ -7,11 +7,12 @@ from multicred.autoencoder import (
     AutoencoderSpec,
     autoencoder_from_dict,
     load_autoencoder,
-    reconstruction_error,
     save_autoencoder,
     train_autoencoder,
 )
 from multicred.domain import DomainError
+
+from conftest import reconstruction_mse, untrained_autoencoder_model
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +59,14 @@ class TestEncode:
             ae.encode_batch(np.ones((1, 767)))
 
     def test_untrained_refuses_to_encode(self):
-        ae = Autoencoder.initialize(AutoencoderSpec())
+        spec = AutoencoderSpec()
+        ae = Autoencoder(spec, untrained_autoencoder_model(spec))
         with pytest.raises(nn.StateError, match="untrained"):
             ae.encode_batch(np.ones((1, 768)))
 
     def test_decode_restores_dimension(self, trained, small_corpus):
         ae, _ = trained
-        assert ae.reconstruct(small_corpus[:3]).shape == (3, 768)
+        assert nn.forward(ae.model, small_corpus[:3]).outputs.shape == (3, 768)
 
 
 class TestTraining:
@@ -99,26 +101,26 @@ class TestTraining:
 
     def test_training_reduces_error(self, small_corpus, trained):
         ae, _ = trained
-        untrained = Autoencoder.initialize(AutoencoderSpec(seed=1))
-        assert reconstruction_error(ae, small_corpus) < reconstruction_error(
+        untrained = untrained_autoencoder_model(AutoencoderSpec(seed=1))
+        assert reconstruction_mse(ae.model, small_corpus) < reconstruction_mse(
             untrained, small_corpus
         )
 
     def test_zero_corpus_converges_to_zero(self):
         zeros = np.zeros((32, 768))
         ae, _ = train_autoencoder(zeros, AutoencoderSpec(epochs=200, batch_size=16, seed=3))
-        assert reconstruction_error(ae, zeros) < 1e-6
+        assert reconstruction_mse(ae.model, zeros) < 1e-6
 
 
 class TestReconstructionError:
     def test_nonnegative(self, trained, small_corpus):
         ae, _ = trained
-        assert reconstruction_error(ae, small_corpus) >= 0.0
+        assert reconstruction_mse(ae.model, small_corpus) >= 0.0
 
     def test_shape_mismatch(self, trained):
         ae, _ = trained
         with pytest.raises(nn.ShapeError):
-            reconstruction_error(ae, np.zeros((3, 100)))
+            nn.forward(ae.model, np.zeros((3, 100)))
 
 
 class TestSerialization:

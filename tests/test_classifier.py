@@ -13,22 +13,26 @@ from multicred.classifier import (
     write_history_csv,
 )
 from multicred.domain import DomainError
-from multicred.features import (
-    NUM_FEATURES,
-    LabeledDataset,
-    SplitDataset,
-    UserFeatureVector,
-)
+from multicred.features import NUM_FEATURES, LabeledDataset, SplitDataset
 
 TABLE_ROWS = (13312, 1024, 65792, 1024, 16448, 650)
 
 
 def make_dataset(values, labels, num_classes):
-    items = tuple(
-        (UserFeatureVector(f"u{i}", np.asarray(v, dtype=float)), int(c))
-        for i, (v, c) in enumerate(zip(values, labels))
-    )
-    return LabeledDataset(items, num_classes=num_classes)
+    ids = tuple(f"u{i}" for i in range(len(labels)))
+    return LabeledDataset(ids, np.array(values, dtype=float).reshape(-1, NUM_FEATURES),
+                          np.array(labels, dtype=np.intp), num_classes=num_classes)
+
+
+def subset(ds, idx):
+    """The rows ``idx`` of ``ds``, in that order."""
+    idx = np.asarray(idx, dtype=np.intp)
+    return LabeledDataset(tuple(ds.user_ids[i] for i in idx), ds.x[idx], ds.y[idx],
+                          ds.num_classes)
+
+
+def empty_dataset(num_classes):
+    return make_dataset([], [], num_classes)
 
 
 def separable_splits(n_per_class=40, num_classes=2, seed=0, margin=4.0, scale=0.3):
@@ -41,14 +45,13 @@ def separable_splits(n_per_class=40, num_classes=2, seed=0, margin=4.0, scale=0.
             values.append(center + rng.normal(scale=scale, size=NUM_FEATURES))
             labels.append(c)
     ds = make_dataset(values, labels, num_classes)
-    cut1 = int(0.7 * len(ds.items))
-    cut2 = int(0.9 * len(ds.items))
-    order = np.random.default_rng(seed + 1).permutation(len(ds.items))
-    items = [ds.items[i] for i in order]
+    cut1 = int(0.7 * len(ds))
+    cut2 = int(0.9 * len(ds))
+    order = np.random.default_rng(seed + 1).permutation(len(ds))
     return SplitDataset(
-        train=LabeledDataset(tuple(items[:cut1]), num_classes),
-        test=LabeledDataset(tuple(items[cut1:cut2]), num_classes),
-        validation=LabeledDataset(tuple(items[cut2:]), num_classes),
+        train=subset(ds, order[:cut1]),
+        test=subset(ds, order[cut1:cut2]),
+        validation=subset(ds, order[cut2:]),
     )
 
 
@@ -161,14 +164,13 @@ class TestTrain:
         config = TrainConfig(num_classes=2, max_epochs=15, patience=15,
                              batch_size=16, seed=10)
         model, history = train(model, splits, config)
-        x_val, y_val = np.stack([v.values for v, _ in splits.validation.items]), \
-            np.array([c for _, c in splits.validation.items])
+        x_val, y_val = splits.validation.x, splits.validation.y
         probs = predict_batch(model, x_val)
         returned_accuracy = float(np.mean(probs.argmax(axis=1) == y_val))
         assert returned_accuracy == max(history.val_accuracy)
 
     def test_empty_split_rejected(self):
-        empty = LabeledDataset((), num_classes=4)
+        empty = empty_dataset(4)
         splits = SplitDataset(train=empty, test=empty, validation=empty)
         model = build_multicred(4)
         with pytest.raises(DomainError):
@@ -177,7 +179,7 @@ class TestTrain:
     def test_non_finite_loss_names_epoch(self):
         splits = separable_splits(n_per_class=10)
         # Poison one feature value after construction (arrays stay mutable).
-        splits.train.items[0][0].values[0] = np.nan
+        splits.train.x[0, 0] = np.nan
         spec = nn.NetworkSpec((nn.dense(NUM_FEATURES, 2), nn.softmax(2)))
         model = nn.Model(spec, rng=np.random.default_rng(11))
         config = TrainConfig(num_classes=2, max_epochs=3, patience=3, seed=0)
@@ -261,18 +263,22 @@ class TestEvaluate:
         spec = nn.NetworkSpec((nn.dense(NUM_FEATURES, 2), nn.softmax(2)))
         model = nn.Model(spec, rng=np.random.default_rng(5)).inference_mode()
         report_a = evaluate(model, splits.test)
-        shuffled = LabeledDataset(
-            tuple(splits.test.items[i]
-                  for i in np.random.default_rng(6).permutation(len(splits.test))),
-            splits.test.num_classes,
-        )
+        shuffled = subset(splits.test,
+                          np.random.default_rng(6).permutation(len(splits.test)))
         report_b = evaluate(model, shuffled)
         assert report_a.to_dict() == report_b.to_dict()
 
     def test_empty_test_set(self):
         model = build_multicred(4)
         with pytest.raises(DomainError):
-            evaluate(model, LabeledDataset((), num_classes=4))
+            evaluate(model, empty_dataset(4))
+
+    @pytest.mark.parametrize("test_classes", [2, 6])
+    def test_class_count_mismatch_is_state_error(self, test_classes):
+        model = build_multicred(4)
+        test = make_dataset(np.zeros((3, NUM_FEATURES)), [0, 1, 1], test_classes)
+        with pytest.raises(nn.StateError, match=f"num_classes 4 .* num_classes {test_classes}"):
+            evaluate(model, test)
 
     def test_report_json_is_stable(self):
         report = metrics_from_predictions([0, 1, 1], [0, 1, 0], 2)

@@ -16,7 +16,8 @@ from multicred import features as feat_mod
 from multicred import network as nn
 from multicred.cli import run
 from multicred.dataset import load_dataset
-from multicred.embedding import EmbedderSpec, embed_text, embed_texts
+from multicred.autoencoder import load_autoencoder
+from multicred.embedding import EmbedderSpec, embed_texts
 from multicred.preprocess import preprocess
 
 
@@ -138,12 +139,27 @@ class TestPrepare:
 
         _, records = load_dataset(pipeline / "data")
         spec = EmbedderSpec(hash_seed=0)
-        full = np.stack([embed_text(spec, preprocess(t.text))
-                         for r in records for t in r.tweets])
+        full = embed_texts(spec, [preprocess(t.text) for r in records for t in r.tweets])
         if cap < full.shape[0]:
             keep = np.random.default_rng(7).choice(full.shape[0], size=cap, replace=False)
             full = full[np.sort(keep)]
         np.testing.assert_array_equal(got.value.args[0], full)
+
+    def test_only_the_scalar_block_is_normalized(self, pipeline):
+        prep = pipeline / "prep"
+        ae = load_autoencoder(prep / "autoencoder.json")
+        bounds = json.loads((prep / "norm_stats.json").read_text("utf-8"))
+        stats = feat_mod.NormalizationStats(np.array(bounds["minimum"]),
+                                            np.array(bounds["maximum"]))
+        _, records = load_dataset(pipeline / "data")
+        by_id = {r.user_id: r for r in records}
+        test = feat_mod.read_feature_csv(prep / "test.csv", num_classes=4)
+        raw = np.array([feat_mod.build_user_vector(by_id[u], EmbedderSpec(), ae)
+                        for u in test.user_ids])
+        scalars = feat_mod.NUM_SCALAR_FEATURES
+        expected = np.hstack([feat_mod.apply_minmax(stats, raw[:, :scalars]),
+                              raw[:, scalars:]])
+        assert test.x.tobytes() == expected.tobytes()
 
 
 def _autoencoder_doc(input_dim, latent_dim, meta):
@@ -207,6 +223,38 @@ class TestBundleCrossCheck:
         assert f"no field {field}" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("value", ["4", True, 5, None], ids=["str", "bool", "5", "null"])
+    def test_prepare_meta_bad_num_classes_rejected_by_name(self, pipeline, tmp_path, capsys,
+                                                           value):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        meta = json.loads((prep / "prepare_meta.json").read_text("utf-8"))
+        meta["num_classes"] = value
+        (prep / "prepare_meta.json").write_text(json.dumps(meta), "utf-8")
+        code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "model.json")]
+                   + FAST_TRAIN)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "prepare metadata num_classes" in err and json.dumps(value) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("prepared_classes", [6, 8])
+    def test_evaluate_rejects_class_count_of_other_prepared_dir(
+            self, pipeline, tmp_path, capsys, prepared_classes):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        meta = json.loads((prep / "prepare_meta.json").read_text("utf-8"))
+        meta["num_classes"] = prepared_classes
+        (prep / "prepare_meta.json").write_text(json.dumps(meta), "utf-8")
+        code = run(["evaluate", "--model", str(pipeline / "model.json"),
+                    "--prepared", str(prep), "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "num_classes 4" in captured.err
+        assert f"num_classes {prepared_classes}" in captured.err
+        assert captured.out == "" and not (tmp_path / "report.json").exists()
+
 
 class TestFeatureCsvRows:
     @pytest.mark.parametrize("tamper, named", [
@@ -233,6 +281,16 @@ class TestFeatureCsvRows:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{path}:3: {named}" in err and "Traceback" not in err
+
+    def test_empty_file_named_as_missing_header(self, pipeline, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        (prep / "test.csv").write_bytes(b"")
+        code = run(["evaluate", "--model", str(pipeline / "model.json"),
+                    "--prepared", str(prep)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{prep / 'test.csv'}:1: missing header" in err and "Traceback" not in err
 
 
 class TestTrainEvaluate:
@@ -359,6 +417,14 @@ class TestConfigFile:
         config.write_text(json.dumps({"users": 12, "separation": 1}), "utf-8")
         assert run(["--config", str(config), "generate", "--out", str(tmp_path / "d"),
                     "--tweets-per-user", "2", "--comments-per-user", "2"]) == 0
+
+
+def test_package_exports_resolve():
+    for name in multicred.__all__:
+        assert getattr(multicred, name) is not None, name
+    namespace = {}
+    exec("from multicred import *", namespace)
+    assert set(multicred.__all__) <= set(namespace)
 
 
 def test_cli_import_pulls_in_no_http_client():

@@ -10,61 +10,64 @@ from multicred.embedding import (
     EMBEDDING_DIM,
     EMOTIONS,
     EmbedderSpec,
-    accumulate_hash_embedding,
+    _hash_counts,
     analyze_sentiment,
     default_lexicon,
-    embed_text,
     embed_texts,
 )
 from multicred.preprocess import CleanText, preprocess
 
 
+def embed_one(spec, clean):
+    return embed_texts(spec, [clean])[0]
+
+
 class TestHashEmbedder:
     def test_empty_text_is_zero_vector(self, hash_embedder):
-        vec = embed_text(hash_embedder, preprocess(""))
+        vec = embed_one(hash_embedder, preprocess(""))
         assert vec.shape == (EMBEDDING_DIM,)
         assert np.all(vec == 0.0)
 
     def test_deterministic_for_fixed_seed(self, hash_embedder):
         clean = preprocess("breaking story tonight")
         np.testing.assert_array_equal(
-            embed_text(hash_embedder, clean), embed_text(hash_embedder, clean)
+            embed_one(hash_embedder, clean), embed_one(hash_embedder, clean)
         )
 
     def test_different_seeds_differ(self):
         clean = preprocess("breaking story tonight")
-        a = embed_text(EmbedderSpec(hash_seed=0), clean)
-        b = embed_text(EmbedderSpec(hash_seed=1), clean)
+        a = embed_one(EmbedderSpec(hash_seed=0), clean)
+        b = embed_one(EmbedderSpec(hash_seed=1), clean)
         assert not np.allclose(a, b)
 
     def test_nonempty_text_has_unit_norm(self, hash_embedder):
-        vec = embed_text(hash_embedder, preprocess("quick brown fox"))
+        vec = embed_one(hash_embedder, preprocess("quick brown fox"))
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_whitespace_never_changes_output(self, hash_embedder):
-        a = embed_text(hash_embedder, preprocess("quick   brown\t\tfox"))
-        b = embed_text(hash_embedder, preprocess("quick brown fox"))
+        a = embed_one(hash_embedder, preprocess("quick   brown\t\tfox"))
+        b = embed_one(hash_embedder, preprocess("quick brown fox"))
         np.testing.assert_array_equal(a, b)
 
     def test_accumulation_linear_over_texts(self):
         texts = ["breaking story develops", "quick brown fox", "markets rally again"]
         cleans = [preprocess(t) for t in texts]
-        summed = sum(accumulate_hash_embedding(c, 7) for c in cleans)
-        pooled_parts = [accumulate_hash_embedding(c, 7) for c in cleans]
+        summed = sum(_hash_counts([c], 7)[0] for c in cleans)
+        pooled_parts = list(_hash_counts(cleans, 7))
         np.testing.assert_allclose(sum(pooled_parts), summed, atol=0)
         # Joining the texts adds exactly one bigram per boundary between them.
-        acc = lambda *tokens: accumulate_hash_embedding(CleanText.from_tokens(tokens), 7)
+        acc = lambda *tokens: _hash_counts([CleanText.from_tokens(tokens)], 7)[0]
         bridges = sum(
             acc(a.tokens[-1], b.tokens[0]) - acc(a.tokens[-1]) - acc(b.tokens[0])
             for a, b in zip(cleans, cleans[1:])
         )
         joined = CleanText.from_tokens(t for c in cleans for t in c.tokens)
-        np.testing.assert_array_equal(accumulate_hash_embedding(joined, 7), summed + bridges)
+        np.testing.assert_array_equal(_hash_counts([joined], 7)[0], summed + bridges)
 
     def test_bigrams_contribute(self, hash_embedder):
         # Same unigram multiset, different order: bigrams must differ.
-        a = embed_text(hash_embedder, CleanText.from_tokens(["alpha", "beta", "gamma"]))
-        b = embed_text(hash_embedder, CleanText.from_tokens(["gamma", "beta", "alpha"]))
+        a = embed_one(hash_embedder, CleanText.from_tokens(["alpha", "beta", "gamma"]))
+        b = embed_one(hash_embedder, CleanText.from_tokens(["gamma", "beta", "alpha"]))
         assert not np.allclose(a, b)
 
     def test_spec_validation(self):
@@ -122,7 +125,6 @@ class TestBatchedOracle:
         batch = embed_texts(spec, cleans)
         for i, clean in enumerate(cleans):
             assert batch[i].tobytes() == embed_texts(spec, [clean])[0].tobytes()
-            assert batch[i].tobytes() == embed_text(spec, clean).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_edge_batches_match_reference(self, seed):
@@ -140,10 +142,11 @@ class TestBatchedOracle:
             assert got.tobytes() == _reference_rows(cleans, seed).tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(_TOKEN, max_size=10).map(CleanText.from_tokens), _SEED)
-    def test_unnormalized_accumulation_matches_reference_counts(self, clean, seed):
-        counts = accumulate_hash_embedding(clean, seed)
-        assert counts.tobytes() == _reference_counts([clean], seed)[0].tobytes()
+    @given(_BATCH, _SEED)
+    def test_unnormalized_accumulation_matches_reference_counts(self, cleans, seed):
+        counts = _hash_counts(cleans, seed)
+        assert counts.shape == (len(cleans), EMBEDDING_DIM)
+        assert counts.tobytes() == _reference_counts(cleans, seed).tobytes()
 
 
 class TestSentiment:

@@ -14,15 +14,11 @@ from multicred.features import (
     NUM_SCALAR_FEATURES,
     LabeledDataset,
     NormalizationStats,
-    UserFeatureVector,
     aggregate_mean,
     apply_minmax,
     build_user_vector,
-    dataset_to_matrix,
     feature_layout,
     fit_minmax,
-    fit_scalar_stats,
-    normalize_vectors,
     read_feature_csv,
     smote,
     smote_plan,
@@ -31,6 +27,8 @@ from multicred.features import (
 )
 from multicred.network import ShapeError, StateError
 from multicred.autoencoder import Autoencoder, AutoencoderSpec
+
+from conftest import untrained_autoencoder_model
 
 
 def make_record(user_id="u1", n_tweets=3, n_comments=2, score=50.0):
@@ -122,8 +120,8 @@ class TestAggregateMean:
 class TestBuildUserVector:
     def test_has_exactly_51_components(self, hash_embedder, tiny_autoencoder):
         vec = build_user_vector(make_record(), hash_embedder, tiny_autoencoder)
-        assert vec.values.shape == (NUM_FEATURES,)
-        assert vec.values.shape == (51,)
+        assert vec.shape == (NUM_FEATURES,) and vec.dtype == np.float64
+        assert vec.shape == (51,)
 
     def test_layout_is_versioned_and_complete(self):
         layout = feature_layout()
@@ -135,50 +133,51 @@ class TestBuildUserVector:
         record = make_record(n_tweets=0)
         with pytest.warns(UserWarning):
             vec = build_user_vector(record, hash_embedder, tiny_autoencoder)
-        assert "no_tweets" in vec.flags
-        np.testing.assert_array_equal(vec.values[18:35], 0.0)  # tweet scalars
-        np.testing.assert_array_equal(vec.values[35:45], 0.0)  # latent
+        np.testing.assert_array_equal(vec[18:35], 0.0)  # tweet scalars
+        np.testing.assert_array_equal(vec[35:45], 0.0)  # latent
 
     def test_no_comments_zero_sentiment_not_uniform(self, hash_embedder, tiny_autoencoder):
         vec = build_user_vector(make_record(n_comments=0), hash_embedder, tiny_autoencoder)
-        assert "no_comments" in vec.flags
-        np.testing.assert_array_equal(vec.values[45:], 0.0)
+        np.testing.assert_array_equal(vec[45:], 0.0)
 
     def test_untrained_autoencoder_is_state_error(self, hash_embedder):
-        ae = Autoencoder.initialize(AutoencoderSpec())
+        spec = AutoencoderSpec()
+        ae = Autoencoder(spec, untrained_autoencoder_model(spec))
         with pytest.raises(StateError):
             build_user_vector(make_record(), hash_embedder, ae)
 
-    def test_invalid_record_rejected(self, hash_embedder, tiny_autoencoder):
-        record = make_record(score=130.0)
-        with pytest.raises(DomainError, match="score"):
-            build_user_vector(record, hash_embedder, tiny_autoencoder)
-
     def test_stats_normalize_scalar_block_only(self, hash_embedder, tiny_autoencoder):
         records = [make_record(user_id=f"u{i}", n_tweets=2 + i) for i in range(4)]
-        raw = [build_user_vector(r, hash_embedder, tiny_autoencoder) for r in records]
-        stats = fit_scalar_stats(raw)
-        normalized = normalize_vectors(raw, stats)[0]
-        scalars = normalized.values[:NUM_SCALAR_FEATURES]
+        raw = np.array([build_user_vector(r, hash_embedder, tiny_autoencoder)
+                        for r in records])
+        # What prepare does: fit on the scalar block, rescale it in place.
+        normalized = raw.copy()
+        stats = fit_minmax(raw[:, :NUM_SCALAR_FEATURES])
+        normalized[:, :NUM_SCALAR_FEATURES] = apply_minmax(stats, raw[:, :NUM_SCALAR_FEATURES])
+        scalars = normalized[:, :NUM_SCALAR_FEATURES]
         assert scalars.min() >= 0.0 and scalars.max() <= 1.0
         np.testing.assert_array_equal(
-            normalized.values[NUM_SCALAR_FEATURES:], raw[0].values[NUM_SCALAR_FEATURES:]
+            normalized[:, NUM_SCALAR_FEATURES:], raw[:, NUM_SCALAR_FEATURES:]
         )
 
     def test_wrong_width_vector_rejected(self):
-        with pytest.raises(ShapeError):
-            UserFeatureVector("u", np.zeros(50))
+        with pytest.raises(ShapeError, match="51 components"):
+            LabeledDataset(("u",), np.zeros((1, 50)), np.zeros(1, dtype=np.intp), 4)
+
+
+def labeled(rows, num_classes):
+    """A dataset of ``(user_id, values, label)`` rows."""
+    ids, values, labels = zip(*rows) if rows else ((), (), ())
+    return LabeledDataset(ids, np.array(values, dtype=float).reshape(-1, NUM_FEATURES),
+                          np.array(labels, dtype=np.intp), num_classes)
 
 
 def dataset_from_counts(counts, num_classes=None, spread=3.0, seed=0):
     rng = np.random.default_rng(seed)
     num_classes = num_classes or len(counts)
-    items = []
-    for c, n in enumerate(counts):
-        for i in range(n):
-            values = rng.normal(size=NUM_FEATURES) + spread * c
-            items.append((UserFeatureVector(f"u{c}_{i}", values), c))
-    return LabeledDataset(tuple(items), num_classes=num_classes)
+    rows = [(f"u{c}_{i}", rng.normal(size=NUM_FEATURES) + spread * c, c)
+            for c, n in enumerate(counts) for i in range(n)]
+    return labeled(rows, num_classes)
 
 
 class TestSplit:
@@ -190,13 +189,13 @@ class TestSplit:
     def test_same_seed_identical(self):
         ds = dataset_from_counts([25, 25, 25, 25])
         a, b = split(ds, seed=3), split(ds, seed=3)
-        assert [v.user_id for v, _ in a.train.items] == [v.user_id for v, _ in b.train.items]
-        assert [v.user_id for v, _ in a.test.items] == [v.user_id for v, _ in b.test.items]
+        assert a.train.user_ids == b.train.user_ids
+        assert a.test.user_ids == b.test.user_ids
 
     def test_partition_property(self):
         ds = dataset_from_counts([40, 25, 20, 15])
         s = split(ds, seed=1)
-        ids = lambda d: {v.user_id for v, _ in d.items}
+        ids = lambda d: set(d.user_ids)
         train, test, val = ids(s.train), ids(s.test), ids(s.validation)
         assert train.isdisjoint(test) and train.isdisjoint(val) and test.isdisjoint(val)
         assert train | test | val == ids(ds)
@@ -232,10 +231,10 @@ class TestSmote:
 
     def test_synthetic_points_on_segments(self):
         ds = dataset_from_counts([60, 12, 8, 5])
-        x, y = dataset_to_matrix(ds)
+        x, y = ds.x, ds.y
         classes, base_ids, neighbor_ids, lams = smote_plan(ds, k=5, seed=4)
         assert len(classes)
-        synthetic_rows = dataset_to_matrix(smote(ds, k=5, seed=4))[0][len(ds):]
+        synthetic_rows = smote(ds, k=5, seed=4).x[len(ds):]
         for c, b, nb, synthetic in zip(classes, base_ids, neighbor_ids, synthetic_rows):
             assert y[b] == c and y[nb] == c
             base, neighbor = x[b], x[nb]
@@ -250,17 +249,15 @@ class TestSmote:
     def test_originals_retained(self):
         ds = dataset_from_counts([30, 6])
         balanced = smote(ds, k=3, seed=1)
-        original_ids = {v.user_id for v, _ in ds.items}
-        balanced_ids = {v.user_id for v, _ in balanced.items}
+        original_ids = set(ds.user_ids)
+        balanced_ids = set(balanced.user_ids)
         assert original_ids <= balanced_ids
 
     def test_deterministic(self):
         ds = dataset_from_counts([30, 6])
         a = smote(ds, k=3, seed=5)
         b = smote(ds, k=3, seed=5)
-        xa, _ = dataset_to_matrix(a)
-        xb, _ = dataset_to_matrix(b)
-        np.testing.assert_array_equal(xa, xb)
+        np.testing.assert_array_equal(a.x, b.x)
 
     def test_singleton_class_named(self):
         ds = dataset_from_counts([10, 1])
@@ -288,7 +285,7 @@ def brute_force_neighbors(points, k):
 def reference_smote_plan(train, k, seed):
     """SMOTE's (class, base, neighbour, lam) drawn point by point, with one
     brute-force neighbour table per class."""
-    x, y = dataset_to_matrix(train)
+    x, y = train.x, train.y
     counts = train.class_counts()
     rng = np.random.default_rng(seed)
     plan = []
@@ -320,9 +317,9 @@ _GRID_CLASSES = st.lists(
 
 
 def grid_dataset(classes):
-    items = [(UserFeatureVector(f"u{c}_{i}", _CANDIDATES[pick].copy()), c)
-             for c, picks in enumerate(classes) for i, pick in enumerate(picks)]
-    return LabeledDataset(tuple(items), num_classes=len(classes))
+    return labeled([(f"u{c}_{i}", _CANDIDATES[pick], c)
+                    for c, picks in enumerate(classes) for i, pick in enumerate(picks)],
+                   num_classes=len(classes))
 
 
 class TestSmoteOracles:
@@ -358,18 +355,21 @@ class TestSmoteOracles:
         grid_dataset([[0] * 9, [0, 0, 1, 2, 3], [4, 5], [1, 1, 1]]),
     ], ids=["gaussian", "grid-with-ties"])
     def test_rows_bitwise_equal_rows_rebuilt_from_plan(self, ds):
-        x, y = dataset_to_matrix(ds)
+        x, y, n = ds.x, ds.y, len(ds)
         classes, base_ids, neighbor_ids, lams = smote_plan(ds, k=5, seed=3)
         balanced = smote(ds, k=5, seed=3)
-        assert balanced.items[:len(ds)] == ds.items
-        synthetic = balanced.items[len(ds):]
+        assert balanced.user_ids[:n] == ds.user_ids
+        assert balanced.x[:n].tobytes() == x.tobytes()
+        assert balanced.y[:n].tolist() == y.tolist()
+        synthetic = list(zip(balanced.user_ids[n:], balanced.x[n:], balanced.y[n:]))
         assert len(synthetic) == len(classes)
         made = [0] * ds.num_classes
-        for (vec, label), c, b, nb, lam in zip(synthetic, classes, base_ids, neighbor_ids, lams):
+        for (user_id, values, label), c, b, nb, lam in zip(synthetic, classes, base_ids,
+                                                           neighbor_ids, lams):
             rebuilt = x[b] + float(lam) * (x[nb] - x[b])
-            assert vec.values.tobytes() == rebuilt.tobytes()
+            assert values.tobytes() == rebuilt.tobytes()
             assert label == c == y[b] == y[nb]
-            assert vec.user_id == f"smote:{c}:{made[c]}"
+            assert user_id == f"smote:{c}:{made[c]}"
             made[c] += 1
 
     def test_balanced_input_has_empty_plan(self):
@@ -396,11 +396,9 @@ class TestCsvRoundtrip:
         path = tmp_path / "features.csv"
         write_feature_csv(ds, path)
         loaded = read_feature_csv(path, num_classes=2)
-        x0, y0 = dataset_to_matrix(ds)
-        x1, y1 = dataset_to_matrix(loaded)
-        np.testing.assert_array_equal(x0, x1)
-        np.testing.assert_array_equal(y0, y1)
-        assert [v.user_id for v, _ in loaded.items] == [v.user_id for v, _ in ds.items]
+        assert loaded.x.tobytes() == ds.x.tobytes()
+        np.testing.assert_array_equal(loaded.y, ds.y)
+        assert loaded.user_ids == ds.user_ids
 
     def test_header_shape_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -411,6 +409,39 @@ class TestCsvRoundtrip:
 
 class TestLabeledDataset:
     def test_label_range_enforced(self):
-        vec = UserFeatureVector("u", np.zeros(NUM_FEATURES))
-        with pytest.raises(DomainError):
-            LabeledDataset(((vec, 4),), num_classes=4)
+        with pytest.raises(DomainError, match=r"class index 4 .* \(user u\)"):
+            labeled([("u", np.zeros(NUM_FEATURES), 4)], num_classes=4)
+
+    def test_first_offending_user_named(self):
+        values = np.zeros((4, NUM_FEATURES))
+        values[2, 7] = np.inf
+        values[3, 0] = np.nan
+        with pytest.raises(DomainError, match="non-finite feature values for user u2$"):
+            LabeledDataset(("u0", "u1", "u2", "u3"), values, np.zeros(4, dtype=np.intp), 4)
+        with pytest.raises(DomainError, match=r"class index -1 .* \(user u1\)"):
+            LabeledDataset(("u0", "u1", "u2", "u3"), np.zeros((4, NUM_FEATURES)),
+                           np.array([0, -1, 9, 0]), 4)
+
+    @pytest.mark.parametrize("ids, rows, labels", [
+        (("a", "b"), 3, 3), (("a", "b", "c"), 2, 3), (("a", "b", "c"), 3, 2),
+    ])
+    def test_lengths_must_agree(self, ids, rows, labels):
+        with pytest.raises(ShapeError, match="user ids"):
+            LabeledDataset(ids, np.zeros((rows, NUM_FEATURES)),
+                           np.zeros(labels, dtype=np.intp), 4)
+
+    def test_fractional_labels_rejected(self):
+        with pytest.raises(DomainError, match="integers"):
+            LabeledDataset(("u",), np.zeros((1, NUM_FEATURES)), np.array([1.5]), 4)
+
+    def test_arrays_normalized_and_counted(self):
+        x = np.asfortranarray(np.arange(3 * NUM_FEATURES, dtype=np.int64)
+                              .reshape(3, NUM_FEATURES))
+        ds = LabeledDataset(["a", "b", "c"], x, [2, 0, 2], 4)
+        assert ds.user_ids == ("a", "b", "c") and len(ds) == 3
+        assert ds.x.dtype == np.float64 and ds.x.flags.c_contiguous
+        assert ds.y.dtype == np.intp
+        np.testing.assert_array_equal(ds.x, x)
+        assert ds.class_counts() == [1, 0, 2, 0]
+        empty = labeled([], num_classes=4)
+        assert len(empty) == 0 and empty.class_counts() == [0, 0, 0, 0]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from multicred import network as nn
-from multicred.autoencoder import Autoencoder, AutoencoderSpec
+from multicred.autoencoder import AutoencoderSpec
 from multicred.classifier import build_multicred
 from multicred.domain import DomainError
+
+from conftest import untrained_autoencoder_model
 
 
 def softmax_ce_net(seed=0):
@@ -339,7 +341,7 @@ def classifier_net():
 
 
 def autoencoder_net():
-    return Autoencoder.initialize(AutoencoderSpec(seed=3)).model
+    return untrained_autoencoder_model(AutoencoderSpec(seed=3))
 
 
 def batch_for(model, rng, rows=16):
