@@ -7,8 +7,9 @@ MLP classifier, and report multiclass metrics.
 
 Main entry points:
 - domain: UserRecord and friends, score binning, criterion scoring
-- dataset: load_dataset / write_dataset / generate_synthetic
-- features: build_user_vector, LabeledDataset (ids, an n x 51 matrix, labels),
+- dataset: iter_records / write_dataset / generate_synthetic
+- features: scan_dataset and fill_latents (a dataset directory's feature
+  rows, in two passes), LabeledDataset (ids, an n x 51 matrix, labels),
   split, smote, normalization
 - classifier: build_multicred, train, predict, evaluate
 - cli: the `multicred` command
@@ -31,7 +32,7 @@ from .dataset import (
     DatasetManifest,
     SyntheticConfig,
     generate_synthetic,
-    load_dataset,
+    iter_records,
     write_dataset,
 )
 from .preprocess import CleanText, preprocess
@@ -41,10 +42,12 @@ from .features import (
     LabeledDataset,
     NormalizationStats,
     SplitDataset,
+    UserScan,
     aggregate_mean,
     apply_minmax,
-    build_user_vector,
+    fill_latents,
     fit_minmax,
+    scan_dataset,
     smote,
     split,
 )
@@ -65,13 +68,13 @@ __all__ = [
     "Tweet", "UserProfile", "UserRecord",
     "bin_score", "newsguard_score", "validate_record",
     "DatasetLoadError", "DatasetManifest", "SyntheticConfig",
-    "generate_synthetic", "load_dataset", "write_dataset",
+    "generate_synthetic", "iter_records", "write_dataset",
     "CleanText", "preprocess",
     "EmbedderSpec", "analyze_sentiment", "embed_texts",
     "Autoencoder", "AutoencoderSpec", "train_autoencoder",
-    "LabeledDataset", "NormalizationStats", "SplitDataset",
-    "aggregate_mean", "apply_minmax", "build_user_vector", "fit_minmax",
-    "smote", "split",
+    "LabeledDataset", "NormalizationStats", "SplitDataset", "UserScan",
+    "aggregate_mean", "apply_minmax", "fill_latents", "fit_minmax",
+    "scan_dataset", "smote", "split",
     "MetricsReport", "TrainConfig", "TrainHistory",
     "build_multicred", "evaluate", "predict", "train",
 ]

@@ -136,7 +136,7 @@ def train_autoencoder(
 
 def save_autoencoder(ae: Autoencoder, path: str | Path) -> None:
     with atomic_write(path) as fh:
-        fh.write(json.dumps(autoencoder_to_dict(ae), sort_keys=True))
+        nn.write_json(fh, autoencoder_document(ae))
 
 
 def load_autoencoder(path: str | Path) -> Autoencoder:
@@ -165,8 +165,10 @@ def autoencoder_from_dict(doc: dict) -> Autoencoder:
     return Autoencoder(spec, model, trained=bool(meta.get("trained", True)))
 
 
-def autoencoder_to_dict(ae: Autoencoder) -> dict:
-    doc = nn.model_to_dict(ae.model, artifact_kind="autoencoder")
+def autoencoder_document(ae: Autoencoder) -> dict:
+    """The model document of ``ae`` (see :func:`network.model_document`) plus
+    its spec under the key ``autoencoder``."""
+    doc = nn.model_document(ae.model, artifact_kind="autoencoder")
     doc["autoencoder"] = {
         "hidden_dim": ae.spec.hidden_dim,
         "epochs": ae.spec.epochs,

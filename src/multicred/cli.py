@@ -27,7 +27,7 @@ from . import classifier as clf_mod
 from . import features as feat_mod
 from . import network as nn
 from .atomic import atomic_write
-from .dataset import DatasetLoadError, SyntheticConfig, generate_synthetic, load_dataset, write_dataset
+from .dataset import DatasetLoadError, SyntheticConfig, generate_synthetic, write_dataset
 from .domain import ALLOWED_CLASS_COUNTS, ClassificationSystem, DomainError, bin_score
 from .embedding import EmbedderSpec, embed_texts
 from .network import ShapeError, StateError
@@ -217,38 +217,47 @@ def _cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
+def _train_autoencoder(scan: feat_mod.UserScan, embedder: EmbedderSpec, cfg: RunConfig):
+    """The autoencoder and its loss history, trained on a seeded sample of
+    at most ``ae_corpus_cap`` of the scanned tweets.
+
+    Only the sampled tweets are re-read and embedded here; the corpus is
+    freed when this returns.
+    """
+    total = int(scan.tweet_counts.sum())
+    if total < 2:
+        raise DomainError("dataset has fewer than 2 tweets; cannot train the autoencoder")
+    if cfg.ae_corpus_cap < 2:
+        raise DomainError(f"ae_corpus_cap must be at least 2, got {cfg.ae_corpus_cap}")
+    keep = np.arange(total)
+    if total > cfg.ae_corpus_cap:
+        picker = np.random.default_rng(cfg.seed)
+        keep = np.sort(picker.choice(total, size=cfg.ae_corpus_cap, replace=False))
+    corpus = embed_texts(embedder, [preprocess(t) for t in feat_mod.tweet_texts_at(scan, keep)])
+    logger.info("training autoencoder on %d tweet embeddings", corpus.shape[0])
+    return ae_mod.train_autoencoder(corpus, ae_mod.AutoencoderSpec(
+        epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size, seed=cfg.seed,
+    ))
+
+
 def _cmd_prepare(cfg: RunConfig) -> int:
     data_dir = _require_dir(cfg.data, "dataset directory")
     system = ClassificationSystem(cfg.classes)
     embedder = EmbedderSpec(hash_seed=cfg.embed_seed)
 
-    manifest, records = load_dataset(data_dir)
-    if not manifest.labels_present:
+    scan = feat_mod.scan_dataset(data_dir)
+    if not scan.manifest.labels_present:
         raise DomainError("prepare needs a labeled dataset (labels.csv)")
-    logger.info("loaded %d users from %s", len(records), data_dir)
+    logger.info("loaded %d users from %s", len(scan), data_dir)
 
-    # Draw the autoencoder corpus from tweet positions first, so only the
-    # sampled tweets are embedded here; the rest are embedded once, below.
-    texts = [tweet.text for record in records for tweet in record.tweets]
-    if len(texts) < 2:
-        raise DomainError("dataset has fewer than 2 tweets; cannot train the autoencoder")
-    if cfg.ae_corpus_cap < 2:
-        raise DomainError(f"ae_corpus_cap must be at least 2, got {cfg.ae_corpus_cap}")
-    keep = range(len(texts))
-    if len(texts) > cfg.ae_corpus_cap:
-        picker = np.random.default_rng(cfg.seed)
-        keep = np.sort(picker.choice(len(texts), size=cfg.ae_corpus_cap, replace=False))
-    corpus = embed_texts(embedder, [preprocess(texts[i]) for i in keep])
-    logger.info("training autoencoder on %d tweet embeddings", corpus.shape[0])
-    ae, ae_history = ae_mod.train_autoencoder(corpus, ae_mod.AutoencoderSpec(
-        epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size, seed=cfg.seed,
-    ))
+    ae, ae_history = _train_autoencoder(scan, embedder, cfg)
     logger.info("autoencoder loss %.6f -> %.6f", ae_history[0], ae_history[-1])
 
+    feat_mod.fill_latents(scan, embedder, ae)
     dataset = feat_mod.LabeledDataset(
-        tuple(r.user_id for r in records),
-        np.array([feat_mod.build_user_vector(r, embedder, ae) for r in records]),
-        np.array([bin_score(r.score, system) for r in records], dtype=np.intp),
+        scan.manifest.user_ids,
+        scan.x,
+        np.array([bin_score(s, system) for s in scan.scores.tolist()], dtype=np.intp),
         num_classes=system.num_classes,
     )
 
@@ -339,6 +348,11 @@ def _cmd_train(cfg: RunConfig) -> int:
         batch_size=cfg.batch_size,
         seed=cfg.seed,
     )
+    stats = _normalization_stats(
+        _read_object(prepared / "norm_stats.json", "normalization stats"),
+        "normalization stats", "")
+    ae = ae_mod.load_autoencoder(_require_file(prepared / "autoencoder.json", "autoencoder"))
+
     model = clf_mod.build_multicred(num_classes, seed=cfg.seed)
     logger.info("training classifier (%d classes, %d train samples)",
                 num_classes, len(splits.train))
@@ -349,21 +363,18 @@ def _cmd_train(cfg: RunConfig) -> int:
         history.val_accuracy[history.best_epoch],
     )
 
-    stats_doc = _read_object(prepared / "norm_stats.json", "normalization stats")
-    ae = ae_mod.load_autoencoder(_require_file(prepared / "autoencoder.json", "autoencoder"))
-
     bundle = {
         "format_version": BUNDLE_VERSION,
         "artifact_kind": BUNDLE_KIND,
         "num_classes": num_classes,
         "embedder": embedder,
-        "normalization": stats_doc,
-        "classifier": nn.model_to_dict(model, artifact_kind="classifier"),
-        "autoencoder": ae_mod.autoencoder_to_dict(ae),
+        "normalization": {"minimum": stats.minimum, "maximum": stats.maximum},
+        "classifier": nn.model_document(model, artifact_kind="classifier"),
+        "autoencoder": ae_mod.autoencoder_document(ae),
     }
     out = Path(cfg.out)
     with atomic_write(out) as fh:
-        fh.write(json.dumps(bundle, sort_keys=True))
+        nn.write_json(fh, bundle)
     clf_mod.write_history_csv(history, out.with_suffix(".history.csv"))
     print(json.dumps({
         "model": str(out),
@@ -391,22 +402,42 @@ def _load_bundle(path: Path):
     embedder = EmbedderSpec(hash_seed=field("embedder.hash_seed"))
     model = nn.model_from_dict(field("classifier"), expected_kind="classifier")
     num_classes = field("num_classes")
+    if type(num_classes) is not int:
+        raise StateError(f"bundle num_classes must be an integer, got {json.dumps(num_classes)}")
     if num_classes != model.spec.output_dim:
         raise StateError(
             f"bundle num_classes {num_classes!r} does not match the "
             f"classifier's output width {model.spec.output_dim}"
         )
     ae = ae_mod.autoencoder_from_dict(field("autoencoder"))
+    stats = _normalization_stats(doc, "model bundle", "normalization.")
+    return num_classes, model, ae, stats, embedder
+
+
+def _normalization_stats(doc: dict, what: str, prefix: str) -> feat_mod.NormalizationStats:
+    """The min-max bounds at ``prefix + "minimum"`` and ``prefix + "maximum"``
+    in ``doc``: each a list of 35 finite numbers, no minimum above its
+    maximum. A StateError names the field that breaks this."""
     bounds = {}
     for key in ("minimum", "maximum"):
-        bounds[key] = np.asarray(field("normalization." + key), dtype=float)
+        name = prefix + key
+        value = _field(doc, name, what)
+        try:
+            bounds[key] = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise StateError(f"{what} {name} is not a list of numbers") from None
         if bounds[key].shape != (feat_mod.NUM_SCALAR_FEATURES,):
             raise StateError(
-                f"bundle normalization.{key} has shape {bounds[key].shape}, "
+                f"{what} {name} has shape {bounds[key].shape}, "
                 f"expected ({feat_mod.NUM_SCALAR_FEATURES},)"
             )
-    stats = feat_mod.NormalizationStats(**bounds)
-    return num_classes, model, ae, stats, embedder
+        if not np.isfinite(bounds[key]).all():
+            raise StateError(f"{what} {name} holds non-finite values")
+    above = np.flatnonzero(bounds["minimum"] > bounds["maximum"])
+    if above.size:
+        raise StateError(f"{what} {prefix}minimum exceeds {prefix}maximum "
+                         f"at component {above[0]}")
+    return feat_mod.NormalizationStats(**bounds)
 
 
 def _cmd_evaluate(cfg: RunConfig) -> int:
@@ -430,16 +461,15 @@ def _cmd_predict(cfg: RunConfig) -> int:
     data_dir = _require_dir(cfg.input, "input dataset")
     num_classes, model, ae, stats, embedder = _load_bundle(bundle_path)
 
-    _, records = load_dataset(data_dir)
-    x = np.array([feat_mod.build_user_vector(r, embedder, ae) for r in records])
-    x = x.reshape(len(records), feat_mod.NUM_FEATURES)  # [0 x 51] for a dataset without users
+    scan = feat_mod.scan_dataset(data_dir)
+    feat_mod.fill_latents(scan, embedder, ae)
+    x = scan.x
     scalars = slice(0, feat_mod.NUM_SCALAR_FEATURES)
     x[:, scalars] = feat_mod.apply_minmax(stats, x[:, scalars])
     rows = []
-    for record, vector in zip(records, x):
+    for user_id, vector in zip(scan.manifest.user_ids, x):
         probs = clf_mod.predict(model, vector)
-        rows.append([record.user_id] + [repr(float(p)) for p in probs]
-                    + [int(probs.argmax())])
+        rows.append([user_id] + [repr(float(p)) for p in probs] + [int(probs.argmax())])
 
     out = Path(cfg.out)
     with atomic_write(out, newline="") as fh:

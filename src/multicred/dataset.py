@@ -9,9 +9,11 @@ On-disk layout, one dataset per directory:
     <root>/labels.csv                 header "user_id,score"; absent for
                                       unlabeled prediction sets
 
-All JSON is UTF-8. Loading reports every malformed file at once instead
-of stopping at the first; tweet and comment lists are truncated at the
-ingest caps.
+All JSON is UTF-8. :func:`iter_records` reads one user at a time and
+reports every malformed file at once, when the last user has been read,
+instead of stopping at the first; tweet and comment lists are truncated
+at the ingest caps. :func:`read_tweet_texts` re-reads one user's tweet
+texts only, for passes that need nothing else.
 
 The synthetic generator plants one credibility class per user and draws
 trust-criteria flags whose summed weights land inside that class's score
@@ -28,6 +30,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -127,12 +130,20 @@ class DatasetLoadError(Exception):
         )
 
 
-def _read_json(path: Path):
+def _read_json(path: Path, kind: type):
+    """The JSON value in ``path``, which must be a ``kind``: a dict or a list
+    of dicts."""
     raw = path.read_bytes().decode("utf-8", errors="replace")
     try:
-        return json.loads(raw)
+        value = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON in {path} at byte offset {exc.pos}") from None
+    if kind is dict and not isinstance(value, dict):
+        raise DomainError(f"{path} does not hold a JSON object")
+    if kind is list and not (isinstance(value, list)
+                             and all(isinstance(v, dict) for v in value)):
+        raise DomainError(f"{path} does not hold a JSON array of objects")
+    return value
 
 
 def _entity_count(entities: dict, key: str) -> int:
@@ -162,11 +173,15 @@ def _profile_from_json(data: dict) -> UserProfile:
     )
 
 
+def _tweet_text(data: dict) -> str:
+    return str(data.get("text", ""))
+
+
 def _tweet_from_json(data: dict) -> Tweet:
     entities = data.get("entities", {})
     return Tweet(
         created_at=parse_timestamp(data["created_at"]),
-        text=str(data.get("text", "")),
+        text=_tweet_text(data),
         truncated=bool(data.get("truncated", False)),
         retweet_count=int(data.get("retweet_count", 0)),
         favorite_count=int(data.get("favorite_count", 0)),
@@ -236,13 +251,53 @@ def _read_labels(path: Path) -> dict[str, float]:
     return labels
 
 
-def load_dataset(root: str | Path) -> tuple[DatasetManifest, list[UserRecord]]:
-    """Read a dataset directory into records, sorted by user_id.
+def _read_record(root: Path, user_id: str, labels: dict[str, float] | None) -> UserRecord:
+    """One user's files as a record, truncated at the caps and validated; its
+    score comes from ``labels``, None for an unlabeled dataset."""
+    profile = _profile_from_json(_read_json(root / "profiles" / f"{user_id}.json", dict))
 
-    Missing tweet or comment files mean empty lists. Every malformed or
-    missing file, and every record that fails :func:`validate_record`
-    after truncation, is collected and raised together as one
-    :class:`DatasetLoadError` rather than dropping records silently.
+    tweets: list[Tweet] = []
+    tweets_path = root / "tweets" / f"{user_id}.json"
+    if tweets_path.is_file():
+        tweets = [_tweet_from_json(t) for t in _read_json(tweets_path, list)]
+
+    comments: list[Comment] = []
+    comments_path = root / "comments" / f"{user_id}.json"
+    if comments_path.is_file():
+        comments = [Comment(text=str(c["text"])) for c in _read_json(comments_path, list)]
+
+    score = None
+    if labels is not None:
+        if user_id not in labels:
+            raise DomainError(f"user {user_id} missing from labels.csv")
+        score = labels[user_id]
+
+    record = UserRecord(
+        user_id=user_id,
+        profile=profile,
+        tweets=tuple(tweets[:MAX_TWEETS_PER_USER]),
+        comments=tuple(comments[:MAX_COMMENTS_PER_USER]),
+        score=score,
+    )
+    violations = validate_record(record)
+    if violations:
+        raise DomainError("invalid record: " + "; ".join(violations))
+    return record
+
+
+def iter_records(root: str | Path) -> tuple[DatasetManifest, Iterator[UserRecord]]:
+    """A dataset directory's manifest, and its records one at a time, by user_id.
+
+    The manifest (the user ids and whether labels are present) is read
+    at once; a missing profiles/ directory or a bad labels.csv raises
+    here. Each record is read, truncated at the ingest caps and checked by
+    :func:`validate_record` only when the iterator reaches it, and only
+    one is held at a time. Missing tweet or comment files mean empty
+    lists. Every malformed or missing file, every invalid record, and
+    every labeled user without a profile is collected and raised together
+    as one :class:`DatasetLoadError` once the last user has been read,
+    rather than dropping records silently; the records yielded before
+    are then not a dataset.
     """
     root = Path(root)
     profiles_dir = root / "profiles"
@@ -250,66 +305,61 @@ def load_dataset(root: str | Path) -> tuple[DatasetManifest, list[UserRecord]]:
         raise DatasetLoadError([(str(root), "no profiles/ directory")])
 
     labels_path = root / "labels.csv"
-    labels_present = labels_path.is_file()
-    failures: list[tuple[str, str]] = []
-    labels: dict[str, float] = {}
-    if labels_present:
+    labels: dict[str, float] | None = None
+    if labels_path.is_file():
         try:
             labels = _read_labels(labels_path)
         except (DomainError, ValueError) as exc:
             raise DatasetLoadError([(str(labels_path), str(exc))]) from None
 
     user_ids = sorted(p.stem for p in profiles_dir.glob("*.json"))
-    records: list[UserRecord] = []
-    for user_id in user_ids:
-        try:
-            profile = _profile_from_json(_read_json(profiles_dir / f"{user_id}.json"))
-
-            tweets: list[Tweet] = []
-            tweets_path = root / "tweets" / f"{user_id}.json"
-            if tweets_path.is_file():
-                tweets = [_tweet_from_json(t) for t in _read_json(tweets_path)]
-
-            comments: list[Comment] = []
-            comments_path = root / "comments" / f"{user_id}.json"
-            if comments_path.is_file():
-                comments = [Comment(text=str(c["text"])) for c in _read_json(comments_path)]
-
-            score = None
-            if labels_present:
-                if user_id not in labels:
-                    raise DomainError(f"user {user_id} missing from labels.csv")
-                score = labels[user_id]
-
-            record = UserRecord(
-                user_id=user_id,
-                profile=profile,
-                tweets=tuple(tweets[:MAX_TWEETS_PER_USER]),
-                comments=tuple(comments[:MAX_COMMENTS_PER_USER]),
-                score=score,
-            )
-            violations = validate_record(record)
-            if violations:
-                raise DomainError("invalid record: " + "; ".join(violations))
-            records.append(record)
-        except (DomainError, KeyError, TypeError, ValueError) as exc:
-            failures.append((user_id, str(exc)))
-
-    known_ids = set(user_ids)
-    for labeled_id in labels:
-        if labeled_id not in known_ids:
-            failures.append((labeled_id, "appears in labels.csv but has no profile file"))
-
-    if failures:
-        raise DatasetLoadError(failures)
     manifest = DatasetManifest(
-        root=root, user_ids=tuple(user_ids), labels_present=labels_present
+        root=root, user_ids=tuple(user_ids), labels_present=labels is not None
     )
-    return manifest, records
+
+    def records() -> Iterator[UserRecord]:
+        failures: list[tuple[str, str]] = []
+        for user_id in user_ids:
+            try:
+                record = _read_record(root, user_id, labels)
+            except (DomainError, KeyError, TypeError, ValueError) as exc:
+                failures.append((user_id, str(exc)))
+                continue
+            yield record
+
+        known_ids = set(user_ids)
+        for labeled_id in labels or ():
+            if labeled_id not in known_ids:
+                failures.append((labeled_id, "appears in labels.csv but has no profile file"))
+        if failures:
+            raise DatasetLoadError(failures)
+
+    return manifest, records()
+
+
+def read_tweet_texts(root: str | Path, user_id: str, count: int) -> list[str]:
+    """The texts of one user's tweets, read again for a later pass.
+
+    The file goes through the same parse and text extraction as
+    :func:`iter_records`, with the tweet cap applied, and must still hold
+    the ``count`` tweets that pass counted; a file that fails to parse, or
+    changed its count since, raises a :class:`DatasetLoadError` naming
+    the user and the file.
+    """
+    path = Path(root) / "tweets" / f"{user_id}.json"
+    try:
+        texts = [_tweet_text(t) for t in _read_json(path, list)[:MAX_TWEETS_PER_USER]]
+    except (DomainError, OSError) as exc:
+        raise DatasetLoadError([(user_id, f"re-reading {path}: {exc}")]) from None
+    if len(texts) != count:
+        raise DatasetLoadError([(user_id, f"{path} holds {len(texts)} tweets, but "
+                                          f"{count} were read earlier in this run; "
+                                          f"it changed during the run")])
+    return texts
 
 
 def write_dataset(records: list[UserRecord], root: str | Path) -> DatasetManifest:
-    """Write records in the documented layout; inverse of :func:`load_dataset`.
+    """Write records in the documented layout; inverse of :func:`iter_records`.
 
     Records must be all labeled or all unlabeled; labels.csv is written
     only in the first case. Output is deterministic: users sorted by id,

@@ -18,6 +18,10 @@ MAX_TWEET_TEXT_LEN = 4000
 
 ALLOWED_CLASS_COUNTS = (4, 6, 8, 10)
 
+# Largest count a record may hold: a signed 64-bit integer, which every
+# feature converts to a float without overflow.
+MAX_COUNT = 2**63 - 1
+
 # The nine trust criteria and their score weights, ordered from most to
 # least valuable. Weights sum to exactly 100.
 CRITERIA = (
@@ -165,6 +169,8 @@ def validate_record(record: UserRecord) -> list[str]:
                   "favourites_count", "statuses_count"):
         if getattr(p, fname) < 0:
             violations.append(f"profile.{fname} negative")
+        elif getattr(p, fname) > MAX_COUNT:
+            violations.append(f"profile.{fname} exceeds 2**63 - 1")
     if not isinstance(p.created_at, datetime):
         violations.append("profile.created_at is not a timestamp")
 
@@ -178,6 +184,8 @@ def validate_record(record: UserRecord) -> list[str]:
                       "mention_count", "url_count", "symbol_count"):
             if getattr(t, fname) < 0:
                 violations.append(f"tweets[{i}].{fname} negative")
+            elif getattr(t, fname) > MAX_COUNT:
+                violations.append(f"tweets[{i}].{fname} exceeds 2**63 - 1")
         if len(t.text) > MAX_TWEET_TEXT_LEN:
             violations.append(f"tweets[{i}].text exceeds {MAX_TWEET_TEXT_LEN} characters")
 

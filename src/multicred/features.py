@@ -2,6 +2,15 @@
 labeled datasets: min-max normalization, stratified splitting, and SMOTE
 oversampling.
 
+Feature rows are built in two passes over a dataset directory, so memory
+grows with the number of users, not of tweets. :func:`scan_dataset`
+reads and validates every user once, through
+:func:`~multicred.dataset.iter_records`, and keeps per user only its id,
+score, tweet count and the 41 components that need no autoencoder.
+:func:`fill_latents` then re-reads each user's tweet texts alone and
+writes the 10 latent components. :func:`tweet_texts_at` re-reads the
+texts of chosen tweets, such as the autoencoder's training sample.
+
 A :class:`LabeledDataset` holds its users as arrays: a tuple of user ids,
 an [n x 51] float64 matrix with one row per user, and an [n] label
 vector. Splitting, SMOTE, the feature CSVs and the classifier all work
@@ -27,17 +36,20 @@ already compact and the sentiment block is a probability vector.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .atomic import atomic_write
 from .autoencoder import Autoencoder
-from .domain import DomainError, Tweet, UserProfile, UserRecord
+from .dataset import DatasetManifest, iter_records, read_tweet_texts
+from .domain import DomainError, Tweet, UserProfile
 from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_texts
 from .network import ShapeError, StateError
 from .preprocess import preprocess
@@ -68,6 +80,12 @@ SENTIMENT_FEATURES = tuple(f"sentiment_{e}" for e in EMOTIONS)
 FEATURE_NAMES = PROFILE_FEATURES + TWEET_FEATURES + LATENT_FEATURES + SENTIMENT_FEATURES
 NUM_SCALAR_FEATURES = len(PROFILE_FEATURES) + len(TWEET_FEATURES)  # 35
 NUM_FEATURES = len(FEATURE_NAMES)  # 51
+
+# Column blocks of a feature row.
+_PROFILE = slice(0, len(PROFILE_FEATURES))
+_TWEET = slice(_PROFILE.stop, NUM_SCALAR_FEATURES)
+_LATENT = slice(NUM_SCALAR_FEATURES, NUM_SCALAR_FEATURES + len(LATENT_FEATURES))
+_SENTIMENT = slice(_LATENT.stop, NUM_FEATURES)
 
 TRAIN_FRACTION = 0.7
 TEST_FRACTION = 0.2
@@ -236,45 +254,100 @@ def tweet_scalars(tweet: Tweet) -> np.ndarray:
     ])
 
 
-def build_user_vector(
-    record: UserRecord,
-    embedder: EmbedderSpec,
-    ae: Autoencoder,
-    sentiment: Callable[..., np.ndarray] = analyze_sentiment,
-) -> np.ndarray:
-    """Assemble one user's raw 51-component vector.
+@dataclass(frozen=True)
+class UserScan:
+    """What :func:`scan_dataset` keeps of a dataset: row ``i`` of each array
+    is user ``manifest.user_ids[i]``.
 
-    Users without tweets get zero tweet-scalar and latent blocks; users
-    without comments get a zero sentiment block (no opinions is not the
-    same as neutral opinions). The scalar block is left raw; ``prepare``
-    and ``predict`` rescale it with :func:`apply_minmax`. The record is
-    taken as valid: :func:`~multicred.dataset.load_dataset` has checked it.
+    ``x`` is the users' raw [n x 51] feature matrix, its latent block zero
+    until :func:`fill_latents` writes it; ``tweet_counts`` the number of
+    tweets each user has after the ingest cap; ``scores`` their
+    credibility scores, or None for an unlabeled dataset.
+    """
+
+    manifest: DatasetManifest
+    x: np.ndarray
+    tweet_counts: np.ndarray
+    scores: Optional[np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.manifest.user_ids)
+
+
+def scan_dataset(root: str | Path) -> UserScan:
+    """Read and validate a dataset directory once, one user at a time.
+
+    Every failure is raised together, as one
+    :class:`~multicred.dataset.DatasetLoadError`, before anything is
+    embedded. Each user's row gets its profile scalars, the mean of its
+    tweet scalars and the mean emotion distribution of its comments; users
+    without tweets get a zero tweet-scalar block, users without comments a
+    zero sentiment block (no opinions is not the same as neutral opinions).
+    The scalar block is left raw: ``prepare`` and ``predict`` rescale it
+    with :func:`apply_minmax`.
+    """
+    manifest, records = iter_records(root)
+    n = len(manifest.user_ids)
+    x = np.zeros((n, NUM_FEATURES))
+    tweet_counts = np.zeros(n, dtype=np.intp)
+    scores = np.zeros(n) if manifest.labels_present else None
+    # Rows stay in step with the manifest: a user that fails to load makes
+    # the iterator raise once it is exhausted.
+    for i, record in enumerate(records):
+        x[i, _PROFILE] = profile_scalars(record.profile)
+        x[i, _TWEET] = aggregate_mean(
+            [tweet_scalars(t) for t in record.tweets], dim=len(TWEET_FEATURES)
+        )
+        if record.comments:
+            x[i, _SENTIMENT] = np.mean(
+                [analyze_sentiment(preprocess(c.text)) for c in record.comments], axis=0
+            )
+        tweet_counts[i] = len(record.tweets)
+        if scores is not None:
+            scores[i] = record.score
+    return UserScan(manifest, x, tweet_counts, scores)
+
+
+def fill_latents(scan: UserScan, embedder: EmbedderSpec, ae: Autoencoder) -> None:
+    """Write each user's latent block into ``scan.x``: the mean encoded
+    embedding of its tweet texts, re-read one user at a time.
+
+    Users without tweets keep a zero latent block. A tweets file whose
+    count changed since the scan raises a
+    :class:`~multicred.dataset.DatasetLoadError` naming the user; a
+    non-finite row raises a DomainError naming the first such user.
     """
     if not ae.trained:
         raise StateError("autoencoder is untrained; train it before building features")
+    root, user_ids = scan.manifest.root, scan.manifest.user_ids
+    for row, user_id, count in zip(scan.x, user_ids, scan.tweet_counts.tolist()):
+        if count:
+            texts = read_tweet_texts(root, user_id, count)
+            embedded = embed_texts(embedder, [preprocess(t) for t in texts])
+            row[_LATENT] = ae.encode_batch(embedded).mean(axis=0)
+    finite = np.isfinite(scan.x).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"non-finite feature values for user {user_ids[int(np.argmin(finite))]}")
 
-    tweet_block = aggregate_mean(
-        [tweet_scalars(t) for t in record.tweets], dim=len(TWEET_FEATURES)
-    )
-    if record.tweets:
-        embedded = embed_texts(embedder, [preprocess(t.text) for t in record.tweets])
-        latent_block = ae.encode_batch(embedded).mean(axis=0)
-    else:
-        latent_block = np.zeros(len(LATENT_FEATURES))
 
-    if record.comments:
-        sentiment_block = np.mean(
-            [sentiment(preprocess(c.text)) for c in record.comments], axis=0
-        )
-    else:
-        sentiment_block = np.zeros(len(SENTIMENT_FEATURES))
+def tweet_texts_at(scan: UserScan, positions: np.ndarray) -> list[str]:
+    """The texts of the tweets at ``positions``, re-read from the dataset.
 
-    values = np.concatenate([
-        profile_scalars(record.profile), tweet_block, latent_block, sentiment_block,
-    ])
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"non-finite feature values for user {record.user_id}")
-    return values
+    Positions are ascending indices into all the scanned tweets, taken
+    user by user in id order and each user's tweets in file order; each
+    user's file is read once, and only if one of its tweets is wanted.
+    """
+    counts = scan.tweet_counts
+    ends = np.cumsum(counts)
+    starts = (ends - counts).tolist()
+    owners = np.searchsorted(ends, positions, side="right").tolist()
+    root, user_ids = scan.manifest.root, scan.manifest.user_ids
+    texts: list[str] = []
+    for user, group in itertools.groupby(zip(owners, positions.tolist()),
+                                         key=operator.itemgetter(0)):
+        own = read_tweet_texts(root, user_ids[user], int(counts[user]))
+        texts.extend(own[position - starts[user]] for _, position in group)
+    return texts
 
 
 def _largest_remainder(targets: list[float], total: int, caps: list[int]) -> list[int]:

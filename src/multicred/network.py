@@ -28,9 +28,10 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -311,11 +312,15 @@ def forward(
         elif layer.kind == "batchnorm":
             stats = model.running[i]
             if train:
-                mu = x.mean(axis=0)
-                var = x.var(axis=0)
+                # x.mean(axis=0) and x.var(axis=0), bit for bit, with the
+                # centered batch computed once and kept for backward.
+                n = x.shape[0]
+                mu = np.add.reduce(x, 0) / n
+                xc = x - mu
+                var = np.add.reduce(xc * xc, 0) / n
                 inv_std = 1.0 / np.sqrt(var + layer.epsilon)
-                x_hat = (x - mu) * inv_std
-                cache.update(x=x, mu=mu, var=var, inv_std=inv_std, x_hat=x_hat)
+                x_hat = xc * inv_std
+                cache.update(xc=xc, inv_std=inv_std, x_hat=x_hat)
                 m = layer.momentum
                 stats["mean"][...] = m * stats["mean"] + (1.0 - m) * mu
                 stats["var"][...] = m * stats["var"] + (1.0 - m) * var
@@ -430,17 +435,16 @@ def backward(
             if "mask" in cache:
                 delta = delta * cache["mask"]
         elif layer.kind == "batchnorm":
-            x_hat, inv_std = cache["x_hat"], cache["inv_std"]
-            x, mu = cache["x"], cache["mu"]
-            n = x.shape[0]
-            np.sum(delta * x_hat, axis=0, out=grads[i]["scale"])
-            np.sum(delta, axis=0, out=grads[i]["shift"])
+            x_hat, inv_std, xc = cache["x_hat"], cache["inv_std"], cache["xc"]
+            n = xc.shape[0]
+            np.add.reduce(delta * x_hat, 0, out=grads[i]["scale"])
+            np.add.reduce(delta, 0, out=grads[i]["shift"])
             if i == lowest:
                 break
             dx_hat = delta * model.params[i]["scale"]
-            dvar = (dx_hat * (x - mu)).sum(axis=0) * (-0.5) * inv_std**3
-            dmu = (-dx_hat * inv_std).sum(axis=0) + dvar * (-2.0 * (x - mu)).sum(axis=0) / n
-            delta = dx_hat * inv_std + dvar * 2.0 * (x - mu) / n + dmu / n
+            dvar = np.add.reduce(dx_hat * xc, 0) * (-0.5) * inv_std**3
+            dmu = np.add.reduce(-dx_hat * inv_std, 0) + dvar * np.add.reduce(-2.0 * xc, 0) / n
+            delta = dx_hat * inv_std + dvar * 2.0 * xc / n + dmu / n
 
     return [dict(layer_grads) for layer_grads in grads]
 
@@ -673,29 +677,63 @@ def spec_from_json(data: Sequence[dict]) -> NetworkSpec:
     return NetworkSpec(tuple(layers))
 
 
-def model_to_dict(model: Model, artifact_kind: str) -> dict:
-    """Serialize to the versioned JSON document format.
+def model_document(model: Model, artifact_kind: str) -> dict:
+    """The versioned JSON document of a model, with its arrays as numpy views.
 
     Parameter arrays are flattened row-major; ``artifact_kind`` tags what
     the network is (e.g. "classifier" vs "autoencoder") so artifacts
-    cannot be loaded into the wrong slot.
+    cannot be loaded into the wrong slot. The arrays are the model's own,
+    not copies: write the document with :func:`write_json` before the
+    model changes.
     """
     return {
         "format_version": FORMAT_VERSION,
         "artifact_kind": artifact_kind,
         "layers": spec_to_json(model.spec),
-        "parameters": [
-            {k: v.ravel(order="C").tolist() for k, v in p.items()} for p in model.params
-        ],
-        "running_stats": [
-            None if r is None else {k: v.tolist() for k, v in r.items()}
-            for r in model.running
-        ],
+        "parameters": [{k: v.ravel(order="C") for k, v in p.items()} for p in model.params],
+        "running_stats": model.running,
     }
 
 
+# Numbers per text chunk :func:`write_json` formats at once.
+WRITE_BLOCK = 2048
+
+
+def write_json(fh: TextIO, doc) -> None:
+    """Write ``doc`` to ``fh`` as ``json.dumps(doc, sort_keys=True)`` would,
+    with every numpy array as the list of its float64 values.
+
+    An array goes out :data:`WRITE_BLOCK` numbers at a time, so no list of
+    its floats and no string of the whole document is ever built. Floats
+    print with ``float.__repr__``, as ``json`` prints finite floats.
+    """
+    if isinstance(doc, np.ndarray):
+        flat = doc.ravel()
+        fh.write("[")
+        for lo in range(0, flat.size, WRITE_BLOCK):
+            if lo:
+                fh.write(", ")
+            fh.write(", ".join(map(float.__repr__, flat[lo:lo + WRITE_BLOCK].tolist())))
+        fh.write("]")
+    elif isinstance(doc, dict):
+        fh.write("{")
+        for j, key in enumerate(sorted(doc)):
+            fh.write((", " if j else "") + json.dumps(key) + ": ")
+            write_json(fh, doc[key])
+        fh.write("}")
+    elif isinstance(doc, list):
+        fh.write("[")
+        for j, item in enumerate(doc):
+            if j:
+                fh.write(", ")
+            write_json(fh, item)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(doc))
+
+
 def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:
-    """Rebuild a model from :func:`model_to_dict`'s document.
+    """Rebuild a model from the parsed JSON of :func:`model_document`.
 
     A missing, mistyped or mis-sized field raises a StateError naming it,
     such as ``layers``, ``parameters[1].weight`` or ``running_stats[3].mean``.

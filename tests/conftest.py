@@ -1,9 +1,14 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
 from multicred import network as nn
 from multicred.autoencoder import AutoencoderSpec, _build_network, train_autoencoder
+from multicred.dataset import write_dataset
 from multicred.embedding import EmbedderSpec
+from multicred.features import fill_latents, scan_dataset
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +32,19 @@ def untrained_autoencoder_model(spec: AutoencoderSpec) -> nn.Model:
 def reconstruction_mse(model: nn.Model, x: np.ndarray) -> float:
     """Mean over rows of the squared Euclidean reconstruction distance."""
     return nn.mean_squared_error(nn.forward(model.inference_mode(), x).outputs, x).scalar
+
+
+def model_dict(model: nn.Model, artifact_kind: str) -> dict:
+    """A model's JSON document as read back from its file."""
+    out = io.StringIO()
+    nn.write_json(out, nn.model_document(model, artifact_kind))
+    return json.loads(out.getvalue())
+
+
+def feature_rows(records, root, embedder, ae) -> np.ndarray:
+    """The raw feature rows prepare and predict build for ``records``, in
+    user-id order, written as a dataset under ``root`` first."""
+    write_dataset(records, root)
+    scan = scan_dataset(root)
+    fill_latents(scan, embedder, ae)
+    return scan.x

@@ -26,14 +26,13 @@ from multicred.features import (
     NormalizationStats,
     SplitDataset,
     apply_minmax,
-    build_user_vector,
     fit_minmax,
     smote,
     smote_plan,
 )
 from multicred.preprocess import preprocess
 
-from conftest import reconstruction_mse, untrained_autoencoder_model
+from conftest import feature_rows, reconstruction_mse, untrained_autoencoder_model
 
 NUM_FEATURES = 51
 
@@ -186,16 +185,15 @@ def test_end_to_end_determinism(pipeline_runs):
 
 
 @criterion(9, "structural contracts: 51 components, distributions sum to 1")
-def test_structural_contracts():
+def test_structural_contracts(tmp_path):
     config = SyntheticConfig(num_users=8, system=ClassificationSystem(4),
                              tweets_per_user=3, comments_per_user=2, seed=21)
     records = generate_synthetic(config)
     embedder = EmbedderSpec(hash_seed=0)
     corpus = np.random.default_rng(0).normal(size=(8, 768)) * 0.1
     ae, _ = train_autoencoder(corpus, AutoencoderSpec(epochs=2, batch_size=4, seed=0))
-    for record in records:
-        vec = build_user_vector(record, embedder, ae)
-        assert vec.shape == (51,)
+    rows = feature_rows(records, tmp_path, embedder, ae)
+    assert rows.shape == (8, 51)
 
     rng = np.random.default_rng(1)
     for _ in range(50):

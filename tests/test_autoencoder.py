@@ -12,7 +12,7 @@ from multicred.autoencoder import (
 )
 from multicred.domain import DomainError
 
-from conftest import reconstruction_mse, untrained_autoencoder_model
+from conftest import model_dict, reconstruction_mse, untrained_autoencoder_model
 
 
 @pytest.fixture(scope="module")
@@ -139,12 +139,12 @@ class TestSerialization:
             nn.dense(768, 128), nn.batchnorm(128), nn.dense(128, 10),
             nn.dense(10, 128), nn.relu(128), nn.dense(128, 768),
         ))
-        doc = nn.model_to_dict(nn.Model(net), artifact_kind="autoencoder")
+        doc = model_dict(nn.Model(net), artifact_kind="autoencoder")
         with pytest.raises(nn.StateError, match="encoder layers"):
             autoencoder_from_dict(doc)
 
     def test_kind_tag_prevents_cross_loading(self, trained):
         ae, _ = trained
-        doc = nn.model_to_dict(ae.model, artifact_kind="classifier")
+        doc = model_dict(ae.model, artifact_kind="classifier")
         with pytest.raises(nn.StateError):
             autoencoder_from_dict(doc)

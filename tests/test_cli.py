@@ -15,10 +15,12 @@ from multicred import cli
 from multicred import features as feat_mod
 from multicred import network as nn
 from multicred.cli import run
-from multicred.dataset import load_dataset
+from multicred.dataset import iter_records
 from multicred.autoencoder import load_autoencoder
 from multicred.embedding import EmbedderSpec, embed_texts
 from multicred.preprocess import preprocess
+
+from conftest import model_dict
 
 
 def tree_digest(root: Path) -> str:
@@ -101,6 +103,30 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert "user00003" in err and "user00011" in err
 
+    @pytest.mark.parametrize("command", ["prepare", "predict"])
+    def test_bad_dataset_reports_every_failure_before_embedding(self, tmp_path, pipeline,
+                                                                monkeypatch, capsys, command):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        (data / "profiles" / "user00002.json").write_text("{broken", "utf-8")
+        (data / "tweets" / "user00030.json").write_text('{"text": "x"}', "utf-8")
+        profile = json.loads((data / "profiles" / "user00041.json").read_text("utf-8"))
+        profile["followers_count"] = 10**400
+        (data / "profiles" / "user00041.json").write_text(json.dumps(profile), "utf-8")
+        never = lambda *a, **k: pytest.fail("embedded a tweet of an invalid dataset")
+        monkeypatch.setattr(cli, "embed_texts", never)
+        monkeypatch.setattr(feat_mod, "embed_texts", never)
+        args = (["prepare", "--data", str(data), "--out", str(tmp_path / "p")] + FAST_PREPARE
+                if command == "prepare" else
+                ["predict", "--model", str(pipeline / "model.json"), "--input", str(data),
+                 "--out", str(tmp_path / "preds.csv")])
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "3 dataset entries failed to load" in err and "Traceback" not in err
+        assert "user00002: malformed JSON" in err
+        assert "user00030: " in err and "user00030.json does not hold a JSON array" in err
+        assert "user00041: invalid record: profile.followers_count exceeds 2**63 - 1" in err
+
     def test_corpus_cap_below_two_is_validation_error(self, tmp_path, pipeline, capsys):
         code = run(["prepare", "--data", str(pipeline / "data"), "--out", str(tmp_path / "p"),
                     "--ae-corpus-cap", "0"])
@@ -137,7 +163,7 @@ class TestPrepare:
         with pytest.raises(Captured) as got:
             run(args)
 
-        _, records = load_dataset(pipeline / "data")
+        _, records = iter_records(pipeline / "data")
         spec = EmbedderSpec(hash_seed=0)
         full = embed_texts(spec, [preprocess(t.text) for r in records for t in r.tweets])
         if cap < full.shape[0]:
@@ -151,11 +177,11 @@ class TestPrepare:
         bounds = json.loads((prep / "norm_stats.json").read_text("utf-8"))
         stats = feat_mod.NormalizationStats(np.array(bounds["minimum"]),
                                             np.array(bounds["maximum"]))
-        _, records = load_dataset(pipeline / "data")
-        by_id = {r.user_id: r for r in records}
+        scan = feat_mod.scan_dataset(pipeline / "data")
+        feat_mod.fill_latents(scan, EmbedderSpec(), ae)
+        row_of = {u: i for i, u in enumerate(scan.manifest.user_ids)}
         test = feat_mod.read_feature_csv(prep / "test.csv", num_classes=4)
-        raw = np.array([feat_mod.build_user_vector(by_id[u], EmbedderSpec(), ae)
-                        for u in test.user_ids])
+        raw = scan.x[[row_of[u] for u in test.user_ids]]
         scalars = feat_mod.NUM_SCALAR_FEATURES
         expected = np.hstack([feat_mod.apply_minmax(stats, raw[:, :scalars]),
                               raw[:, scalars:]])
@@ -167,7 +193,7 @@ def _autoencoder_doc(input_dim, latent_dim, meta):
         nn.dense(input_dim, 128), nn.relu(128), nn.dense(128, latent_dim),
         nn.dense(latent_dim, 128), nn.relu(128), nn.dense(128, input_dim),
     ))
-    doc = nn.model_to_dict(nn.Model(net, rng=np.random.default_rng(0)), "autoencoder")
+    doc = model_dict(nn.Model(net, rng=np.random.default_rng(0)), "autoencoder")
     doc["autoencoder"] = meta
     return doc
 
@@ -175,6 +201,16 @@ def _autoencoder_doc(input_dim, latent_dim, meta):
 class TestBundleCrossCheck:
     @pytest.mark.parametrize("tamper, named", [
         (lambda b: b.update(num_classes=6), "num_classes"),
+        (lambda b: b.update(num_classes=4.0), "num_classes must be an integer, got 4.0"),
+        (lambda b: b["normalization"]["minimum"].__setitem__(0, float("nan")),
+         "normalization.minimum holds non-finite values"),
+        (lambda b: b["normalization"]["maximum"].__setitem__(3, float("inf")),
+         "normalization.maximum holds non-finite values"),
+        (lambda b: b["normalization"]["minimum"].__setitem__(
+            2, b["normalization"]["maximum"][2] + 1.0),
+         "normalization.minimum exceeds normalization.maximum at component 2"),
+        (lambda b: b["normalization"]["maximum"].__setitem__(0, "a"),
+         "normalization.maximum is not a list of numbers"),
         (lambda b: b["normalization"]["minimum"].pop(), "normalization.minimum"),
         (lambda b: b["normalization"]["maximum"].append(1.0), "normalization.maximum"),
         (lambda b: b.update(
@@ -208,6 +244,28 @@ class TestBundleCrossCheck:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "preds.csv").exists()
+
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda d: d["minimum"].__setitem__(0, float("nan")), "minimum holds non-finite"),
+        (lambda d: d["maximum"].__setitem__(1, float("-inf")), "maximum holds non-finite"),
+        (lambda d: d["minimum"].__setitem__(4, d["maximum"][4] + 1.0),
+         "minimum exceeds maximum at component 4"),
+        (lambda d: d["maximum"].pop(), "maximum has shape (34,)"),
+        (lambda d: d.pop("minimum"), "no field minimum"),
+    ], ids=["nan", "minus-infinity", "min-above-max", "short", "missing"])
+    def test_train_rejects_bad_norm_stats_by_name(self, pipeline, tmp_path, capsys,
+                                                  tamper, named):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        stats = json.loads((prep / "norm_stats.json").read_text("utf-8"))
+        tamper(stats)
+        (prep / "norm_stats.json").write_text(json.dumps(stats), "utf-8")
+        code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "model.json")]
+                   + FAST_TRAIN)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "normalization stats" in err and named in err and "Traceback" not in err
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("field", ["num_classes", "embedder"])
     def test_prepare_meta_missing_field_rejected_by_name(self, pipeline, tmp_path, capsys,
@@ -303,6 +361,11 @@ class TestTrainEvaluate:
         parsed = json.loads(stdout)
         assert "f1" in parsed["macro"]
         assert json.loads(report_path.read_text("utf-8")) == parsed
+
+    def test_model_files_are_sorted_key_json_dumps(self, pipeline):
+        for path in (pipeline / "model.json", pipeline / "prep" / "autoencoder.json"):
+            text = path.read_text("utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True)
 
     def test_history_csv_next_to_model(self, pipeline):
         assert (pipeline / "model.history.csv").is_file()

@@ -12,7 +12,7 @@ from multicred.dataset import (
     DatasetLoadError,
     SyntheticConfig,
     generate_synthetic,
-    load_dataset,
+    iter_records,
     write_dataset,
 )
 from multicred.domain import ClassificationSystem, DomainError, bin_score
@@ -52,6 +52,12 @@ def write_fixture(root: Path, user_ids=("u1", "u2", "u3"), with_labels=True):
         (root / "labels.csv").write_text("\n".join(lines) + "\n", "utf-8")
 
 
+def read_all(root: Path):
+    """The manifest and every record of ``root``, through iter_records."""
+    manifest, records = iter_records(root)
+    return manifest, list(records)
+
+
 def tree_digest(root: Path) -> str:
     h = hashlib.sha256()
     for p in sorted(root.rglob("*")):
@@ -64,7 +70,7 @@ def tree_digest(root: Path) -> str:
 class TestLoad:
     def test_three_user_fixture(self, tmp_path):
         write_fixture(tmp_path)
-        manifest, records = load_dataset(tmp_path)
+        manifest, records = read_all(tmp_path)
         assert len(records) == 3
         assert manifest.labels_present
         assert all(r.score == 62.5 for r in records)
@@ -75,14 +81,14 @@ class TestLoad:
     def test_absent_comments_file_means_empty(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1",))
         (tmp_path / "comments" / "u1.json").unlink()
-        _, records = load_dataset(tmp_path)
+        _, records = read_all(tmp_path)
         assert records[0].comments == ()
 
     def test_truncated_json_names_file_and_offset(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1", "u2"))
         (tmp_path / "tweets" / "u2.json").write_text('[{"created_at": "2022-', "utf-8")
         with pytest.raises(DatasetLoadError) as err:
-            load_dataset(tmp_path)
+            read_all(tmp_path)
         message = str(err.value)
         assert "u2.json" in message and "byte offset" in message
 
@@ -90,20 +96,20 @@ class TestLoad:
         write_fixture(tmp_path, user_ids=("u1",))
         (tmp_path / "labels.csv").write_text("user_id,score\nu1,50\nghost,10\n", "utf-8")
         with pytest.raises(DatasetLoadError, match="ghost"):
-            load_dataset(tmp_path)
+            read_all(tmp_path)
 
     def test_user_missing_from_labels_named(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1", "u2"))
         (tmp_path / "labels.csv").write_text("user_id,score\nu1,50\n", "utf-8")
         with pytest.raises(DatasetLoadError, match="u2"):
-            load_dataset(tmp_path)
+            read_all(tmp_path)
 
     def test_batch_reports_every_failure(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1", "u2", "u3"))
         (tmp_path / "profiles" / "u1.json").write_text("{broken", "utf-8")
         (tmp_path / "tweets" / "u3.json").write_text("[broken", "utf-8")
         with pytest.raises(DatasetLoadError) as err:
-            load_dataset(tmp_path)
+            read_all(tmp_path)
         assert len(err.value.failures) == 2
 
     def test_invalid_records_all_named(self, tmp_path):
@@ -113,29 +119,62 @@ class TestLoad:
         (tmp_path / "labels.csv").write_text(
             "user_id,score\nu1,62.5\nu2,62.5\nu3,130\n", "utf-8")
         with pytest.raises(DatasetLoadError) as err:
-            load_dataset(tmp_path)
+            read_all(tmp_path)
         assert err.value.failures == [
             ("u1", "invalid record: tweets[1].retweet_count negative"),
             ("u3", "invalid record: score out of [0,100]"),
         ]
 
+    def test_oversized_count_named(self, tmp_path):
+        write_fixture(tmp_path, user_ids=("u1", "u2"))
+        profile = dict(PROFILE, followers_count=10**400)
+        (tmp_path / "profiles" / "u2.json").write_text(json.dumps(profile), "utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            read_all(tmp_path)
+        assert err.value.failures == [
+            ("u2", "invalid record: profile.followers_count exceeds 2**63 - 1"),
+        ]
+
+    @pytest.mark.parametrize("sub, content, named", [
+        ("profiles", "[]", "u1.json does not hold a JSON object"),
+        ("tweets", '{"text": "x"}', "u1.json does not hold a JSON array of objects"),
+        ("tweets", '["x"]', "u1.json does not hold a JSON array of objects"),
+        ("comments", '[{"text": "x"}, 3]', "u1.json does not hold a JSON array of objects"),
+    ])
+    def test_wrong_json_shape_named(self, tmp_path, sub, content, named):
+        write_fixture(tmp_path, user_ids=("u1", "u2"))
+        (tmp_path / sub / "u1.json").write_text(content, "utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            read_all(tmp_path)
+        [(user_id, reason)] = err.value.failures
+        assert user_id == "u1" and named in reason
+
+    def test_records_are_read_one_at_a_time(self, tmp_path):
+        write_fixture(tmp_path, user_ids=("u1", "u2"))
+        manifest, records = iter_records(tmp_path)
+        assert manifest.user_ids == ("u1", "u2")
+        assert next(records).user_id == "u1"
+        (tmp_path / "profiles" / "u2.json").write_text("{broken", "utf-8")
+        with pytest.raises(DatasetLoadError, match="u2"):
+            next(records)
+
     def test_unlabeled_dataset_loads(self, tmp_path):
         write_fixture(tmp_path, with_labels=False)
-        manifest, records = load_dataset(tmp_path)
+        manifest, records = read_all(tmp_path)
         assert not manifest.labels_present
         assert all(r.score is None for r in records)
 
     def test_tweet_cap_enforced_on_ingest(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1",))
         (tmp_path / "tweets" / "u1.json").write_text(json.dumps([TWEET] * 3300), "utf-8")
-        _, records = load_dataset(tmp_path)
+        _, records = read_all(tmp_path)
         assert len(records[0].tweets) == 3250
 
     def test_entity_lists_tolerated(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1",))
         tweet = dict(TWEET, entities={"hashtags": ["a", "b", "c"], "urls": []})
         (tmp_path / "tweets" / "u1.json").write_text(json.dumps([tweet]), "utf-8")
-        _, records = load_dataset(tmp_path)
+        _, records = read_all(tmp_path)
         assert records[0].tweets[0].hashtag_count == 3
         assert records[0].tweets[0].url_count == 0
 
@@ -146,14 +185,14 @@ class TestWrite:
                               tweets_per_user=4, comments_per_user=3, seed=1)
         records = generate_synthetic(cfg)
         write_dataset(records, tmp_path / "ds")
-        _, loaded = load_dataset(tmp_path / "ds")
+        _, loaded = read_all(tmp_path / "ds")
         assert loaded == sorted(records, key=lambda r: r.user_id)
 
     def test_empty_record_list(self, tmp_path):
         manifest = write_dataset([], tmp_path / "empty")
         assert manifest.user_ids == ()
         assert not manifest.labels_present
-        _, loaded = load_dataset(tmp_path / "empty")
+        _, loaded = read_all(tmp_path / "empty")
         assert loaded == []
 
     def test_unwritable_path_raises_os_error(self, tmp_path):

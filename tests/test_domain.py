@@ -117,6 +117,17 @@ class TestValidateRecord:
         record = make_record(profile=make_profile(followers_count=-1))
         assert validate_record(record) == ["profile.followers_count negative"]
 
+    def test_count_above_int64_named(self):
+        top = 2**63 - 1
+        tweet = Tweet(created_at=make_profile().created_at, text="hi", url_count=top)
+        assert validate_record(make_record(profile=make_profile(statuses_count=top),
+                                           tweets=(tweet,))) == []
+        record = make_record(profile=make_profile(followers_count=10**400),
+                             tweets=(tweet, Tweet(created_at=tweet.created_at, text="hi",
+                                                  retweet_count=top + 1)))
+        assert validate_record(record) == ["profile.followers_count exceeds 2**63 - 1",
+                                           "tweets[1].retweet_count exceeds 2**63 - 1"]
+
     def test_idempotent_and_pure(self):
         record = make_record(score=120.0)
         first = validate_record(record)

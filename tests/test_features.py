@@ -1,4 +1,5 @@
 import tracemalloc
+import json
 from datetime import datetime, timezone
 
 import numpy as np
@@ -6,8 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from multicred import features as feat_mod
-from multicred.domain import Comment, DomainError, Tweet, UserProfile, UserRecord
+from multicred.dataset import (
+    DatasetLoadError,
+    SyntheticConfig,
+    generate_synthetic,
+    iter_records,
+    write_dataset,
+)
+from multicred.domain import (
+    ClassificationSystem,
+    Comment,
+    DomainError,
+    Tweet,
+    UserProfile,
+    UserRecord,
+)
+from multicred.embedding import analyze_sentiment, embed_texts
+from multicred.preprocess import preprocess
 from multicred.features import (
     FEATURE_NAMES,
     NUM_FEATURES,
@@ -16,10 +35,11 @@ from multicred.features import (
     NormalizationStats,
     aggregate_mean,
     apply_minmax,
-    build_user_vector,
     feature_layout,
+    fill_latents,
     fit_minmax,
     read_feature_csv,
+    scan_dataset,
     smote,
     smote_plan,
     split,
@@ -28,7 +48,7 @@ from multicred.features import (
 from multicred.network import ShapeError, StateError
 from multicred.autoencoder import Autoencoder, AutoencoderSpec
 
-from conftest import untrained_autoencoder_model
+from conftest import feature_rows, untrained_autoencoder_model
 
 
 def make_record(user_id="u1", n_tweets=3, n_comments=2, score=50.0):
@@ -118,10 +138,10 @@ class TestAggregateMean:
 
 
 class TestBuildUserVector:
-    def test_has_exactly_51_components(self, hash_embedder, tiny_autoencoder):
-        vec = build_user_vector(make_record(), hash_embedder, tiny_autoencoder)
-        assert vec.shape == (NUM_FEATURES,) and vec.dtype == np.float64
-        assert vec.shape == (51,)
+    def test_has_exactly_51_components(self, hash_embedder, tiny_autoencoder, tmp_path):
+        rows = feature_rows([make_record()], tmp_path, hash_embedder, tiny_autoencoder)
+        assert rows.shape == (1, NUM_FEATURES) and rows.dtype == np.float64
+        assert rows[0].shape == (51,)
 
     def test_layout_is_versioned_and_complete(self):
         layout = feature_layout()
@@ -129,27 +149,30 @@ class TestBuildUserVector:
         assert len(layout["features"]) == 51
         assert layout["features"] == list(FEATURE_NAMES)
 
-    def test_no_tweets_zeroes_blocks_and_flags(self, hash_embedder, tiny_autoencoder):
+    def test_no_tweets_zeroes_blocks_and_flags(self, hash_embedder, tiny_autoencoder, tmp_path):
         record = make_record(n_tweets=0)
         with pytest.warns(UserWarning):
-            vec = build_user_vector(record, hash_embedder, tiny_autoencoder)
+            vec = feature_rows([record], tmp_path, hash_embedder, tiny_autoencoder)[0]
         np.testing.assert_array_equal(vec[18:35], 0.0)  # tweet scalars
         np.testing.assert_array_equal(vec[35:45], 0.0)  # latent
 
-    def test_no_comments_zero_sentiment_not_uniform(self, hash_embedder, tiny_autoencoder):
-        vec = build_user_vector(make_record(n_comments=0), hash_embedder, tiny_autoencoder)
+    def test_no_comments_zero_sentiment_not_uniform(self, hash_embedder, tiny_autoencoder,
+                                                    tmp_path):
+        vec = feature_rows([make_record(n_comments=0)], tmp_path, hash_embedder,
+                           tiny_autoencoder)[0]
         np.testing.assert_array_equal(vec[45:], 0.0)
 
-    def test_untrained_autoencoder_is_state_error(self, hash_embedder):
+    def test_untrained_autoencoder_is_state_error(self, hash_embedder, tmp_path):
         spec = AutoencoderSpec()
         ae = Autoencoder(spec, untrained_autoencoder_model(spec))
+        write_dataset([make_record()], tmp_path)
+        scan = scan_dataset(tmp_path)
         with pytest.raises(StateError):
-            build_user_vector(make_record(), hash_embedder, ae)
+            fill_latents(scan, hash_embedder, ae)
 
-    def test_stats_normalize_scalar_block_only(self, hash_embedder, tiny_autoencoder):
+    def test_stats_normalize_scalar_block_only(self, hash_embedder, tiny_autoencoder, tmp_path):
         records = [make_record(user_id=f"u{i}", n_tweets=2 + i) for i in range(4)]
-        raw = np.array([build_user_vector(r, hash_embedder, tiny_autoencoder)
-                        for r in records])
+        raw = feature_rows(records, tmp_path, hash_embedder, tiny_autoencoder)
         # What prepare does: fit on the scalar block, rescale it in place.
         normalized = raw.copy()
         stats = fit_minmax(raw[:, :NUM_SCALAR_FEATURES])
@@ -178,6 +201,105 @@ def dataset_from_counts(counts, num_classes=None, spread=3.0, seed=0):
     rows = [(f"u{c}_{i}", rng.normal(size=NUM_FEATURES) + spread * c, c)
             for c, n in enumerate(counts) for i in range(n)]
     return labeled(rows, num_classes)
+
+
+def oracle_vector(record, embedder, ae) -> np.ndarray:
+    """One user's raw 51-component vector from the whole record in memory."""
+    tweet_block = (np.mean([feat_mod.tweet_scalars(t) for t in record.tweets], axis=0)
+                   if record.tweets else np.zeros(17))
+    latent_block = (ae.encode_batch(embed_texts(
+        embedder, [preprocess(t.text) for t in record.tweets])).mean(axis=0)
+        if record.tweets else np.zeros(10))
+    sentiment_block = (np.mean([analyze_sentiment(preprocess(c.text))
+                                for c in record.comments], axis=0)
+                       if record.comments else np.zeros(6))
+    return np.concatenate([feat_mod.profile_scalars(record.profile), tweet_block,
+                           latent_block, sentiment_block])
+
+
+def synthetic_records(users, tweets, comments=2, seed=3):
+    return generate_synthetic(SyntheticConfig(
+        num_users=users, system=ClassificationSystem(4), tweets_per_user=tweets,
+        comments_per_user=comments, seed=seed))
+
+
+class TestScan:
+    def test_streamed_matrix_bit_equal_to_records_in_memory(self, hash_embedder,
+                                                            tiny_autoencoder, tmp_path):
+        records = synthetic_records(12, 4)
+        records[0] = replace(records[0], tweets=())
+        records[1] = replace(records[1], comments=())
+        records[2] = replace(records[2], tweets=(), comments=())
+        write_dataset(records, tmp_path)
+        (tmp_path / "tweets" / f"{records[3].user_id}.json").unlink()  # absent: no tweets
+        _, loaded = iter_records(tmp_path)
+        loaded = list(loaded)
+        expected = np.array([oracle_vector(r, hash_embedder, tiny_autoencoder)
+                             for r in loaded])
+
+        with pytest.warns(UserWarning):  # the users without tweets
+            scan = scan_dataset(tmp_path)
+        fill_latents(scan, hash_embedder, tiny_autoencoder)
+        assert scan.manifest.user_ids == tuple(r.user_id for r in loaded)
+        assert scan.x.tobytes() == expected.tobytes()
+        assert scan.tweet_counts.tolist() == [len(r.tweets) for r in loaded]
+        assert scan.tweet_counts.tolist()[:4] == [0, 4, 0, 0]
+        assert scan.scores.tolist() == [r.score for r in loaded]
+
+    def test_unlabeled_scan_has_no_scores(self, tmp_path):
+        write_dataset([replace(r, score=None) for r in synthetic_records(3, 2)], tmp_path)
+        scan = scan_dataset(tmp_path)
+        assert scan.scores is None and len(scan) == 3
+
+    def test_texts_at_positions_follow_user_then_file_order(self, tmp_path):
+        records = synthetic_records(5, 3)
+        records[1] = replace(records[1], tweets=())
+        write_dataset(records, tmp_path)
+        every = [t.text for r in records for t in r.tweets]
+        with pytest.warns(UserWarning):  # the user without tweets
+            scan = scan_dataset(tmp_path)
+        positions = np.array([0, 2, 3, 4, 7, len(every) - 1])
+        assert feat_mod.tweet_texts_at(scan, positions) == [every[i] for i in positions]
+        assert feat_mod.tweet_texts_at(scan, np.arange(len(every))) == every
+
+    @pytest.mark.parametrize("change", ["append", "drop", "delete", "garble"])
+    def test_tweets_file_changed_after_scan_rejected_by_name(
+            self, hash_embedder, tiny_autoencoder, tmp_path, change):
+        records = synthetic_records(4, 3)
+        write_dataset(records, tmp_path)
+        scan = scan_dataset(tmp_path)
+        path = tmp_path / "tweets" / "user00002.json"
+        tweets = json.loads(path.read_text("utf-8"))
+        if change == "append":
+            path.write_text(json.dumps(tweets + tweets[:1]), "utf-8")
+        elif change == "drop":
+            path.write_text(json.dumps(tweets[1:]), "utf-8")
+        elif change == "delete":
+            path.unlink()
+        else:
+            path.write_text("[{", "utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            fill_latents(scan, hash_embedder, tiny_autoencoder)
+        assert err.value.failures[0][0] == "user00002"
+        assert "user00002.json" in str(err.value)
+        with pytest.raises(DatasetLoadError, match="user00002"):
+            feat_mod.tweet_texts_at(scan, np.arange(9))
+
+    def test_scan_memory_does_not_grow_with_tweets(self, tmp_path):
+        def scan_peak(tweets):
+            root = tmp_path / f"t{tweets}"
+            write_dataset(synthetic_records(40, tweets), root)
+            tracemalloc.start()
+            try:
+                scan_dataset(root)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak
+
+        base, tenfold = scan_peak(4), scan_peak(40)
+        # Holding every record would add 40 users x 36 tweets x ~0.6 KB.
+        assert tenfold - base < 160_000, (base, tenfold)
 
 
 class TestSplit:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 from multicred import network as nn
-from multicred.autoencoder import AutoencoderSpec
+from multicred.autoencoder import Autoencoder, AutoencoderSpec, autoencoder_document
 from multicred.classifier import build_multicred
 from multicred.domain import DomainError
 
-from conftest import untrained_autoencoder_model
+from conftest import model_dict, untrained_autoencoder_model
 
 
 def softmax_ce_net(seed=0):
@@ -225,6 +226,49 @@ class TestBackward:
         activations = nn.forward(model, x, rng=np.random.default_rng(0))
         with pytest.raises(nn.ShapeError):
             nn.backward(model, activations, one_hot([0, 1], 4))
+
+
+class TestBatchnormBits:
+    def test_forward_and_backward_match_the_textbook_formulas_bitwise(self):
+        # dense -> batchnorm -> dense -> softmax, against the batchnorm
+        # formulas written out with x.mean, x.var and x - mu at every use.
+        spec = nn.NetworkSpec((nn.dense(6, 5), nn.batchnorm(5, momentum=0.9),
+                               nn.dense(5, 3), nn.softmax(3)))
+        model = nn.Model(spec, rng=np.random.default_rng(21)).train_mode()
+        model.params[1]["scale"][...] = np.random.default_rng(22).normal(size=5)
+        model.params[1]["shift"][...] = np.random.default_rng(23).normal(size=5)
+        rng = np.random.default_rng(24)
+        # 13 rows: dividing by a batch size that is not a power of two rounds,
+        # so a reordered expression shows in the bits.
+        x0 = rng.normal(loc=3.0, scale=2.0, size=(13, 6))
+        y = one_hot(rng.integers(3, size=13), 3)
+        eps, n = 1e-3, 13
+
+        running = model.copy_running()[1]
+        activations = nn.forward(model, x0)
+        x = x0 @ model.params[0]["weight"] + model.params[0]["bias"]
+        mu, var = x.mean(axis=0), x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat = (x - mu) * inv_std
+        out = model.params[1]["scale"] * x_hat + model.params[1]["shift"]
+        assert activations.layer_outputs[1].tobytes() == out.tobytes()
+        assert model.running[1]["mean"].tobytes() == \
+            (0.9 * running["mean"] + (1.0 - 0.9) * mu).tobytes()
+        assert model.running[1]["var"].tobytes() == \
+            (0.9 * running["var"] + (1.0 - 0.9) * var).tobytes()
+
+        grads = nn.backward(model, activations, y)
+        delta = (activations.outputs - y) / n
+        delta = delta @ model.params[2]["weight"].T
+        scale_grad, shift_grad = (delta * x_hat).sum(axis=0), delta.sum(axis=0)
+        dx_hat = delta * model.params[1]["scale"]
+        dvar = (dx_hat * (x - mu)).sum(axis=0) * (-0.5) * inv_std**3
+        dmu = (-dx_hat * inv_std).sum(axis=0) + dvar * (-2.0 * (x - mu)).sum(axis=0) / n
+        delta = dx_hat * inv_std + dvar * 2.0 * (x - mu) / n + dmu / n
+        assert grads[1]["scale"].tobytes() == scale_grad.tobytes()
+        assert grads[1]["shift"].tobytes() == shift_grad.tobytes()
+        assert grads[0]["weight"].tobytes() == (x0.T @ delta).tobytes()
+        assert grads[0]["bias"].tobytes() == np.sum(delta, axis=0).tobytes()
 
 
 class TestGradCheck:
@@ -445,8 +489,8 @@ class TestFlatBuffer:
             assert peak < 8 * model.flat.size
 
     def test_inference_allocates_no_gradient_buffer(self):
-        doc = nn.model_to_dict(classifier_net(), artifact_kind="classifier")
-        model = nn.model_from_dict(json.loads(json.dumps(doc)), expected_kind="classifier")
+        doc = model_dict(classifier_net(), artifact_kind="classifier")
+        model = nn.model_from_dict(doc, expected_kind="classifier")
         nn.forward(model, np.zeros((3, model.spec.input_dim)))
         assert model._grad_flat is None
 
@@ -483,25 +527,92 @@ class TestLearningRate:
             nn.lr_at(-1)
 
 
+def listed_model(model, artifact_kind):
+    """A model's document with every array as a list of floats."""
+    return {
+        "format_version": 1,
+        "artifact_kind": artifact_kind,
+        "layers": nn.spec_to_json(model.spec),
+        "parameters": [{k: v.ravel().tolist() for k, v in p.items()} for p in model.params],
+        "running_stats": [None if r is None else {k: v.tolist() for k, v in r.items()}
+                          for r in model.running],
+    }
+
+
+def written(doc) -> str:
+    out = io.StringIO()
+    nn.write_json(out, doc)
+    return out.getvalue()
+
+
+class TestWriteJson:
+    def test_classifier_bytes_equal_json_dumps(self):
+        model = build_multicred(6, seed=3).train_mode()
+        rng = np.random.default_rng(4)
+        for _ in range(3):  # moves the running statistics off their start
+            nn.forward(model, rng.normal(size=(16, 51)), rng=rng)
+        model.flat[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300]
+        assert written(nn.model_document(model, "classifier")) == \
+            json.dumps(listed_model(model, "classifier"), sort_keys=True)
+
+    def test_autoencoder_bytes_equal_json_dumps(self):
+        spec = AutoencoderSpec(seed=5)
+        ae = Autoencoder(spec, untrained_autoencoder_model(spec), trained=True)
+        assert ae.model.params[0]["weight"].size > nn.WRITE_BLOCK
+        expected = dict(listed_model(ae.model, "autoencoder"), autoencoder={
+            "hidden_dim": 128, "epochs": 200, "batch_size": 16, "seed": 5, "trained": True,
+        })
+        assert written(autoencoder_document(ae)) == json.dumps(expected, sort_keys=True)
+
+    def test_nested_plain_values_and_empty_arrays(self):
+        doc = {"b": [1, None, True, "s\u00e9", {"z": 1.5, "a": np.array([])}],
+               "a": {"n": np.array([[1.0, -2.5], [3.0, 0.1]]), "m": 7}}
+        plain = {"b": [1, None, True, "s\u00e9", {"z": 1.5, "a": []}],
+                 "a": {"n": [1.0, -2.5, 3.0, 0.1], "m": 7}}
+        assert written(doc) == json.dumps(plain, sort_keys=True)
+
+    def test_no_float_list_or_document_string_is_built(self):
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        model = build_multicred(4, seed=0)
+        doc = nn.model_document(model, "classifier")
+        out = Sink()
+        tracemalloc.start()
+        try:
+            nn.write_json(out, doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One block's floats and their text: about 110 bytes per number. The
+        # document string alone would take a byte per character written (2 MB
+        # here), its floats as lists 32 bytes per parameter on top.
+        assert peak < 128 * nn.WRITE_BLOCK + 100_000
+        assert 5 * peak < out.size
+
+
 class TestSerialization:
     def test_roundtrip_preserves_forward(self):
         model = softmax_ce_net(seed=11).inference_mode()
         x = np.random.default_rng(12).normal(size=(5, 51))
         expected = nn.forward(model, x).outputs
-        text = json.dumps(nn.model_to_dict(model, artifact_kind="classifier"))
-        loaded = nn.model_from_dict(json.loads(text), expected_kind="classifier")
+        loaded = nn.model_from_dict(model_dict(model, artifact_kind="classifier"),
+                                    expected_kind="classifier")
         np.testing.assert_array_equal(nn.forward(loaded, x).outputs, expected)
 
     def test_version_mismatch_fails(self, tmp_path):
         model = softmax_ce_net()
-        doc = nn.model_to_dict(model, artifact_kind="classifier")
+        doc = model_dict(model, artifact_kind="classifier")
         doc["format_version"] = 99
         with pytest.raises(nn.StateError, match="version"):
             nn.model_from_dict(doc)
 
     def test_kind_mismatch_fails(self):
         model = softmax_ce_net()
-        doc = nn.model_to_dict(model, artifact_kind="autoencoder")
+        doc = model_dict(model, artifact_kind="autoencoder")
         with pytest.raises(nn.StateError, match="classifier"):
             nn.model_from_dict(doc, expected_kind="classifier")
 
@@ -532,7 +643,7 @@ class TestSerialization:
     def test_malformed_document_rejected_by_name(self, tamper, named):
         spec = nn.NetworkSpec((nn.dense(3, 4), nn.relu(4), nn.batchnorm(4),
                                nn.dense(4, 2), nn.softmax(2)))
-        doc = json.loads(json.dumps(nn.model_to_dict(nn.Model(spec), "classifier")))
+        doc = model_dict(nn.Model(spec), "classifier")
         tamper(doc)
         with pytest.raises(nn.StateError, match=named):
             nn.model_from_dict(doc, expected_kind="classifier")
