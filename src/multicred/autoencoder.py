@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,41 +20,31 @@ from .domain import DomainError
 from . import network as nn
 
 INPUT_DIM = 768
+HIDDEN_DIM = 128
 LATENT_DIM = 10
 
 
 @dataclass(frozen=True)
 class AutoencoderSpec:
-    """Architecture and training configuration.
+    """Training configuration; the widths are the constants above."""
 
-    The latent width (10) and input width (768) are contract constants;
-    only the hidden width and the training knobs vary.
-    """
-
-    input_dim: int = INPUT_DIM
-    hidden_dim: int = 128
-    latent_dim: int = LATENT_DIM
     epochs: int = 200
     batch_size: int = 16
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim != INPUT_DIM:
-            raise DomainError(f"input_dim must be {INPUT_DIM}")
-        if self.latent_dim != LATENT_DIM:
-            raise DomainError(f"latent_dim must be {LATENT_DIM}")
-        if self.hidden_dim < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise DomainError("hidden_dim, epochs, and batch_size must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise DomainError("epochs and batch_size must be positive")
 
 
-def _build_network(spec: AutoencoderSpec) -> nn.NetworkSpec:
+def _build_network() -> nn.NetworkSpec:
     return nn.NetworkSpec((
-        nn.dense(spec.input_dim, spec.hidden_dim),
-        nn.relu(spec.hidden_dim),
-        nn.dense(spec.hidden_dim, spec.latent_dim),
-        nn.dense(spec.latent_dim, spec.hidden_dim),
-        nn.relu(spec.hidden_dim),
-        nn.dense(spec.hidden_dim, spec.input_dim),
+        nn.dense(INPUT_DIM, HIDDEN_DIM),
+        nn.relu(HIDDEN_DIM),
+        nn.dense(HIDDEN_DIM, LATENT_DIM),
+        nn.dense(LATENT_DIM, HIDDEN_DIM),
+        nn.relu(HIDDEN_DIM),
+        nn.dense(HIDDEN_DIM, INPUT_DIM),
     ))
 
 
@@ -80,10 +70,8 @@ class Autoencoder:
         if not self.trained:
             raise nn.StateError("autoencoder is untrained; train it before encoding")
         x = np.asarray(vectors, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise nn.ShapeError(
-                f"expected [n x {self.spec.input_dim}] input, got {x.shape}"
-            )
+        if x.ndim != 2 or x.shape[1] != INPUT_DIM:
+            raise nn.ShapeError(f"expected [n x {INPUT_DIM}] input, got {x.shape}")
         for layer, params in zip(self.model.spec.layers[:_ENCODER_END], self.model.params):
             if layer.kind == "relu":
                 x = np.maximum(x, 0.0)
@@ -103,15 +91,15 @@ def train_autoencoder(
     """
     spec = spec or AutoencoderSpec()
     x = np.asarray(vectors, dtype=float)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise nn.ShapeError(f"expected [n x {spec.input_dim}] corpus, got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != INPUT_DIM:
+        raise nn.ShapeError(f"expected [n x {INPUT_DIM}] corpus, got {x.shape}")
     if x.shape[0] < 2:
         raise DomainError(f"need at least 2 training vectors, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise nn.NumericError("training corpus contains non-finite values")
 
     rng = np.random.default_rng(spec.seed)
-    ae = Autoencoder(spec, nn.Model(_build_network(spec), rng=rng))
+    ae = Autoencoder(spec, nn.Model(_build_network(), rng=rng))
     state = nn.init_adam(ae.model)
     n = x.shape[0]
 
@@ -124,9 +112,8 @@ def train_autoencoder(
         for start in range(0, n, spec.batch_size):
             batch = x[order[start:start + spec.batch_size]]
             activations = nn.forward(ae.model, batch, rng=rng)
-            epoch_losses.append(nn.mean_squared_error(activations.outputs, batch).scalar)
-            grads = nn.backward(ae.model, activations, batch)
-            nn.adam_step(ae.model, grads, state, lr)
+            epoch_losses.append(nn.mean_squared_error(activations.outputs, batch))
+            nn.adam_step(ae.model, nn.backward(ae.model, activations, batch), state, lr)
         history.append(float(np.mean(epoch_losses)))
 
     ae.trained = True
@@ -155,14 +142,32 @@ def autoencoder_from_dict(doc: dict) -> Autoencoder:
         raise nn.StateError(f"autoencoder encoder layers are not {', '.join(_ENCODER_KINDS)}")
     if layers[_ENCODER_END - 1].output_dim != LATENT_DIM:
         raise nn.StateError(f"autoencoder latent width is not {LATENT_DIM}")
+    if layers[0].output_dim != HIDDEN_DIM:
+        raise nn.StateError(
+            f"autoencoder hidden width is {layers[0].output_dim}, expected {HIDDEN_DIM}")
     meta = doc.get("autoencoder", {})
+    if not isinstance(meta, dict):
+        raise nn.StateError("serialized autoencoder field autoencoder is not a JSON object")
+    _meta_field(meta, "hidden_dim", HIDDEN_DIM, lambda v: v == HIDDEN_DIM, str(HIDDEN_DIM))
+    positive, default = (lambda v: v >= 1), AutoencoderSpec()
     spec = AutoencoderSpec(
-        hidden_dim=meta.get("hidden_dim", 128),
-        epochs=meta.get("epochs", 200),
-        batch_size=meta.get("batch_size", 16),
-        seed=meta.get("seed", 0),
+        epochs=_meta_field(meta, "epochs", default.epochs, positive, "a positive integer"),
+        batch_size=_meta_field(meta, "batch_size", default.batch_size, positive,
+                               "a positive integer"),
+        seed=_meta_field(meta, "seed", default.seed, lambda v: v >= 0, "a nonnegative integer"),
     )
-    return Autoencoder(spec, model, trained=bool(meta.get("trained", True)))
+    trained = _meta_field(meta, "trained", True, lambda v: True, "true or false")
+    return Autoencoder(spec, model, trained=trained)
+
+
+def _meta_field(meta: dict, key: str, default, valid: Callable, requirement: str):
+    """``meta[key]``, or ``default`` if absent: a value of the default's type
+    (an int is not a bool here) passing ``valid``, else a StateError naming it."""
+    value = meta.get(key, default)
+    if type(value) is not type(default) or not valid(value):
+        raise nn.StateError(f"serialized autoencoder field autoencoder.{key} is {value!r}, "
+                            f"expected {requirement}")
+    return value
 
 
 def autoencoder_document(ae: Autoencoder) -> dict:
@@ -170,7 +175,7 @@ def autoencoder_document(ae: Autoencoder) -> dict:
     its spec under the key ``autoencoder``."""
     doc = nn.model_document(ae.model, artifact_kind="autoencoder")
     doc["autoencoder"] = {
-        "hidden_dim": ae.spec.hidden_dim,
+        "hidden_dim": HIDDEN_DIM,
         "epochs": ae.spec.epochs,
         "batch_size": ae.spec.batch_size,
         "seed": ae.spec.seed,

@@ -172,8 +172,7 @@ def train(
         best_epoch=0, stopped_early=False,
     )
     best_accuracy = -1.0
-    best_params = model.copy_params()
-    best_running = model.copy_running()
+    best = model.snapshot()
     epochs_since_best = 0
 
     for epoch in range(config.max_epochs):
@@ -188,11 +187,10 @@ def train(
                 loss = nn.cross_entropy(activations.outputs, targets[idx])
             except nn.NumericError as exc:
                 raise nn.NumericError(f"epoch {epoch}: {exc}") from None
-            if not np.isfinite(loss.scalar):
+            if not np.isfinite(loss):
                 raise nn.NumericError(f"non-finite training loss at epoch {epoch}")
-            batch_losses.append(loss.scalar)
-            grads = nn.backward(model, activations, targets[idx])
-            nn.adam_step(model, grads, state, lr)
+            batch_losses.append(loss)
+            nn.adam_step(model, nn.backward(model, activations, targets[idx]), state, lr)
 
         accuracy = _val_accuracy(model, x_val, y_val)
         history.train_loss.append(float(np.mean(batch_losses)))
@@ -202,8 +200,7 @@ def train(
         if accuracy > best_accuracy:
             best_accuracy = accuracy
             history.best_epoch = epoch
-            best_params = model.copy_params()
-            best_running = model.copy_running()
+            best = model.snapshot()
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -211,8 +208,7 @@ def train(
                 history.stopped_early = True
                 break
 
-    model.load_params(best_params)
-    model.load_running(best_running)
+    model.restore(best)
     model.inference_mode()
     return model, history
 

@@ -138,6 +138,8 @@ def _read_json(path: Path, kind: type):
         value = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON in {path} at byte offset {exc.pos}") from None
+    except RecursionError:
+        raise DomainError(f"{path} nests JSON arrays or objects too deeply") from None
     if kind is dict and not isinstance(value, dict):
         raise DomainError(f"{path} does not hold a JSON object")
     if kind is list and not (isinstance(value, list)
@@ -146,29 +148,50 @@ def _read_json(path: Path, kind: type):
     return value
 
 
-def _entity_count(entities: dict, key: str) -> int:
-    value = entities.get(key, 0)
-    if isinstance(value, list):  # tolerate raw API dumps that keep full entity lists
-        return len(value)
-    return int(value)
+def _count(data: dict, key: str, name: str) -> int:
+    """``int(data[key])``, 0 if absent; a DomainError naming ``name.key`` if
+    that fails, as for null, a list or ``1e400``, which JSON reads as infinity."""
+    value = data.get(key, 0)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name}.{key} is not a count: {value!r}") from None
+
+
+def _timestamp(data: dict, name: str) -> datetime:
+    """``data["created_at"]`` as aware UTC; a DomainError naming ``name.created_at``
+    for a non-string or a time that leaves the datetime range in UTC."""
+    value = data["created_at"]
+    if not isinstance(value, str):
+        raise DomainError(f"{name}.created_at is not a string: {value!r}")
+    try:
+        return parse_timestamp(value)
+    except OverflowError:
+        raise DomainError(f"{name}.created_at is out of range in UTC: {value!r}") from None
+
+
+def _entity_count(entities: dict, key: str, name: str) -> int:
+    if isinstance(entities.get(key), list):  # tolerate raw API dumps with full entity lists
+        return len(entities[key])
+    return _count(entities, key, f"{name}.entities")
 
 
 def _profile_from_json(data: dict) -> UserProfile:
     return UserProfile(
         name=str(data.get("name", "")),
         screen_name=str(data.get("screen_name", "")),
-        created_at=parse_timestamp(data["created_at"]),
+        created_at=_timestamp(data, "profile"),
         location=data.get("location"),
         description=data.get("description"),
         url=data.get("url"),
         protected=bool(data.get("protected", False)),
-        followers_count=int(data.get("followers_count", 0)),
-        friends_count=int(data.get("friends_count", 0)),
-        listed_count=int(data.get("listed_count", 0)),
-        favourites_count=int(data.get("favourites_count", 0)),
+        followers_count=_count(data, "followers_count", "profile"),
+        friends_count=_count(data, "friends_count", "profile"),
+        listed_count=_count(data, "listed_count", "profile"),
+        favourites_count=_count(data, "favourites_count", "profile"),
         geo_enabled=bool(data.get("geo_enabled", False)),
         verified=bool(data.get("verified", False)),
-        statuses_count=int(data.get("statuses_count", 0)),
+        statuses_count=_count(data, "statuses_count", "profile"),
         profile_use_background_image=bool(data.get("profile_use_background_image", False)),
     )
 
@@ -177,22 +200,24 @@ def _tweet_text(data: dict) -> str:
     return str(data.get("text", ""))
 
 
-def _tweet_from_json(data: dict) -> Tweet:
+def _tweet_from_json(data: dict, name: str) -> Tweet:
     entities = data.get("entities", {})
+    if not isinstance(entities, dict):
+        raise DomainError(f"{name}.entities is not a JSON object: {entities!r}")
     return Tweet(
-        created_at=parse_timestamp(data["created_at"]),
+        created_at=_timestamp(data, name),
         text=_tweet_text(data),
         truncated=bool(data.get("truncated", False)),
-        retweet_count=int(data.get("retweet_count", 0)),
-        favorite_count=int(data.get("favorite_count", 0)),
+        retweet_count=_count(data, "retweet_count", name),
+        favorite_count=_count(data, "favorite_count", name),
         favorited=bool(data.get("favorited", False)),
         retweeted=bool(data.get("retweeted", False)),
         is_quote_status=bool(data.get("is_quote_status", False)),
-        hashtag_count=_entity_count(entities, "hashtags"),
-        mention_count=_entity_count(entities, "user_mentions"),
-        url_count=_entity_count(entities, "urls"),
-        symbol_count=_entity_count(entities, "symbols"),
-        has_poll=bool(data.get("has_poll", _entity_count(entities, "polls") > 0)),
+        hashtag_count=_entity_count(entities, "hashtags", name),
+        mention_count=_entity_count(entities, "user_mentions", name),
+        url_count=_entity_count(entities, "urls", name),
+        symbol_count=_entity_count(entities, "symbols", name),
+        has_poll=bool(data.get("has_poll", _entity_count(entities, "polls", name) > 0)),
     )
 
 
@@ -259,7 +284,8 @@ def _read_record(root: Path, user_id: str, labels: dict[str, float] | None) -> U
     tweets: list[Tweet] = []
     tweets_path = root / "tweets" / f"{user_id}.json"
     if tweets_path.is_file():
-        tweets = [_tweet_from_json(t) for t in _read_json(tweets_path, list)]
+        tweets = [_tweet_from_json(t, f"tweets[{i}]")
+                  for i, t in enumerate(_read_json(tweets_path, list))]
 
     comments: list[Comment] = []
     comments_path = root / "comments" / f"{user_id}.json"

@@ -16,13 +16,21 @@ Conventions fixed here:
  - dense weights initialize from N(0, 2/fan_in), biases at zero;
  - every trainable parameter of a model lives in one contiguous float64
    buffer, ``Model.flat``, in layer order (dense: weight then bias,
-   batchnorm: scale then shift); ``Model.params`` holds per-layer dicts
-   of views into it. Gradients and Adam's moments use the same layout in
-   buffers of their own, so an Adam step is a fixed sequence of in-place
-   operations, run over the buffers in blocks of ``ADAM_BLOCK`` elements
-   through two block-sized scratch arrays; it allocates nothing
-   parameter-sized.
-   Code that changes a parameter writes into its view (``p[...] = x``);
+   batchnorm: scale then shift). ``Model.views(buffer)`` splits any
+   buffer of that layout into per-layer dicts of views; ``Model.params``
+   holds those of ``flat``. Batchnorm running statistics live in a second
+   buffer, ``Model.stats`` (mean then var per layer), viewed per layer by
+   ``Model.running``. ``Model.snapshot`` copies both buffers and
+   ``Model.restore`` writes such a copy back, bit for bit;
+ - training passes flat arrays only: :func:`backward` fills and returns
+   ``Model.grad``, which the next ``backward`` overwrites, and
+   :func:`adam_step` takes such an array. Adam's moments share the
+   layout, so a step is a fixed sequence of in-place operations over the
+   buffers, in blocks of ``ADAM_BLOCK`` elements through two block-sized
+   scratch arrays; it allocates nothing parameter-sized. Adam's
+   ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS`` and the schedule's
+   ``LR_INITIAL`` and ``LR_DECAY`` are module constants;
+ - code that changes a parameter writes into its view (``p[...] = x``);
    rebinding a dict entry would detach it from the buffer.
 """
 
@@ -47,6 +55,14 @@ _LOG_CLAMP = 1e-12  # floors probabilities inside log so a confident miss stays 
 # Elements per Adam block: 256 KiB per float64 array, so the five arrays a
 # block touches stay in cache between its passes.
 ADAM_BLOCK = 32_768
+
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults),
+# and the per-epoch staircase learning rate LR_INITIAL * LR_DECAY**epoch.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LR_INITIAL = 0.01
+LR_DECAY = 0.9
 
 _KINDS = ("dense", "batchnorm", "dropout", "relu", "softmax")
 
@@ -158,6 +174,24 @@ def _param_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
     return {}
 
 
+def _size(layout: list[dict[str, tuple[int, ...]]]) -> int:
+    return sum(math.prod(shape) for shapes in layout for shape in shapes.values())
+
+
+def _carve(buffer: np.ndarray, layout: list[dict[str, tuple[int, ...]]]
+           ) -> list[dict[str, np.ndarray]]:
+    """Per-layer dicts of views into ``buffer``, one per shape of ``layout``, in order."""
+    views, offset = [], 0
+    for shapes in layout:
+        layer = {}
+        for key, shape in shapes.items():
+            n = math.prod(shape)
+            layer[key] = buffer[offset:offset + n].reshape(shape)
+            offset += n
+        views.append(layer)
+    return views
+
+
 class Model:
     """A layer graph plus its parameters, running statistics, and mode."""
 
@@ -165,46 +199,30 @@ class Model:
         self.spec = spec
         self.mode = TRAIN
         self._shapes = [_param_shapes(layer) for layer in spec.layers]
-        sizes = (math.prod(shape) for shapes in self._shapes for shape in shapes.values())
-        self.flat = np.zeros(sum(sizes))
-        self.params: list[dict[str, np.ndarray]] = self._views(self.flat)
-        self.running: list[Optional[dict[str, np.ndarray]]] = []
-        self._grad_flat: Optional[np.ndarray] = None
+        self.flat = np.zeros(_size(self._shapes))
+        self.params: list[dict[str, np.ndarray]] = self.views(self.flat)
+        stat_shapes = [{"mean": (layer.output_dim,), "var": (layer.output_dim,)}
+                       if layer.kind == "batchnorm" else {} for layer in spec.layers]
+        self.stats = np.zeros(_size(stat_shapes))
+        self.running: list[Optional[dict[str, np.ndarray]]] = [
+            stats or None for stats in _carve(self.stats, stat_shapes)]
+        self.grad: Optional[np.ndarray] = None  # allocated by the first backward
         self._grads: Optional[list[dict[str, np.ndarray]]] = None
         self._version = 0
         rng = rng if rng is not None else np.random.default_rng(0)
-        for layer, params in zip(spec.layers, self.params):
+        for layer, params, stats in zip(spec.layers, self.params, self.running):
             if layer.kind == "dense":
                 std = np.sqrt(2.0 / layer.input_dim)
                 params["weight"][...] = rng.normal(0.0, std, size=params["weight"].shape)
-                self.running.append(None)
             elif layer.kind == "batchnorm":
                 params["scale"][...] = 1.0
-                self.running.append({
-                    "mean": np.zeros(layer.output_dim),
-                    "var": np.ones(layer.output_dim),
-                })
-            else:
-                self.running.append(None)
+                stats["var"][...] = 1.0
 
-    def _views(self, buffer: np.ndarray) -> list[dict[str, np.ndarray]]:
+    def views(self, buffer: np.ndarray) -> list[dict[str, np.ndarray]]:
         """Per-layer dicts of views into ``buffer``, laid out like ``flat``."""
-        views, offset = [], 0
-        for shapes in self._shapes:
-            layer = {}
-            for key, shape in shapes.items():
-                n = math.prod(shape)
-                layer[key] = buffer[offset:offset + n].reshape(shape)
-                offset += n
-            views.append(layer)
-        return views
-
-    def _gradient_views(self) -> list[dict[str, np.ndarray]]:
-        """Per-layer views into the gradient buffer, allocated on first use."""
-        if self._grads is None:
-            self._grad_flat = np.zeros_like(self.flat)
-            self._grads = self._views(self._grad_flat)
-        return self._grads
+        if buffer.shape != self.flat.shape:
+            raise ShapeError(f"buffer has shape {buffer.shape}, parameters {self.flat.shape}")
+        return _carve(buffer, self._shapes)
 
     def train_mode(self) -> "Model":
         self.mode = TRAIN
@@ -214,24 +232,15 @@ class Model:
         self.mode = INFERENCE
         return self
 
-    def copy_params(self) -> list[dict[str, np.ndarray]]:
-        """A snapshot: per-layer views into one copy of the parameter buffer."""
-        return self._views(self.flat.copy())
+    def snapshot(self) -> np.ndarray:
+        """One copy of ``flat`` followed by ``stats``, for :meth:`restore`."""
+        return np.concatenate((self.flat, self.stats))
 
-    def load_params(self, params: list[dict[str, np.ndarray]]) -> None:
-        for own, new in zip(self.params, params):
-            for key in own:
-                own[key][...] = new[key]
+    def restore(self, saved: np.ndarray) -> None:
+        """Write a :meth:`snapshot` back into ``flat`` and ``stats``, bit for bit."""
+        self.flat[...] = saved[:self.flat.size]
+        self.stats[...] = saved[self.flat.size:]
         self._version += 1
-
-    def copy_running(self) -> list[Optional[dict[str, np.ndarray]]]:
-        return [None if r is None else {k: v.copy() for k, v in r.items()} for r in self.running]
-
-    def load_running(self, running: list[Optional[dict[str, np.ndarray]]]) -> None:
-        for own, new in zip(self.running, running):
-            if own is not None:
-                for key in own:
-                    own[key][...] = new[key]
 
 
 @dataclass
@@ -241,22 +250,12 @@ class ForwardPass:
     model: Model
     mode: str
     version: int
-    batch_shape: tuple[int, int]
-    inputs: np.ndarray
     layer_outputs: list[np.ndarray]
     caches: list[dict]
 
     @property
     def outputs(self) -> np.ndarray:
         return self.layer_outputs[-1]
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """A batch loss: the mean scalar plus the per-sample values."""
-
-    scalar: float
-    per_sample: np.ndarray
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -285,7 +284,6 @@ def forward(
     train = model.mode == TRAIN
     outputs: list[np.ndarray] = []
     caches: list[dict] = []
-    original = x
     for i, layer in enumerate(model.spec.layers):
         if x.shape[1] != layer.input_dim:
             raise ShapeError(f"layer {i} expects width {layer.input_dim}, got {x.shape[1]}")
@@ -330,22 +328,13 @@ def forward(
         outputs.append(x)
         caches.append(cache)
 
-    return ForwardPass(
-        model=model,
-        mode=model.mode,
-        version=model._version,
-        batch_shape=original.shape,
-        inputs=original,
-        layer_outputs=outputs,
-        caches=caches,
-    )
+    return ForwardPass(model=model, mode=model.mode, version=model._version,
+                       layer_outputs=outputs, caches=caches)
 
 
-def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> LossValue:
-    """Categorical cross-entropy of predicted rows against one-hot targets.
-
-    Per-sample loss is -sum_c y_c log(max(p_c, 1e-12)); the scalar is the
-    batch mean.
+def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Categorical cross-entropy of predicted rows against one-hot targets:
+    the batch mean of the per-sample -sum_c y_c log(max(p_c, 1e-12)).
     """
     p = np.asarray(probs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -357,38 +346,33 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> LossValue:
     # default rtol 1e-5) without its per-call overhead; rows are finite here.
     if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-6 + 1e-5 * 1.0):
         raise DomainError("probability rows must sum to 1")
-    per_sample = -(y * np.log(np.maximum(p, _LOG_CLAMP))).sum(axis=1)
-    return LossValue(scalar=float(per_sample.mean()), per_sample=per_sample)
+    return float((-(y * np.log(np.maximum(p, _LOG_CLAMP))).sum(axis=1)).mean())
 
 
-def mean_squared_error(outputs: np.ndarray, targets: np.ndarray) -> LossValue:
+def mean_squared_error(outputs: np.ndarray, targets: np.ndarray) -> float:
     """Squared Euclidean distance per sample, averaged over the batch."""
     o = np.asarray(outputs, dtype=float)
     t = np.asarray(targets, dtype=float)
     if o.shape != t.shape:
         raise ShapeError(f"outputs shape {o.shape} != targets shape {t.shape}")
-    per_sample = ((o - t) ** 2).sum(axis=1)
-    return LossValue(scalar=float(per_sample.mean()), per_sample=per_sample)
+    return float(((o - t) ** 2).sum(axis=1).mean())
 
 
-def loss_for(model: Model, activations: ForwardPass, targets: np.ndarray) -> LossValue:
+def loss_for(model: Model, activations: ForwardPass, targets: np.ndarray) -> float:
     """The loss the network trains against: CE after softmax, else MSE."""
     if model.spec.layers[-1].kind == "softmax":
         return cross_entropy(activations.outputs, targets)
     return mean_squared_error(activations.outputs, targets)
 
 
-def backward(
-    model: Model, activations: ForwardPass, targets: np.ndarray
-) -> list[dict[str, np.ndarray]]:
-    """Backpropagate the implied loss; returns per-layer parameter gradients.
+def backward(model: Model, activations: ForwardPass, targets: np.ndarray) -> np.ndarray:
+    """Backpropagate the implied loss; returns ``model.grad``, the gradient.
 
     Requires activations from a train-mode forward on this exact model
-    state; running statistics receive no gradient. The returned arrays are
-    views into the model's one gradient buffer, laid out like
-    ``model.flat``: they stay valid until the next ``backward`` on this
-    model, which overwrites them. Copy them to keep them longer. The list
-    and dicts are the caller's own; rebinding an entry detaches nothing.
+    state; running statistics receive no gradient. ``model.grad`` is laid
+    out like ``model.flat`` (``model.views`` splits it by layer) and is
+    the model's own buffer: the next ``backward`` on this model
+    overwrites it. Copy it to keep it longer.
     """
     if activations.model is not model:
         raise StateError("activations came from a different model")
@@ -402,12 +386,15 @@ def backward(
             f"targets shape {y.shape} != outputs shape {activations.outputs.shape}"
         )
 
-    batch = activations.batch_shape[0]
+    batch = y.shape[0]
     layers = model.spec.layers
     last = len(layers) - 1
     if any(layer.kind == "softmax" for layer in layers[:last]):
         raise StateError("softmax is only supported as the final layer")
-    grads = model._gradient_views()
+    if model.grad is None:
+        model.grad = np.zeros_like(model.flat)
+        model._grads = model.views(model.grad)
+    grads = model._grads
     # Nothing reads the gradient below the lowest layer with parameters.
     lowest = next((i for i, params in enumerate(model.params) if params), len(layers))
 
@@ -446,7 +433,7 @@ def backward(
             dmu = np.add.reduce(-dx_hat * inv_std, 0) + dvar * np.add.reduce(-2.0 * xc, 0) / n
             delta = dx_hat * inv_std + dvar * 2.0 * xc / n + dmu / n
 
-    return [dict(layer_grads) for layer_grads in grads]
+    return model.grad
 
 
 @dataclass
@@ -461,9 +448,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -471,55 +455,36 @@ class AdamState:
         self.scratch = (np.zeros_like(self.m, shape=n), np.zeros_like(self.m, shape=n))
 
 
-def init_adam(model: Model, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    return AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat),
-                     beta1=beta1, beta2=beta2, eps=eps)
-
-
-def _flat_gradient(model: Model, grads: list[dict[str, np.ndarray]]) -> np.ndarray:
-    """The gradient buffer holding ``grads``, copying in each array that is not its view."""
-    own = model._gradient_views()
-    if len(grads) != len(own):
-        raise ShapeError(f"gradients for {len(grads)} layers, model has {len(own)}")
-    for i, (dst, src) in enumerate(zip(own, grads)):
-        if src.keys() != dst.keys():
-            raise ShapeError(f"layer {i} gradients have keys {sorted(src)}, "
-                             f"expected {sorted(dst)}")
-        for key, g in src.items():
-            if g is dst[key]:
-                continue
-            if np.shape(g) != dst[key].shape:
-                raise ShapeError(f"layer {i} gradient {key!r} has shape {np.shape(g)}, "
-                                 f"expected {dst[key].shape}")
-            dst[key][...] = g
-    return model._grad_flat
+def init_adam(model: Model) -> AdamState:
+    return AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
 
 
 def adam_step(
-    model: Model, grads: list[dict[str, np.ndarray]], state: AdamState, lr: float
+    model: Model, grad: np.ndarray, state: AdamState, lr: float
 ) -> tuple[Model, AdamState]:
     """One bias-corrected Adam update, in place, incrementing the step count.
 
-    ``grads`` are usually the views :func:`backward` returned; arrays of
-    any other origin are first copied into the model's gradient buffer.
-    The arithmetic, and its order, is per element
+    ``grad`` is laid out like ``model.flat``, usually the ``model.grad``
+    :func:`backward` returned; any other shape is a ShapeError. The
+    arithmetic, and its order, is per element
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, run block by block. Once
-    ``1 - beta1**t`` rounds to 1.0 (from step 356 at beta1 = 0.9) ``m_hat``
+    ``1 - ADAM_BETA1**t`` rounds to 1.0 (from step 356) ``m_hat``
     is ``m`` itself, and the divide by 1.0, which is exact, is skipped.
     """
     if lr <= 0.0:
         raise DomainError(f"learning rate must be positive, got {lr}")
-    g = _flat_gradient(model, grads)
+    g = np.asarray(grad, dtype=float)
+    if g.shape != model.flat.shape:
+        raise ShapeError(f"gradient has shape {g.shape}, parameters {model.flat.shape}")
     # Any non-finite entry makes the sum non-finite; a sum of finite values
     # that merely overflows passes the per-array check below.
     if not math.isfinite(g.sum()):
-        for i, layer_grads in enumerate(model._grads):
+        for i, layer_grads in enumerate(model.views(g)):
             for key, arr in layer_grads.items():
                 if not np.isfinite(arr).all():
                     raise NumericError(f"non-finite gradient for layer {i} parameter {key!r}")
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
     flat, m, v = model.flat, state.m, state.v
     block = max(state.scratch[0].size, 1)  # a model without parameters has empty scratch
@@ -548,11 +513,11 @@ def adam_step(
     return model, state
 
 
-def lr_at(epoch: int, initial: float = 0.01, decay: float = 0.9) -> float:
-    """Per-epoch staircase schedule: initial * decay**epoch."""
+def lr_at(epoch: int) -> float:
+    """Per-epoch staircase schedule: LR_INITIAL * LR_DECAY**epoch."""
     if epoch < 0:
         raise DomainError(f"epoch must be nonnegative, got {epoch}")
-    return initial * decay**epoch
+    return LR_INITIAL * LR_DECAY**epoch
 
 
 def grad_check(
@@ -574,35 +539,30 @@ def grad_check(
 
     inputs, targets = batch
     saved_mode = model.mode
-    saved_running = model.copy_running()
+    saved = model.snapshot()
     model.train_mode()
     try:
-        activations = forward(model, inputs)
-        analytic = backward(model, activations, targets)
+        # Only backward writes model.grad, so the forwards below leave it be.
+        analytic = backward(model, forward(model, inputs), targets)
 
         def loss_now() -> float:
-            return loss_for(model, forward(model, inputs), targets).scalar
+            return loss_for(model, forward(model, inputs), targets)
 
         worst = 0.0
-        for i, layer_grads in enumerate(analytic):
-            for key, grad in layer_grads.items():
-                param = model.params[i][key]
-                it = np.nditer(param, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    orig = param[idx]
-                    param[idx] = orig + eps
-                    plus = loss_now()
-                    param[idx] = orig - eps
-                    minus = loss_now()
-                    param[idx] = orig
-                    numeric = (plus - minus) / (2.0 * eps)
-                    a = float(grad[idx])
-                    rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-                    worst = max(worst, rel)
+        flat = model.flat
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            plus = loss_now()
+            flat[j] = orig - eps
+            minus = loss_now()
+            flat[j] = orig
+            numeric = (plus - minus) / (2.0 * eps)
+            a = float(analytic[j])
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
         return worst
     finally:
-        model.load_running(saved_running)
+        model.restore(saved)
         model.mode = saved_mode
 
 

@@ -26,12 +26,12 @@ def tiny_autoencoder():
 
 def untrained_autoencoder_model(spec: AutoencoderSpec) -> nn.Model:
     """The network ``train_autoencoder(corpus, spec)`` starts from."""
-    return nn.Model(_build_network(spec), rng=np.random.default_rng(spec.seed))
+    return nn.Model(_build_network(), rng=np.random.default_rng(spec.seed))
 
 
 def reconstruction_mse(model: nn.Model, x: np.ndarray) -> float:
     """Mean over rows of the squared Euclidean reconstruction distance."""
-    return nn.mean_squared_error(nn.forward(model.inference_mode(), x).outputs, x).scalar
+    return nn.mean_squared_error(nn.forward(model.inference_mode(), x).outputs, x)
 
 
 def model_dict(model: nn.Model, artifact_kind: str) -> dict:

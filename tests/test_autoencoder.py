@@ -26,12 +26,6 @@ def trained(small_corpus):
 
 
 class TestSpec:
-    def test_latent_and_input_dims_are_fixed(self):
-        with pytest.raises(DomainError):
-            AutoencoderSpec(latent_dim=12)
-        with pytest.raises(DomainError):
-            AutoencoderSpec(input_dim=512)
-
     def test_training_knobs_validated(self):
         with pytest.raises(DomainError):
             AutoencoderSpec(epochs=0)

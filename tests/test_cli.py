@@ -188,10 +188,10 @@ class TestPrepare:
         assert test.x.tobytes() == expected.tobytes()
 
 
-def _autoencoder_doc(input_dim, latent_dim, meta):
+def _autoencoder_doc(input_dim, latent_dim, meta, hidden=128):
     net = nn.NetworkSpec((
-        nn.dense(input_dim, 128), nn.relu(128), nn.dense(128, latent_dim),
-        nn.dense(latent_dim, 128), nn.relu(128), nn.dense(128, input_dim),
+        nn.dense(input_dim, hidden), nn.relu(hidden), nn.dense(hidden, latent_dim),
+        nn.dense(latent_dim, hidden), nn.relu(hidden), nn.dense(hidden, input_dim),
     ))
     doc = model_dict(nn.Model(net, rng=np.random.default_rng(0)), "autoencoder")
     doc["autoencoder"] = meta
@@ -231,6 +231,22 @@ class TestBundleCrossCheck:
          "layers[0].dropout_rate"),
         (lambda b: b["classifier"]["layers"][3].update(epsilon=-1000.0), "layers[3].epsilon"),
         (lambda b: b["classifier"]["layers"][7].update(momentum="a"), "layers[7].momentum"),
+        (lambda b: b["autoencoder"].update(autoencoder=[]),
+         "field autoencoder is not a JSON object"),
+        (lambda b: b["autoencoder"]["autoencoder"].update(hidden_dim="x"),
+         "autoencoder.hidden_dim is 'x', expected 128"),
+        (lambda b: b["autoencoder"]["autoencoder"].update(hidden_dim=7),
+         "autoencoder.hidden_dim is 7, expected 128"),
+        (lambda b: b["autoencoder"]["autoencoder"].update(hidden_dim=True),
+         "autoencoder.hidden_dim is True"),
+        (lambda b: b["autoencoder"]["autoencoder"].update(epochs=0), "autoencoder.epochs is 0"),
+        (lambda b: b["autoencoder"]["autoencoder"].update(batch_size=16.0),
+         "autoencoder.batch_size is 16.0"),
+        (lambda b: b["autoencoder"]["autoencoder"].update(seed=-1), "autoencoder.seed is -1"),
+        (lambda b: b["autoencoder"]["autoencoder"].update(trained=1), "autoencoder.trained is 1"),
+        (lambda b: b.update(autoencoder=_autoencoder_doc(768, 10, b["autoencoder"]["autoencoder"],
+                                                         hidden=7)),
+         "autoencoder hidden width is 7, expected 128"),
     ])
     def test_mismatched_bundle_rejected_by_name(self, pipeline, tmp_path, capsys,
                                                 tamper, named):

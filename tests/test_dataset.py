@@ -113,16 +113,33 @@ class TestLoad:
         assert len(err.value.failures) == 2
 
     def test_invalid_records_all_named(self, tmp_path):
-        write_fixture(tmp_path, user_ids=("u1", "u2", "u3"))
+        write_fixture(tmp_path, user_ids=("u1", "u2", "u3", "u4", "u5", "u6", "u7", "u8"))
         (tmp_path / "tweets" / "u1.json").write_text(
             json.dumps([TWEET, dict(TWEET, retweet_count=-4)]), "utf-8")
+        (tmp_path / "profiles" / "u4.json").write_text(
+            json.dumps(dict(PROFILE, created_at=["2014"])), "utf-8")
+        (tmp_path / "tweets" / "u5.json").write_text(
+            json.dumps([dict(TWEET, created_at="0001-01-01T00:00:00+01:00")]), "utf-8")
+        (tmp_path / "tweets" / "u6.json").write_text(
+            json.dumps([TWEET, TWEET, dict(TWEET, entities=None)]), "utf-8")
+        (tmp_path / "tweets" / "u7.json").write_text(
+            json.dumps([TWEET]).replace('"favorite_count": 9', '"favorite_count": 1e400'),
+            "utf-8")
+        deep = tmp_path / "comments" / "u8.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, "utf-8")
         (tmp_path / "labels.csv").write_text(
-            "user_id,score\nu1,62.5\nu2,62.5\nu3,130\n", "utf-8")
+            "user_id,score\nu1,62.5\nu2,62.5\nu3,130\n"
+            "u4,62.5\nu5,62.5\nu6,62.5\nu7,62.5\nu8,62.5\n", "utf-8")
         with pytest.raises(DatasetLoadError) as err:
             read_all(tmp_path)
         assert err.value.failures == [
             ("u1", "invalid record: tweets[1].retweet_count negative"),
             ("u3", "invalid record: score out of [0,100]"),
+            ("u4", "profile.created_at is not a string: ['2014']"),
+            ("u5", "tweets[0].created_at is out of range in UTC: '0001-01-01T00:00:00+01:00'"),
+            ("u6", "tweets[2].entities is not a JSON object: None"),
+            ("u7", "tweets[0].favorite_count is not a count: inf"),
+            ("u8", f"{deep} nests JSON arrays or objects too deeply"),
         ]
 
     def test_oversized_count_named(self, tmp_path):
@@ -140,6 +157,17 @@ class TestLoad:
         ("tweets", '{"text": "x"}', "u1.json does not hold a JSON array of objects"),
         ("tweets", '["x"]', "u1.json does not hold a JSON array of objects"),
         ("comments", '[{"text": "x"}, 3]', "u1.json does not hold a JSON array of objects"),
+        ("profiles", '{"created_at": 5}', "profile.created_at is not a string"),
+        ("profiles", '{"created_at": "0001-01-01T00:00:00+01:00"}',
+         "profile.created_at is out of range in UTC"),
+        ("profiles", '{"created_at": "2014-02-03T04:05:06Z", "followers_count": 1e400}',
+         "profile.followers_count is not a count: inf"),
+        ("tweets", '[{"created_at": "2022-11-30T12:00:00Z", "entities": []}]',
+         "tweets[0].entities is not a JSON object"),
+        ("tweets", '[{"created_at": "2022-11-30T12:00:00Z", "entities": null}]',
+         "tweets[0].entities is not a JSON object"),
+        ("tweets", '[{"created_at": "2022-11-30T12:00:00Z", "entities": {"urls": 1e400}}]',
+         "tweets[0].entities.urls is not a count: inf"),
     ])
     def test_wrong_json_shape_named(self, tmp_path, sub, content, named):
         write_fixture(tmp_path, user_ids=("u1", "u2"))
@@ -148,6 +176,33 @@ class TestLoad:
             read_all(tmp_path)
         [(user_id, reason)] = err.value.failures
         assert user_id == "u1" and named in reason
+
+    @pytest.mark.parametrize("sub, fields", [
+        ("profiles", [(key,) for key in PROFILE]),
+        ("tweets", [(key,) for key in TWEET] + [("has_poll",)] + [
+            ("entities", key) for key in ("hashtags", "user_mentions", "urls", "symbols", "polls")
+        ]),
+        ("comments", [("text",)]),
+    ])
+    def test_every_json_type_in_every_field_loads_or_is_named(self, tmp_path, sub, fields):
+        write_fixture(tmp_path, user_ids=("u1",))
+        base = {"profiles": PROFILE, "tweets": TWEET, "comments": {"text": "nice story"}}[sub]
+        for path in fields:
+            for raw in ("null", "true", "3", "1e400", '"text"', "[1, 2]", '{"a": 1}'):
+                doc = json.loads(json.dumps(base))
+                leaf = doc
+                for key in path[:-1]:
+                    leaf = leaf[key]
+                leaf[path[-1]] = "@"
+                text = json.dumps(doc).replace('"@"', raw)
+                (tmp_path / sub / "u1.json").write_text(
+                    text if sub == "profiles" else f"[{text}]", "utf-8")
+                try:
+                    read_all(tmp_path)
+                except DatasetLoadError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{sub} {'.'.join(path)} = {raw}: {exc!r}")
 
     def test_records_are_read_one_at_a_time(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1", "u2"))

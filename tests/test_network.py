@@ -132,29 +132,22 @@ class TestForward:
 class TestCrossEntropy:
     def test_exact_one_hot_is_zero(self):
         y = one_hot([0, 1], 2)
-        assert nn.cross_entropy(y, y).scalar == 0.0
+        assert nn.cross_entropy(y, y) == 0.0
 
     def test_binary_half_is_ln2(self):
         probs = np.array([[0.5, 0.5]])
         loss = nn.cross_entropy(probs, one_hot([0], 2))
-        assert loss.scalar == pytest.approx(math.log(2), abs=1e-9)
+        assert loss == pytest.approx(math.log(2), abs=1e-9)
 
     def test_uniform_ten_is_ln10(self):
         probs = np.full((3, 10), 0.1)
         loss = nn.cross_entropy(probs, one_hot([0, 4, 9], 10))
-        assert loss.scalar == pytest.approx(math.log(10), abs=1e-9)
-
-    def test_scalar_is_mean_of_per_sample(self):
-        rng = np.random.default_rng(6)
-        probs = rng.dirichlet(np.ones(4), size=8)
-        loss = nn.cross_entropy(probs, one_hot(rng.integers(4, size=8), 4))
-        assert loss.scalar == pytest.approx(float(loss.per_sample.mean()))
-        assert np.all(loss.per_sample >= 0.0)
+        assert loss == pytest.approx(math.log(10), abs=1e-9)
 
     def test_confident_miss_stays_finite(self):
         probs = np.array([[1.0, 0.0]])
         loss = nn.cross_entropy(probs, one_hot([1], 2))
-        assert np.isfinite(loss.scalar) and loss.scalar > 20
+        assert np.isfinite(loss) and loss > 20
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(DomainError):
@@ -167,7 +160,7 @@ class TestCrossEntropy:
     def test_row_sum_tolerance_boundary(self, offset, accepted):
         probs = np.array([[0.5, 0.5], [0.5 + offset, 0.5]])
         if accepted:
-            assert np.isfinite(nn.cross_entropy(probs, one_hot([0, 1], 2)).scalar)
+            assert np.isfinite(nn.cross_entropy(probs, one_hot([0, 1], 2)))
         else:
             with pytest.raises(DomainError, match="sum to 1"):
                 nn.cross_entropy(probs, one_hot([0, 1], 2))
@@ -185,7 +178,7 @@ class TestBackward:
         x = np.random.default_rng(8).normal(size=(5, 3))
         y = one_hot([0, 1, 1, 0, 1], 2)
         activations = nn.forward(model, x)
-        grads = nn.backward(model, activations, y)
+        grads = model.views(nn.backward(model, activations, y))
         probs = activations.outputs
         np.testing.assert_allclose(grads[0]["weight"], x.T @ ((probs - y) / 5), atol=1e-12)
         np.testing.assert_allclose(grads[0]["bias"], ((probs - y) / 5).sum(axis=0), atol=1e-12)
@@ -198,7 +191,7 @@ class TestBackward:
         model.params[0]["bias"][0] = -10.0
         x = np.abs(np.random.default_rng(10).normal(size=(6, 2)))
         activations = nn.forward(model, x)
-        grads = nn.backward(model, activations, one_hot([0, 1] * 3, 2))
+        grads = model.views(nn.backward(model, activations, one_hot([0, 1] * 3, 2)))
         np.testing.assert_array_equal(grads[0]["weight"][:, 0], 0.0)
         assert grads[0]["bias"][0] == 0.0
 
@@ -244,7 +237,7 @@ class TestBatchnormBits:
         y = one_hot(rng.integers(3, size=13), 3)
         eps, n = 1e-3, 13
 
-        running = model.copy_running()[1]
+        running = {key: stats.copy() for key, stats in model.running[1].items()}
         activations = nn.forward(model, x0)
         x = x0 @ model.params[0]["weight"] + model.params[0]["bias"]
         mu, var = x.mean(axis=0), x.var(axis=0)
@@ -257,7 +250,7 @@ class TestBatchnormBits:
         assert model.running[1]["var"].tobytes() == \
             (0.9 * running["var"] + (1.0 - 0.9) * var).tobytes()
 
-        grads = nn.backward(model, activations, y)
+        grads = model.views(nn.backward(model, activations, y))
         delta = (activations.outputs - y) / n
         delta = delta @ model.params[2]["weight"].T
         scale_grad, shift_grad = (delta * x_hat).sum(axis=0), delta.sum(axis=0)
@@ -306,38 +299,38 @@ class TestGradCheck:
             nn.grad_check(model, (np.zeros((2, 4)), one_hot([0, 1], 2)), eps=1e-5)
 
     def test_leaves_model_state_untouched(self):
-        model = softmax_ce_net(seed=7)
+        # The forwards grad_check runs are train-mode: they move the running
+        # statistics, which it must put back with the parameters.
+        spec = nn.NetworkSpec((nn.dense(6, 5), nn.batchnorm(5), nn.dense(5, 3), nn.softmax(3)))
+        model = nn.Model(spec, rng=np.random.default_rng(7))
         model.inference_mode()
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(4, 51))
-        y = one_hot(rng.integers(4, size=4), 4)
-        before = model.copy_params()
+        x = rng.normal(size=(4, 6))
+        y = one_hot(rng.integers(3, size=4), 3)
+        flat, stats = model.flat.copy(), model.stats.copy()
         nn.grad_check(model, (x, y), eps=1e-5)
         assert model.mode == nn.INFERENCE
-        for p0, p1 in zip(before, model.params):
-            for key in p0:
-                np.testing.assert_array_equal(p0[key], p1[key])
+        assert model.flat.tobytes() == flat.tobytes()
+        assert model.stats.tobytes() == stats.tobytes()
 
 
 class TestAdam:
     def test_zero_gradients_leave_parameters(self):
         model = softmax_ce_net()
         state = nn.init_adam(model)
-        before = model.copy_params()
-        zero_grads = [{k: np.zeros_like(v) for k, v in p.items()} for p in model.params]
-        nn.adam_step(model, zero_grads, state, lr=0.5)
+        before = model.flat.copy()
+        nn.adam_step(model, np.zeros_like(model.flat), state, lr=0.5)
         assert state.t == 1
-        for p0, p1 in zip(before, model.params):
-            for key in p0:
-                np.testing.assert_array_equal(p0[key], p1[key])
+        np.testing.assert_array_equal(model.flat, before)
 
     def test_first_step_is_signed_lr(self):
         model = nn.Model(nn.NetworkSpec((nn.dense(2, 2),)), rng=np.random.default_rng(0))
         state = nn.init_adam(model)
         before = model.params[0]["weight"].copy()
         g = np.array([[3.0, -2.0], [0.5, -7.0]])
-        grads = [{"weight": g, "bias": np.zeros(2)}]
-        nn.adam_step(model, grads, state, lr=0.01)
+        grad = np.zeros_like(model.flat)
+        model.views(grad)[0]["weight"][...] = g
+        nn.adam_step(model, grad, state, lr=0.01)
         update = model.params[0]["weight"] - before
         np.testing.assert_allclose(update, -0.01 * np.sign(g), rtol=1e-6)
 
@@ -351,22 +344,18 @@ class TestAdam:
             for epoch in range(5):
                 model.train_mode()
                 acts = nn.forward(model, x, rng=rng)
-                grads = nn.backward(model, acts, y)
-                nn.adam_step(model, grads, state, nn.lr_at(epoch))
-            return model.copy_params()
+                nn.adam_step(model, nn.backward(model, acts, y), state, nn.lr_at(epoch))
+            return model.snapshot()
 
-        a, b = run(), run()
-        for p0, p1 in zip(a, b):
-            for key in p0:
-                np.testing.assert_array_equal(p0[key], p1[key])
+        np.testing.assert_array_equal(run(), run())
 
     def test_non_finite_gradient_named(self):
         model = softmax_ce_net()
         state = nn.init_adam(model)
-        grads = [{k: np.zeros_like(v) for k, v in p.items()} for p in model.params]
-        grads[0]["weight"][0, 0] = np.nan
+        grad = np.zeros_like(model.flat)
+        model.views(grad)[0]["weight"][0, 0] = np.nan
         with pytest.raises(nn.NumericError, match="layer 0.*weight"):
-            nn.adam_step(model, grads, state, lr=0.01)
+            nn.adam_step(model, grad, state, lr=0.01)
 
 
 def reference_adam(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -421,7 +410,7 @@ class TestFlatBuffer:
                              nn.backward(fused, nn.forward(fused, x, rng=rng_fused), y),
                              state, lr)
                 ref.train_mode()
-                grads = nn.backward(ref, nn.forward(ref, x, rng=rng_ref), y)
+                grads = ref.views(nn.backward(ref, nn.forward(ref, x, rng=rng_ref), y))
                 reference_adam(ref.params, grads, m, v, start + step + 1, lr)
             assert state.t == start + 50
             for p_fused, p_ref in zip(fused.params, ref.params):
@@ -433,44 +422,38 @@ class TestFlatBuffer:
     def test_params_and_grads_are_views_of_their_buffers(self, build):
         model = build().train_mode()
         x, y = batch_for(model, np.random.default_rng(7))
-        grads = nn.backward(model, nn.forward(model, x, rng=np.random.default_rng(8)), y)
+        grad = nn.backward(model, nn.forward(model, x, rng=np.random.default_rng(8)), y)
+        assert grad is model.grad
         assert model.flat.size == nn.count_params(model.spec)[1]
-        grad_buffer = model._grad_flat
-        assert grad_buffer.shape == model.flat.shape
-        for params, layer_grads in zip(model.params, grads):
+        assert grad.shape == model.flat.shape
+        for params, layer_grads in zip(model.params, model.views(grad)):
             assert params.keys() == layer_grads.keys()
             for key in params:
                 assert np.shares_memory(params[key], model.flat)
-                assert np.shares_memory(layer_grads[key], grad_buffer)
+                assert np.shares_memory(layer_grads[key], grad)
                 assert not np.shares_memory(layer_grads[key], model.flat)
-
-    def test_rebound_gradient_entry_is_copied_in(self):
-        x, y = batch_for(softmax_ce_net(), np.random.default_rng(11))
-        rebound, copied = softmax_ce_net(seed=4), softmax_ce_net(seed=4)
-        grads = nn.backward(rebound, nn.forward(rebound.train_mode(), x), y)
-        grads[0]["weight"] = grads[0]["weight"] * 0.5
-        nn.adam_step(rebound, grads, nn.init_adam(rebound), lr=0.01)
-        reference = nn.backward(copied, nn.forward(copied.train_mode(), x), y)
-        reference = [{k: g.copy() for k, g in layer.items()} for layer in reference]
-        reference[0]["weight"] *= 0.5
-        nn.adam_step(copied, reference, nn.init_adam(copied), lr=0.01)
-        np.testing.assert_array_equal(rebound.flat, copied.flat)
-        again = nn.backward(rebound, nn.forward(rebound, x), y)
-        assert np.shares_memory(again[0]["weight"], rebound._grad_flat)
+        stats = [arr for layer in model.running if layer for arr in layer.values()]
+        assert model.stats.size == sum(arr.size for arr in stats)
+        assert all(np.shares_memory(arr, model.stats) for arr in stats)
 
     def test_copy_mutate_load_restores_bitwise(self):
-        model = classifier_net()
-        saved = model.copy_params()
-        before = model.flat.copy()
+        model = classifier_net().train_mode()
+        rng = np.random.default_rng(12)
+        nn.forward(model, rng.normal(size=(16, 51)), rng=rng)  # moves the running statistics
+        saved = model.snapshot()
+        flat, stats = model.flat.copy(), model.stats.copy()
         version = model._version
         model.flat += 1.0
         model.params[1]["weight"][0, 0] = np.pi
-        model.load_params(saved)
-        np.testing.assert_array_equal(model.flat, before)
+        nn.forward(model, rng.normal(size=(16, 51)), rng=rng)
+        model.running[3]["var"][0] = np.e
+        assert model.stats.tobytes() != stats.tobytes()
+        model.restore(saved)
+        assert model.flat.tobytes() == flat.tobytes()
+        assert model.stats.tobytes() == stats.tobytes()
         assert model._version == version + 1
-        for layer in saved:
-            for arr in layer.values():
-                assert not np.shares_memory(arr, model.flat)
+        assert not np.shares_memory(saved, model.flat)
+        assert not np.shares_memory(saved, model.stats)
 
     def test_adam_step_allocates_no_parameter_sized_temporaries(self):
         for model in (build_multicred(4), autoencoder_net()):
@@ -492,27 +475,19 @@ class TestFlatBuffer:
         doc = model_dict(classifier_net(), artifact_kind="classifier")
         model = nn.model_from_dict(doc, expected_kind="classifier")
         nn.forward(model, np.zeros((3, model.spec.input_dim)))
-        assert model._grad_flat is None
+        assert model.grad is None
 
-    @pytest.mark.parametrize("tamper, named", [
-        (lambda g: g.pop(), "gradients for 3 layers"),
-        (lambda g: g[0].pop("bias"), "layer 0 gradients have keys"),
-        (lambda g: g[2].update(weight=np.zeros((4, 8))), "layer 2 gradient 'weight' has shape"),
-    ])
-    def test_caller_gradients_must_match_layout(self, tamper, named):
+    def test_caller_gradients_must_match_layout(self):
         model = softmax_ce_net()
-        grads = [{k: np.zeros_like(v) for k, v in p.items()} for p in model.params]
-        tamper(grads)
         before = model.flat.copy()
-        with pytest.raises(nn.ShapeError, match=named):
-            nn.adam_step(model, grads, nn.init_adam(model), lr=0.01)
-        np.testing.assert_array_equal(model.flat, before)
+        with pytest.raises(nn.ShapeError, match=r"gradient has shape \(451,\)"):
+            nn.adam_step(model, np.zeros(model.flat.size - 1), nn.init_adam(model), lr=0.01)
+        assert model.flat.tobytes() == before.tobytes()
 
     def test_overflowing_finite_gradient_is_not_rejected(self):
         model = nn.Model(nn.NetworkSpec((nn.dense(2, 2),)), rng=np.random.default_rng(0))
-        grads = [{"weight": np.full((2, 2), 1e308), "bias": np.full(2, 1e308)}]
         with np.errstate(over="ignore"):  # the sum and g**2 overflow to inf
-            nn.adam_step(model, grads, nn.init_adam(model), lr=0.01)
+            nn.adam_step(model, np.full(6, 1e308), nn.init_adam(model), lr=0.01)
         assert np.all(np.isfinite(model.flat))
 
 
