@@ -8,7 +8,6 @@ is used by the feature pipeline, through :meth:`Autoencoder.encode_batch`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -127,8 +126,7 @@ def save_autoencoder(ae: Autoencoder, path: str | Path) -> None:
 
 
 def load_autoencoder(path: str | Path) -> Autoencoder:
-    doc = json.loads(Path(path).read_text("utf-8"))
-    return autoencoder_from_dict(doc)
+    return autoencoder_from_dict(nn.read_json(path, "autoencoder"))
 
 
 def autoencoder_from_dict(doc: dict) -> Autoencoder:
@@ -148,7 +146,6 @@ def autoencoder_from_dict(doc: dict) -> Autoencoder:
     meta = doc.get("autoencoder", {})
     if not isinstance(meta, dict):
         raise nn.StateError("serialized autoencoder field autoencoder is not a JSON object")
-    _meta_field(meta, "hidden_dim", HIDDEN_DIM, lambda v: v == HIDDEN_DIM, str(HIDDEN_DIM))
     positive, default = (lambda v: v >= 1), AutoencoderSpec()
     spec = AutoencoderSpec(
         epochs=_meta_field(meta, "epochs", default.epochs, positive, "a positive integer"),
@@ -175,7 +172,6 @@ def autoencoder_document(ae: Autoencoder) -> dict:
     its spec under the key ``autoencoder``."""
     doc = nn.model_document(ae.model, artifact_kind="autoencoder")
     doc["autoencoder"] = {
-        "hidden_dim": HIDDEN_DIM,
         "epochs": ae.spec.epochs,
         "batch_size": ae.spec.batch_size,
         "seed": ae.spec.seed,

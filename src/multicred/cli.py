@@ -36,7 +36,7 @@ from .preprocess import preprocess
 logger = logging.getLogger("multicred")
 
 BUNDLE_KIND = "pipeline"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 
 class UsageError(Exception):
@@ -161,9 +161,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise FileNotFoundError(f"config file not found: {path}")
-        file_values = json.loads(path.read_text("utf-8"))
-        if not isinstance(file_values, dict):
-            raise DomainError("config file must hold a JSON object")
+        file_values = nn.read_json(path, "config file")
 
     command = args.command
     merged = dict(_DEFAULTS.get(command, {}))
@@ -278,10 +276,7 @@ def _cmd_prepare(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ae_mod.save_autoencoder(ae, out / "autoencoder.json")
     with atomic_write(out / "norm_stats.json") as fh:
-        fh.write(json.dumps({
-            "minimum": stats.minimum.tolist(),
-            "maximum": stats.maximum.tolist(),
-        }, sort_keys=True))
+        nn.write_json(fh, {"minimum": stats.minimum, "maximum": stats.maximum})
     feat_mod.write_feature_layout(out / "feature_layout.json")
     feat_mod.write_feature_csv(train_ds, out / "train.csv")
     feat_mod.write_feature_csv(test_ds, out / "test.csv")
@@ -302,10 +297,7 @@ def _cmd_prepare(cfg: RunConfig) -> int:
 
 
 def _read_object(path: Path, what: str) -> dict:
-    doc = json.loads(_require_file(path, what).read_text("utf-8"))
-    if not isinstance(doc, dict):
-        raise StateError(f"{what} {path} does not hold a JSON object")
-    return doc
+    return nn.read_json(_require_file(path, what), what)
 
 
 def _field(doc: dict, name: str, what: str):
@@ -348,10 +340,11 @@ def _cmd_train(cfg: RunConfig) -> int:
         batch_size=cfg.batch_size,
         seed=cfg.seed,
     )
+    # The autoencoder first: a prepared directory of an older format fails on its version.
+    ae = ae_mod.load_autoencoder(_require_file(prepared / "autoencoder.json", "autoencoder"))
     stats = _normalization_stats(
         _read_object(prepared / "norm_stats.json", "normalization stats"),
         "normalization stats", "")
-    ae = ae_mod.load_autoencoder(_require_file(prepared / "autoencoder.json", "autoencoder"))
 
     model = clf_mod.build_multicred(num_classes, seed=cfg.seed)
     logger.info("training classifier (%d classes, %d train samples)",
@@ -416,23 +409,14 @@ def _load_bundle(path: Path):
 
 def _normalization_stats(doc: dict, what: str, prefix: str) -> feat_mod.NormalizationStats:
     """The min-max bounds at ``prefix + "minimum"`` and ``prefix + "maximum"``
-    in ``doc``: each a list of 35 finite numbers, no minimum above its
-    maximum. A StateError names the field that breaks this."""
+    in ``doc``: each 35 finite numbers stored by :func:`network.encode_array`,
+    no minimum above its maximum. A StateError names the field that breaks
+    this."""
     bounds = {}
     for key in ("minimum", "maximum"):
         name = prefix + key
-        value = _field(doc, name, what)
-        try:
-            bounds[key] = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            raise StateError(f"{what} {name} is not a list of numbers") from None
-        if bounds[key].shape != (feat_mod.NUM_SCALAR_FEATURES,):
-            raise StateError(
-                f"{what} {name} has shape {bounds[key].shape}, "
-                f"expected ({feat_mod.NUM_SCALAR_FEATURES},)"
-            )
-        if not np.isfinite(bounds[key]).all():
-            raise StateError(f"{what} {name} holds non-finite values")
+        bounds[key] = nn.decode_array(_field(doc, name, what), feat_mod.NUM_SCALAR_FEATURES,
+                                      f"{what} {name}")
     above = np.flatnonzero(bounds["minimum"] > bounds["maximum"])
     if above.size:
         raise StateError(f"{what} {prefix}minimum exceeds {prefix}maximum "

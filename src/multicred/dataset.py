@@ -272,6 +272,9 @@ def _read_labels(path: Path) -> dict[str, float]:
         for row in reader:
             if len(row) != 2:
                 raise DomainError(f"labels file {path} has a malformed row: {row}")
+            if row[0] in labels:
+                raise DomainError(f"labels file {path} lists user {row[0]!r} twice, "
+                                  f"again on line {reader.line_num}")
             labels[row[0]] = float(row[1])
     return labels
 

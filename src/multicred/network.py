@@ -36,16 +36,18 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from .domain import DomainError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 TRAIN = "train"
 INFERENCE = "inference"
@@ -591,17 +593,10 @@ def _stored(container, key, kind: type, name: str):
 
 
 def _stored_array(container, key, size: int, name: str) -> np.ndarray:
-    """The ``size`` finite numbers stored at ``container[key]``."""
-    try:
-        values = np.asarray(_stored(container, key, list, name), dtype=float)
-    except (TypeError, ValueError):
-        raise StateError(f"serialized network field {name} is not a list of numbers") from None
-    if values.shape != (size,):
-        raise StateError(f"serialized network field {name} has shape {values.shape}, "
-                         f"expected ({size},)")
-    if not np.isfinite(values).all():
-        raise StateError(f"serialized network field {name} holds non-finite values")
-    return values
+    """The ``size`` finite numbers encoded at ``container[key]``."""
+    if not isinstance(container, dict) or key not in container:
+        raise StateError(f"serialized network has no field {name}")
+    return decode_array(container[key], size, f"serialized network field {name}")
 
 
 def _stored_real(container: dict, key: str, default: float, valid: Callable[[float], bool],
@@ -655,26 +650,63 @@ def model_document(model: Model, artifact_kind: str) -> dict:
     }
 
 
-# Numbers per text chunk :func:`write_json` formats at once.
-WRITE_BLOCK = 2048
+# Stored float arrays are little-endian float64 values, row-major, as one
+# base64 string: 8 bytes a value, 32 base64 characters per 3 values.
+STORED_DTYPE = np.dtype("<f8")
+
+
+def encode_array(values: np.ndarray) -> str:
+    """The stored form of a float array: its values as little-endian float64,
+    row-major, in base64. :func:`decode_array` returns the same bits."""
+    data = np.ascontiguousarray(values, dtype=STORED_DTYPE)
+    return base64.b64encode(data).decode("ascii")
+
+
+def decode_array(value, size: int, name: str) -> np.ndarray:
+    """The ``size`` finite float64 values :func:`encode_array` stored as ``value``.
+
+    ``value`` must be a string of canonical base64 (no whitespace, padding
+    only to the last 4-character group) whose bytes are exactly ``size``
+    float64 values, all finite. Any other value raises a StateError that
+    begins with ``name``, the field as the caller names it. The result is
+    a read-only array over the decoded bytes.
+    """
+    if not isinstance(value, str):
+        raise StateError(f"{name} is not a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise StateError(f"{name} is not valid base64") from None
+    if len(value) != 4 * -(-len(raw) // 3):  # "=" beyond the last group's padding
+        raise StateError(f"{name} is not valid base64")
+    if len(raw) % STORED_DTYPE.itemsize:
+        raise StateError(f"{name} holds {len(raw)} bytes, not a whole number of float64 values")
+    values = np.frombuffer(raw, dtype=STORED_DTYPE)
+    if values.shape != (size,):
+        raise StateError(f"{name} has shape {values.shape}, expected ({size},)")
+    if not np.isfinite(values).all():
+        raise StateError(f"{name} holds non-finite values")
+    return values
+
+
+# Values per chunk :func:`write_json` encodes at once: a whole number of
+# 3-value (24-byte) groups, so no chunk but the last ends in base64 padding.
+WRITE_BLOCK = 3 * 1024
 
 
 def write_json(fh: TextIO, doc) -> None:
     """Write ``doc`` to ``fh`` as ``json.dumps(doc, sort_keys=True)`` would,
-    with every numpy array as the list of its float64 values.
+    with every numpy array as the string :func:`encode_array` gives.
 
-    An array goes out :data:`WRITE_BLOCK` numbers at a time, so no list of
-    its floats and no string of the whole document is ever built. Floats
-    print with ``float.__repr__``, as ``json`` prints finite floats.
+    An array goes out :data:`WRITE_BLOCK` values at a time, so no string
+    of a whole array and none of the whole document is ever built.
     """
     if isinstance(doc, np.ndarray):
-        flat = doc.ravel()
-        fh.write("[")
+        flat = np.ascontiguousarray(doc, dtype=STORED_DTYPE).ravel()
+        fh.write('"')
         for lo in range(0, flat.size, WRITE_BLOCK):
-            if lo:
-                fh.write(", ")
-            fh.write(", ".join(map(float.__repr__, flat[lo:lo + WRITE_BLOCK].tolist())))
-        fh.write("]")
+            fh.write(encode_array(flat[lo:lo + WRITE_BLOCK]))
+        fh.write('"')
     elif isinstance(doc, dict):
         fh.write("{")
         for j, key in enumerate(sorted(doc)):
@@ -690,6 +722,41 @@ def write_json(fh: TextIO, doc) -> None:
         fh.write("]")
     else:
         fh.write(json.dumps(doc))
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the state file ``path``, which ``what`` names.
+
+    The file must be UTF-8 and strict JSON: no key repeated within an
+    object and no ``NaN`` or ``Infinity``. A file that breaks this, nests
+    too deeply for the parser or holds another top-level value raises a
+    StateError naming ``what`` and ``path``.
+    """
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise StateError(f"{what} {path} repeats the key {key!r} in one object")
+            obj[key] = value
+        return obj
+
+    def constant(literal: str):
+        raise StateError(f"{what} {path} holds {literal}, which is not a JSON number")
+
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"),
+                         object_pairs_hook=unique, parse_constant=constant)
+    except UnicodeDecodeError as exc:
+        raise StateError(f"{what} {path} is not UTF-8 text: {exc.reason} "
+                         f"at byte offset {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise StateError(f"{what} {path} is not valid JSON: {exc.msg} "
+                         f"at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise StateError(f"{what} {path} nests JSON arrays or objects too deeply") from None
+    if not isinstance(doc, dict):
+        raise StateError(f"{what} {path} does not hold a JSON object")
+    return doc
 
 
 def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:

@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 
@@ -39,6 +40,28 @@ def model_dict(model: nn.Model, artifact_kind: str) -> dict:
     out = io.StringIO()
     nn.write_json(out, nn.model_document(model, artifact_kind))
     return json.loads(out.getvalue())
+
+
+# The stored array format, written out here independently of the codec in
+# network.py: a float array's little-endian float64 bytes, row-major, in base64.
+
+def stored(values) -> str:
+    """The string a state file stores for the float array ``values``."""
+    return base64.b64encode(np.asarray(values, dtype=float).astype("<f8").tobytes()).decode()
+
+
+def stored_values(text: str) -> np.ndarray:
+    """A writable copy of the float64 values the stored string ``text`` holds."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def retouch(container: dict, key: str, change) -> None:
+    """Decode the array stored at ``container[key]``, pass it to ``change``,
+    and store the result there again: ``change``'s return value, or the
+    array itself if ``change`` returns None (having changed it in place)."""
+    values = stored_values(container[key])
+    changed = change(values)
+    container[key] = stored(values if changed is None else changed)
 
 
 def feature_rows(records, root, embedder, ae) -> np.ndarray:

@@ -20,7 +20,7 @@ from multicred.autoencoder import load_autoencoder
 from multicred.embedding import EmbedderSpec, embed_texts
 from multicred.preprocess import preprocess
 
-from conftest import model_dict
+from conftest import model_dict, retouch, stored_values
 
 
 def tree_digest(root: Path) -> str:
@@ -175,8 +175,8 @@ class TestPrepare:
         prep = pipeline / "prep"
         ae = load_autoencoder(prep / "autoencoder.json")
         bounds = json.loads((prep / "norm_stats.json").read_text("utf-8"))
-        stats = feat_mod.NormalizationStats(np.array(bounds["minimum"]),
-                                            np.array(bounds["maximum"]))
+        stats = feat_mod.NormalizationStats(stored_values(bounds["minimum"]),
+                                            stored_values(bounds["maximum"]))
         scan = feat_mod.scan_dataset(pipeline / "data")
         feat_mod.fill_latents(scan, EmbedderSpec(), ae)
         row_of = {u: i for i, u in enumerate(scan.manifest.user_ids)}
@@ -202,17 +202,20 @@ class TestBundleCrossCheck:
     @pytest.mark.parametrize("tamper, named", [
         (lambda b: b.update(num_classes=6), "num_classes"),
         (lambda b: b.update(num_classes=4.0), "num_classes must be an integer, got 4.0"),
-        (lambda b: b["normalization"]["minimum"].__setitem__(0, float("nan")),
+        (lambda b: retouch(b["normalization"], "minimum", lambda a: a.__setitem__(0, np.nan)),
          "normalization.minimum holds non-finite values"),
-        (lambda b: b["normalization"]["maximum"].__setitem__(3, float("inf")),
+        (lambda b: retouch(b["normalization"], "maximum", lambda a: a.__setitem__(3, np.inf)),
          "normalization.maximum holds non-finite values"),
-        (lambda b: b["normalization"]["minimum"].__setitem__(
-            2, b["normalization"]["maximum"][2] + 1.0),
+        (lambda b: retouch(b["normalization"], "minimum", lambda a: a.__setitem__(
+            2, stored_values(b["normalization"]["maximum"])[2] + 1.0)),
          "normalization.minimum exceeds normalization.maximum at component 2"),
-        (lambda b: b["normalization"]["maximum"].__setitem__(0, "a"),
-         "normalization.maximum is not a list of numbers"),
-        (lambda b: b["normalization"]["minimum"].pop(), "normalization.minimum"),
-        (lambda b: b["normalization"]["maximum"].append(1.0), "normalization.maximum"),
+        (lambda b: b["normalization"].update(
+            maximum=stored_values(b["normalization"]["maximum"]).tolist()),
+         "normalization.maximum is not a base64 string"),
+        (lambda b: retouch(b["normalization"], "minimum", lambda a: a[:-1]),
+         "normalization.minimum"),
+        (lambda b: retouch(b["normalization"], "maximum", lambda a: np.append(a, 1.0)),
+         "normalization.maximum"),
         (lambda b: b.update(
             autoencoder=_autoencoder_doc(700, 10, b["autoencoder"]["autoencoder"])),
          "autoencoder input width"),
@@ -233,12 +236,6 @@ class TestBundleCrossCheck:
         (lambda b: b["classifier"]["layers"][7].update(momentum="a"), "layers[7].momentum"),
         (lambda b: b["autoencoder"].update(autoencoder=[]),
          "field autoencoder is not a JSON object"),
-        (lambda b: b["autoencoder"]["autoencoder"].update(hidden_dim="x"),
-         "autoencoder.hidden_dim is 'x', expected 128"),
-        (lambda b: b["autoencoder"]["autoencoder"].update(hidden_dim=7),
-         "autoencoder.hidden_dim is 7, expected 128"),
-        (lambda b: b["autoencoder"]["autoencoder"].update(hidden_dim=True),
-         "autoencoder.hidden_dim is True"),
         (lambda b: b["autoencoder"]["autoencoder"].update(epochs=0), "autoencoder.epochs is 0"),
         (lambda b: b["autoencoder"]["autoencoder"].update(batch_size=16.0),
          "autoencoder.batch_size is 16.0"),
@@ -247,6 +244,9 @@ class TestBundleCrossCheck:
         (lambda b: b.update(autoencoder=_autoencoder_doc(768, 10, b["autoencoder"]["autoencoder"],
                                                          hidden=7)),
          "autoencoder hidden width is 7, expected 128"),
+        (lambda b: b.update(format_version=1), "unsupported bundle version 1, expected 2"),
+        (lambda b: b["classifier"].update(format_version=1),
+         "unsupported model format version 1, expected 2"),
     ])
     def test_mismatched_bundle_rejected_by_name(self, pipeline, tmp_path, capsys,
                                                 tamper, named):
@@ -262,11 +262,14 @@ class TestBundleCrossCheck:
         assert not (tmp_path / "preds.csv").exists()
 
     @pytest.mark.parametrize("tamper, named", [
-        (lambda d: d["minimum"].__setitem__(0, float("nan")), "minimum holds non-finite"),
-        (lambda d: d["maximum"].__setitem__(1, float("-inf")), "maximum holds non-finite"),
-        (lambda d: d["minimum"].__setitem__(4, d["maximum"][4] + 1.0),
+        (lambda d: retouch(d, "minimum", lambda a: a.__setitem__(0, np.nan)),
+         "minimum holds non-finite"),
+        (lambda d: retouch(d, "maximum", lambda a: a.__setitem__(1, -np.inf)),
+         "maximum holds non-finite"),
+        (lambda d: retouch(d, "minimum", lambda a: a.__setitem__(
+            4, stored_values(d["maximum"])[4] + 1.0)),
          "minimum exceeds maximum at component 4"),
-        (lambda d: d["maximum"].pop(), "maximum has shape (34,)"),
+        (lambda d: retouch(d, "maximum", lambda a: a[:-1]), "maximum has shape (34,)"),
         (lambda d: d.pop("minimum"), "no field minimum"),
     ], ids=["nan", "minus-infinity", "min-above-max", "short", "missing"])
     def test_train_rejects_bad_norm_stats_by_name(self, pipeline, tmp_path, capsys,
@@ -328,6 +331,73 @@ class TestBundleCrossCheck:
         assert "num_classes 4" in captured.err
         assert f"num_classes {prepared_classes}" in captured.err
         assert captured.out == "" and not (tmp_path / "report.json").exists()
+
+
+_BAD_STATE_FILES = {
+    "deep-nesting": (b"[" * 100_000 + b"]" * 100_000, "nests JSON arrays or objects too deeply"),
+    "invalid-utf8": (b'{"num_classes": 4, "x": "\xff"}', "is not UTF-8 text"),
+    "repeated-key": (b'{"num_classes": 4, "x": {"a": 1, "a": 2}}', "repeats the key 'a'"),
+    "nan-literal": (b'{"num_classes": NaN}', "holds NaN, which is not a JSON number"),
+    "truncated": (b'{"num_classes": ', "is not valid JSON"),
+    "empty": (b"", "is not valid JSON"),
+    "array": (b"[]", "does not hold a JSON object"),
+}
+
+
+class TestStateFiles:
+    """Every state file a command reads goes through one reader, which names
+    the file on a fault: exit 1, and no traceback."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_STATE_FILES))
+    @pytest.mark.parametrize("name", ["model.json", "autoencoder.json", "prepare_meta.json",
+                                      "norm_stats.json", "config.json"])
+    def test_malformed_state_file_named(self, pipeline, tmp_path, capsys, name, case):
+        content, problem = _BAD_STATE_FILES[case]
+        prep, out = tmp_path / "prep", tmp_path / "out"
+        shutil.copytree(pipeline / "prep", prep)
+        bad = tmp_path / name if name in ("model.json", "config.json") else prep / name
+        bad.write_bytes(content)
+        if name == "model.json":
+            argv = ["predict", "--model", str(bad), "--input", str(pipeline / "data"),
+                    "--out", str(out)]
+        elif name == "config.json":
+            argv = ["--config", str(bad), "generate", "--out", str(out)]
+        else:
+            argv = ["train", "--prepared", str(prep), "--out", str(out)] + FAST_TRAIN
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{bad} {problem}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_version_1_prepared_directory_named(self, pipeline, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        ae = json.loads((prep / "autoencoder.json").read_text("utf-8"))
+        ae["format_version"] = 1
+        (prep / "autoencoder.json").write_text(json.dumps(ae), "utf-8")
+        bounds = json.loads((prep / "norm_stats.json").read_text("utf-8"))
+        listed = {key: stored_values(text).tolist() for key, text in bounds.items()}
+        (prep / "norm_stats.json").write_text(json.dumps(listed), "utf-8")
+        code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "model.json")]
+                   + FAST_TRAIN)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unsupported model format version 1, expected 2" in err
+        assert "Traceback" not in err and not (tmp_path / "model.json").exists()
+
+    def test_duplicate_label_row_is_dataset_error(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        labels = data / "labels.csv"
+        first_row = labels.read_text("utf-8").splitlines()[1]
+        with open(labels, "a", encoding="utf-8") as fh:
+            fh.write(first_row + "\n")
+        code = run(["prepare", "--data", str(data), "--out", str(tmp_path / "prep")]
+                   + FAST_PREPARE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(labels) in err and "twice" in err and "Traceback" not in err
+        assert not (tmp_path / "prep").exists()
 
 
 class TestFeatureCsvRows:

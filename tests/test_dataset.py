@@ -104,6 +104,15 @@ class TestLoad:
         with pytest.raises(DatasetLoadError, match="u2"):
             read_all(tmp_path)
 
+    def test_duplicate_label_row_named(self, tmp_path):
+        write_fixture(tmp_path, user_ids=("u1", "u2"))
+        labels = tmp_path / "labels.csv"
+        labels.write_text("user_id,score\nu1,10\nu2,50\nu1,90\n", "utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            read_all(tmp_path)
+        assert err.value.failures == [
+            (str(labels), f"labels file {labels} lists user 'u1' twice, again on line 4")]
+
     def test_batch_reports_every_failure(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1", "u2", "u3"))
         (tmp_path / "profiles" / "u1.json").write_text("{broken", "utf-8")

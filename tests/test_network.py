@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import math
@@ -5,13 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicred import network as nn
 from multicred.autoencoder import Autoencoder, AutoencoderSpec, autoencoder_document
 from multicred.classifier import build_multicred
 from multicred.domain import DomainError
 
-from conftest import model_dict, untrained_autoencoder_model
+from conftest import model_dict, retouch, stored, untrained_autoencoder_model
 
 
 def softmax_ce_net(seed=0):
@@ -502,22 +505,86 @@ class TestLearningRate:
             nn.lr_at(-1)
 
 
-def listed_model(model, artifact_kind):
-    """A model's document with every array as a list of floats."""
-    return {
-        "format_version": 1,
-        "artifact_kind": artifact_kind,
-        "layers": nn.spec_to_json(model.spec),
-        "parameters": [{k: v.ravel().tolist() for k, v in p.items()} for p in model.params],
-        "running_stats": [None if r is None else {k: v.tolist() for k, v in r.items()}
-                          for r in model.running],
-    }
+def with_stored_arrays(doc):
+    """``doc`` with every numpy array replaced by the string a file stores."""
+    if isinstance(doc, np.ndarray):
+        return stored(doc)
+    if isinstance(doc, dict):
+        return {k: with_stored_arrays(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [with_stored_arrays(v) for v in doc]
+    return doc
 
 
 def written(doc) -> str:
     out = io.StringIO()
     nn.write_json(out, doc)
     return out.getvalue()
+
+
+# Edge bit patterns: both zeros, the smallest and largest subnormals, the
+# smallest normal, the largest finite magnitudes.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+          1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _finite_bit_patterns(seed: int, n: int) -> np.ndarray:
+    """``n`` uniformly drawn float64 bit patterns, an all-ones exponent
+    (infinity or NaN) turned finite by clearing its top exponent bit."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64,
+                                               endpoint=False)
+    exponent_all_ones = (bits & np.uint64(0x7FF0000000000000)) == np.uint64(0x7FF0000000000000)
+    bits[exponent_all_ones] ^= np.uint64(0x4000000000000000)
+    return bits.view(np.float64)
+
+
+class TestArrayCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGES),
+                    max_size=40),
+           st.integers(0, 2**32 - 1), st.integers(0, 2 * nn.WRITE_BLOCK + 5))
+    def test_round_trip_is_bit_exact_and_equals_base64_of_the_bytes(self, drawn, seed, n):
+        values = np.concatenate([np.array(drawn, dtype=float), _finite_bit_patterns(seed, n)])
+        text = nn.encode_array(values)
+        assert text == base64.b64encode(values.astype("<f8").tobytes()).decode()
+        back = nn.decode_array(text, values.size, "values")
+        assert back.tobytes() == values.astype("<f8").tobytes()
+        doc = {"v": values, "list": [values[:3], {"n": 1}]}
+        assert written(doc) == json.dumps(
+            {"v": text, "list": [nn.encode_array(values[:3]), {"n": 1}]}, sort_keys=True)
+
+    def test_two_dimensional_arrays_are_stored_row_major(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert nn.encode_array(a) == nn.encode_array(a.ravel()) == stored([0, 1, 2, 3, 4, 5])
+        assert nn.encode_array(a.T) == stored([0, 3, 1, 4, 2, 5])
+
+    def test_write_block_ends_on_a_base64_group(self):
+        assert nn.WRITE_BLOCK * 8 % 3 == 0
+
+    @pytest.mark.parametrize("value, problem", [
+        ([1.0, 2.0], "is not a base64 string"),
+        (None, "is not a base64 string"),
+        (4, "is not a base64 string"),
+        (stored([1.0, 2.0])[:-4] + " " + stored([1.0, 2.0])[-3:], "is not valid base64"),
+        (stored([1.0, 2.0]).replace("A", "-", 1), "is not valid base64"),
+        (stored([1.0, 2.0]) + "\n", "is not valid base64"),
+        ("\u00e9" + stored([1.0, 2.0])[1:], "is not valid base64"),
+        (stored([1.0, 2.0]).rstrip("="), "is not valid base64"),
+        (stored([1.0, 2.0]) + "=", "is not valid base64"),
+        (stored([1.0, 2.0, 3.0]) + "=", "is not valid base64"),
+        (stored([1.0]) + "AAAA", "is not valid base64"),
+        (base64.b64encode(bytes(12)).decode(), "holds 12 bytes, not a whole number of float64"),
+        (stored([1.0]), r"has shape \(1,\), expected \(2,\)"),
+        (stored([1.0, 2.0, 3.0]), r"has shape \(3,\), expected \(2,\)"),
+        (stored([1.0, np.nan]), "holds non-finite values"),
+        (stored([np.inf, 1.0]), "holds non-finite values"),
+        (stored([1.0, -np.inf]), "holds non-finite values"),
+    ], ids=["list", "null", "int", "space", "non-alphabet", "newline", "non-ascii",
+            "no-padding", "extra-padding", "padding-after-whole-group", "data-after-padding", "12-bytes", "one-value",
+            "three-values", "nan", "inf", "minus-inf"])
+    def test_decode_failure_names_the_field(self, value, problem):
+        with pytest.raises(nn.StateError, match=r"^parameters\[3\]\.weight " + problem):
+            nn.decode_array(value, 2, "parameters[3].weight")
 
 
 class TestWriteJson:
@@ -527,23 +594,23 @@ class TestWriteJson:
         for _ in range(3):  # moves the running statistics off their start
             nn.forward(model, rng.normal(size=(16, 51)), rng=rng)
         model.flat[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300]
-        assert written(nn.model_document(model, "classifier")) == \
-            json.dumps(listed_model(model, "classifier"), sort_keys=True)
+        doc = nn.model_document(model, "classifier")
+        assert written(doc) == json.dumps(with_stored_arrays(doc), sort_keys=True)
+        assert json.loads(written(doc))["format_version"] == 2
 
     def test_autoencoder_bytes_equal_json_dumps(self):
         spec = AutoencoderSpec(seed=5)
         ae = Autoencoder(spec, untrained_autoencoder_model(spec), trained=True)
         assert ae.model.params[0]["weight"].size > nn.WRITE_BLOCK
-        expected = dict(listed_model(ae.model, "autoencoder"), autoencoder={
-            "hidden_dim": 128, "epochs": 200, "batch_size": 16, "seed": 5, "trained": True,
-        })
+        expected = dict(with_stored_arrays(nn.model_document(ae.model, "autoencoder")),
+                        autoencoder={"epochs": 200, "batch_size": 16, "seed": 5, "trained": True})
         assert written(autoencoder_document(ae)) == json.dumps(expected, sort_keys=True)
 
     def test_nested_plain_values_and_empty_arrays(self):
         doc = {"b": [1, None, True, "s\u00e9", {"z": 1.5, "a": np.array([])}],
                "a": {"n": np.array([[1.0, -2.5], [3.0, 0.1]]), "m": 7}}
-        plain = {"b": [1, None, True, "s\u00e9", {"z": 1.5, "a": []}],
-                 "a": {"n": [1.0, -2.5, 3.0, 0.1], "m": 7}}
+        plain = {"b": [1, None, True, "s\u00e9", {"z": 1.5, "a": ""}],
+                 "a": {"n": stored([1.0, -2.5, 3.0, 0.1]), "m": 7}}
         assert written(doc) == json.dumps(plain, sort_keys=True)
 
     def test_no_float_list_or_document_string_is_built(self):
@@ -562,9 +629,9 @@ class TestWriteJson:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One block's floats and their text: about 110 bytes per number. The
-        # document string alone would take a byte per character written (2 MB
-        # here), its floats as lists 32 bytes per parameter on top.
+        # One block's bytes and their base64 text: under 30 bytes per value.
+        # The document string alone would take a byte per character written
+        # (1 MB here), a float list of the parameters 32 bytes per value.
         assert peak < 128 * nn.WRITE_BLOCK + 100_000
         assert 5 * peak < out.size
 
@@ -585,6 +652,12 @@ class TestSerialization:
         with pytest.raises(nn.StateError, match="version"):
             nn.model_from_dict(doc)
 
+    def test_version_1_document_rejected_by_name(self):
+        doc = model_dict(softmax_ce_net(), artifact_kind="classifier")
+        doc["format_version"] = 1
+        with pytest.raises(nn.StateError, match="unsupported model format version 1, expected 2"):
+            nn.model_from_dict(doc, expected_kind="classifier")
+
     def test_kind_mismatch_fails(self):
         model = softmax_ce_net()
         doc = model_dict(model, artifact_kind="autoencoder")
@@ -595,12 +668,16 @@ class TestSerialization:
         (lambda d: d.pop("layers"), "no field layers"),
         (lambda d: d["layers"][0].pop("input_dim"), r"no field layers\[0\]\.input_dim"),
         (lambda d: d["parameters"].pop(), "parameters has 4 entries for 5 layers"),
-        (lambda d: d["parameters"][3]["weight"].pop(), r"parameters\[3\]\.weight has shape"),
-        (lambda d: d["parameters"][0]["bias"].__setitem__(1, float("nan")),
+        (lambda d: retouch(d["parameters"][3], "weight", lambda a: a[:-1]),
+         r"parameters\[3\]\.weight has shape \(7,\), expected \(8,\)"),
+        (lambda d: retouch(d["parameters"][0], "bias", lambda a: a.__setitem__(1, np.nan)),
          r"parameters\[0\]\.bias holds non-finite"),
         (lambda d: d["running_stats"].__setitem__(2, None), r"running_stats\[2\]"),
-        (lambda d: d["running_stats"][2].update(mean=[0.0]),
+        (lambda d: retouch(d["running_stats"][2], "mean", lambda a: a[:1]),
          r"running_stats\[2\]\.mean has shape \(1,\)"),
+        (lambda d: d["parameters"][0].update(bias=[0.0, 0.0, 0.0, 0.0]),
+         r"parameters\[0\]\.bias is not a base64 string"),
+        (lambda d: d["parameters"][0].pop("bias"), r"no field parameters\[0\]\.bias"),
         (lambda d: d["layers"][2].update(epsilon=-1000.0), r"layers\[2\]\.epsilon is -1000\.0"),
         (lambda d: d["layers"][2].update(epsilon=0), r"layers\[2\]\.epsilon is 0,"),
         (lambda d: d["layers"][2].update(epsilon=10**400), r"layers\[2\]\.epsilon"),
@@ -611,7 +688,8 @@ class TestSerialization:
         (lambda d: d["layers"][1].update(dropout_rate=1.0), r"layers\[1\]\.dropout_rate"),
         (lambda d: d["layers"][1].update(dropout_rate=None), r"layers\[1\]\.dropout_rate"),
     ], ids=["no-layers", "no-input-dim", "truncated-parameters", "short-weight",
-            "nan-bias", "running-stats-none", "one-element-mean", "negative-epsilon",
+            "nan-bias", "running-stats-none", "one-element-mean", "listed-bias", "no-bias",
+            "negative-epsilon",
             "zero-epsilon", "huge-int-epsilon", "string-momentum", "bool-momentum",
             "momentum-above-one", "string-dropout-rate", "dropout-rate-one",
             "null-dropout-rate"])
