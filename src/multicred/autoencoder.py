@@ -9,14 +9,15 @@ is used by the feature pipeline, through :meth:`Autoencoder.encode_batch`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .atomic import atomic_write
-from .domain import DomainError
+from .domain import DomainError, StateError
 from . import network as nn
+from . import store
 
 INPUT_DIM = 768
 HIDDEN_DIM = 128
@@ -67,7 +68,7 @@ class Autoencoder:
         :func:`network.forward`, so the codes equal its layer-2 outputs.
         """
         if not self.trained:
-            raise nn.StateError("autoencoder is untrained; train it before encoding")
+            raise StateError("autoencoder is untrained; train it before encoding")
         x = np.asarray(vectors, dtype=float)
         if x.ndim != 2 or x.shape[1] != INPUT_DIM:
             raise nn.ShapeError(f"expected [n x {INPUT_DIM}] input, got {x.shape}")
@@ -121,50 +122,39 @@ def train_autoencoder(
 
 
 def save_autoencoder(ae: Autoencoder, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        nn.write_json(fh, autoencoder_document(ae))
+    with store.atomic_write(path) as fh:
+        store.write_json(fh, autoencoder_document(ae))
 
 
 def load_autoencoder(path: str | Path) -> Autoencoder:
-    return autoencoder_from_dict(nn.read_json(path, "autoencoder"))
+    return autoencoder_from_dict(store.read_json(path, "autoencoder", StateError))
 
 
 def autoencoder_from_dict(doc: dict) -> Autoencoder:
     model = nn.model_from_dict(doc, expected_kind="autoencoder")
     layers = model.spec.layers
     if model.spec.input_dim != INPUT_DIM:
-        raise nn.StateError(
+        raise StateError(
             f"autoencoder input width is {model.spec.input_dim}, expected {INPUT_DIM}"
         )
     if tuple(layer.kind for layer in layers[:_ENCODER_END]) != _ENCODER_KINDS:
-        raise nn.StateError(f"autoencoder encoder layers are not {', '.join(_ENCODER_KINDS)}")
+        raise StateError(f"autoencoder encoder layers are not {', '.join(_ENCODER_KINDS)}")
     if layers[_ENCODER_END - 1].output_dim != LATENT_DIM:
-        raise nn.StateError(f"autoencoder latent width is not {LATENT_DIM}")
+        raise StateError(f"autoencoder latent width is not {LATENT_DIM}")
     if layers[0].output_dim != HIDDEN_DIM:
-        raise nn.StateError(
+        raise StateError(
             f"autoencoder hidden width is {layers[0].output_dim}, expected {HIDDEN_DIM}")
-    meta = doc.get("autoencoder", {})
-    if not isinstance(meta, dict):
-        raise nn.StateError("serialized autoencoder field autoencoder is not a JSON object")
-    positive, default = (lambda v: v >= 1), AutoencoderSpec()
+    get = partial(store.field, doc, what="serialized autoencoder", error=StateError)
+    default = AutoencoderSpec()
     spec = AutoencoderSpec(
-        epochs=_meta_field(meta, "epochs", default.epochs, positive, "a positive integer"),
-        batch_size=_meta_field(meta, "batch_size", default.batch_size, positive,
-                               "a positive integer"),
-        seed=_meta_field(meta, "seed", default.seed, lambda v: v >= 0, "a nonnegative integer"),
+        epochs=get("autoencoder.epochs", int, default=default.epochs,
+                   valid=lambda v: v >= 1, requirement=">= 1"),
+        batch_size=get("autoencoder.batch_size", int, default=default.batch_size,
+                       valid=lambda v: v >= 1, requirement=">= 1"),
+        seed=get("autoencoder.seed", int, default=default.seed,
+                 valid=lambda v: v >= 0, requirement=">= 0"),
     )
-    trained = _meta_field(meta, "trained", True, lambda v: True, "true or false")
-    return Autoencoder(spec, model, trained=trained)
-
-
-def _meta_field(meta: dict, key: str, default, valid: Callable, requirement: str):
-    """``meta[key]``, or ``default`` if absent: a value of the default's type
-    (an int is not a bool here) passing ``valid``, else a StateError naming it."""
-    value = meta.get(key, default)
-    if type(value) is not type(default) or not valid(value):
-        raise nn.StateError(f"serialized autoencoder field autoencoder.{key} is {value!r}, "
-                            f"expected {requirement}")
-    return value
+    return Autoencoder(spec, model, trained=get("autoencoder.trained", bool, default=True))
 
 
 def autoencoder_document(ae: Autoencoder) -> dict:

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
 from .domain import ALLOWED_CLASS_COUNTS, DomainError
 from .features import NUM_FEATURES, LabeledDataset, SplitDataset
 from . import network as nn
+from .store import atomic_write
 
 INPUT_DIM = NUM_FEATURES
 HIDDEN_WIDE = 256

@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -26,12 +27,12 @@ from . import autoencoder as ae_mod
 from . import classifier as clf_mod
 from . import features as feat_mod
 from . import network as nn
-from .atomic import atomic_write
 from .dataset import DatasetLoadError, SyntheticConfig, generate_synthetic, write_dataset
-from .domain import ALLOWED_CLASS_COUNTS, ClassificationSystem, DomainError, bin_score
+from .domain import ALLOWED_CLASS_COUNTS, ClassificationSystem, DomainError, StateError, bin_score
 from .embedding import EmbedderSpec, embed_texts
-from .network import ShapeError, StateError
+from .network import ShapeError
 from .preprocess import preprocess
+from .store import atomic_write, decode_array, field, read_json, write_json
 
 logger = logging.getLogger("multicred")
 
@@ -161,7 +162,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise FileNotFoundError(f"config file not found: {path}")
-        file_values = nn.read_json(path, "config file")
+        file_values = read_json(path, "config file", StateError)
 
     command = args.command
     merged = dict(_DEFAULTS.get(command, {}))
@@ -276,7 +277,7 @@ def _cmd_prepare(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ae_mod.save_autoencoder(ae, out / "autoencoder.json")
     with atomic_write(out / "norm_stats.json") as fh:
-        nn.write_json(fh, {"minimum": stats.minimum, "maximum": stats.maximum})
+        write_json(fh, {"minimum": stats.minimum, "maximum": stats.maximum})
     feat_mod.write_feature_layout(out / "feature_layout.json")
     feat_mod.write_feature_csv(train_ds, out / "train.csv")
     feat_mod.write_feature_csv(test_ds, out / "test.csv")
@@ -297,25 +298,14 @@ def _cmd_prepare(cfg: RunConfig) -> int:
 
 
 def _read_object(path: Path, what: str) -> dict:
-    return nn.read_json(_require_file(path, what), what)
-
-
-def _field(doc: dict, name: str, what: str):
-    """The value at dotted ``name`` in ``doc``; a StateError naming it if absent."""
-    value = doc
-    for key in name.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise StateError(f"{what} has no field {name}")
-        value = value[key]
-    return value
+    return read_json(_require_file(path, what), what, StateError)
 
 
 def _load_prepared(prepared: Path):
     meta = _read_object(prepared / "prepare_meta.json", "prepare metadata")
-    num_classes = _field(meta, "num_classes", "prepare metadata")
-    if type(num_classes) is not int or num_classes not in ALLOWED_CLASS_COUNTS:
-        raise StateError(f"prepare metadata num_classes must be one of "
-                         f"{ALLOWED_CLASS_COUNTS}, got {json.dumps(num_classes)}")
+    num_classes = field(meta, "num_classes", int, "prepare metadata", StateError,
+                        valid=lambda n: n in ALLOWED_CLASS_COUNTS,
+                        requirement=f"in {ALLOWED_CLASS_COUNTS}")
     splits = feat_mod.SplitDataset(
         train=feat_mod.read_feature_csv(
             _require_file(prepared / "train.csv", "train split"), num_classes),
@@ -331,7 +321,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     prepared = _require_dir(cfg.prepared, "prepared directory")
     meta, splits = _load_prepared(prepared)
     num_classes = meta["num_classes"]
-    embedder = _field(meta, "embedder", "prepare metadata")
+    embedder = field(meta, "embedder", dict, "prepare metadata", StateError)
 
     config = clf_mod.TrainConfig(
         num_classes=num_classes,
@@ -367,7 +357,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     }
     out = Path(cfg.out)
     with atomic_write(out) as fh:
-        nn.write_json(fh, bundle)
+        write_json(fh, bundle)
     clf_mod.write_history_csv(history, out.with_suffix(".history.csv"))
     print(json.dumps({
         "model": str(out),
@@ -381,7 +371,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _load_bundle(path: Path):
     doc = _read_object(path, "model bundle")
-    field = lambda name: _field(doc, name, "model bundle")
+    get = partial(field, doc, what="model bundle", error=StateError)
     if doc.get("format_version") != BUNDLE_VERSION:
         raise StateError(
             f"unsupported bundle version {doc.get('format_version')!r}, "
@@ -389,34 +379,31 @@ def _load_bundle(path: Path):
         )
     if doc.get("artifact_kind") != BUNDLE_KIND:
         raise StateError(f"not a pipeline bundle: {doc.get('artifact_kind')!r}")
-    kind = field("embedder.kind")
-    if kind != "hash":
-        raise StateError(f"bundle embedder.kind is {kind!r}; only 'hash' is supported")
-    embedder = EmbedderSpec(hash_seed=field("embedder.hash_seed"))
-    model = nn.model_from_dict(field("classifier"), expected_kind="classifier")
-    num_classes = field("num_classes")
-    if type(num_classes) is not int:
-        raise StateError(f"bundle num_classes must be an integer, got {json.dumps(num_classes)}")
+    get("embedder.kind", str, valid=lambda kind: kind == "hash",
+        requirement='"hash", the only embedder supported')
+    embedder = EmbedderSpec(hash_seed=get("embedder.hash_seed", int))
+    model = nn.model_from_dict(get("classifier", dict), expected_kind="classifier")
+    num_classes = get("num_classes", int)
     if num_classes != model.spec.output_dim:
         raise StateError(
             f"bundle num_classes {num_classes!r} does not match the "
             f"classifier's output width {model.spec.output_dim}"
         )
-    ae = ae_mod.autoencoder_from_dict(field("autoencoder"))
+    ae = ae_mod.autoencoder_from_dict(get("autoencoder", dict))
     stats = _normalization_stats(doc, "model bundle", "normalization.")
     return num_classes, model, ae, stats, embedder
 
 
 def _normalization_stats(doc: dict, what: str, prefix: str) -> feat_mod.NormalizationStats:
     """The min-max bounds at ``prefix + "minimum"`` and ``prefix + "maximum"``
-    in ``doc``: each 35 finite numbers stored by :func:`network.encode_array`,
+    in ``doc``: each 35 finite numbers stored by :func:`store.encode_array`,
     no minimum above its maximum. A StateError names the field that breaks
     this."""
     bounds = {}
     for key in ("minimum", "maximum"):
         name = prefix + key
-        bounds[key] = nn.decode_array(_field(doc, name, what), feat_mod.NUM_SCALAR_FEATURES,
-                                      f"{what} {name}")
+        bounds[key] = decode_array(field(doc, name, object, what, StateError),
+                                   feat_mod.NUM_SCALAR_FEATURES, f"{what} field {name}")
     above = np.flatnonzero(bounds["minimum"] > bounds["maximum"])
     if above.size:
         raise StateError(f"{what} {prefix}minimum exceeds {prefix}maximum "

@@ -9,11 +9,19 @@ On-disk layout, one dataset per directory:
     <root>/labels.csv                 header "user_id,score"; absent for
                                       unlabeled prediction sets
 
-All JSON is UTF-8. :func:`iter_records` reads one user at a time and
-reports every malformed file at once, when the last user has been read,
-instead of stopping at the first; tweet and comment lists are truncated
-at the ingest caps. :func:`read_tweet_texts` re-reads one user's tweet
-texts only, for passes that need nothing else.
+Files are read strictly, through :mod:`multicred.store`: UTF-8 JSON with
+no repeated key and no ``NaN`` or ``Infinity``, and typed fields, none
+coerced. Booleans are ``true``/``false``; counts integers, or an entity
+list (as raw API dumps give it) counted by length; ``created_at`` and
+``text`` strings; ``location``, ``description`` and ``url`` a string or
+null. Absent fields take their defaults; any other value, or a labels
+score that is not a finite number, is an error naming the file.
+
+:func:`iter_records` reads one user at a time and reports every
+malformed file at once, when the last user has been read, instead of
+stopping at the first; tweet and comment lists are truncated at the
+ingest caps. :func:`read_tweet_texts` re-reads one user's tweet texts
+only, for passes that need nothing else.
 
 The synthetic generator plants one credibility class per user and draws
 trust-criteria flags whose summed weights land inside that class's score
@@ -27,6 +35,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -34,7 +43,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .atomic import atomic_write
 from .domain import (
     CRITERIA,
     MAX_COMMENTS_PER_USER,
@@ -53,6 +61,7 @@ from .domain import (
     validate_record,
 )
 from .embedding import default_lexicon
+from .store import atomic_write, field, read_csv, read_json
 
 # Fixed "now" for generated timestamps, so identical configs give
 # identical bytes regardless of when they run.
@@ -130,115 +139,66 @@ class DatasetLoadError(Exception):
         )
 
 
-def _read_json(path: Path, kind: type):
-    """The JSON value in ``path``, which must be a ``kind``: a dict or a list
-    of dicts."""
-    raw = path.read_bytes().decode("utf-8", errors="replace")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed JSON in {path} at byte offset {exc.pos}") from None
-    except RecursionError:
-        raise DomainError(f"{path} nests JSON arrays or objects too deeply") from None
-    if kind is dict and not isinstance(value, dict):
-        raise DomainError(f"{path} does not hold a JSON object")
-    if kind is list and not (isinstance(value, list)
-                             and all(isinstance(v, dict) for v in value)):
-        raise DomainError(f"{path} does not hold a JSON array of objects")
-    return value
+# A profile's typed fields: JSON key (also the UserProfile field), type
+# and default. Optional texts are a string or null.
+_TEXT_OR_NULL = (str, type(None))
+_PROFILE_FIELDS = (
+    ("name", str, ""), ("screen_name", str, ""), ("location", _TEXT_OR_NULL, None),
+    ("description", _TEXT_OR_NULL, None), ("url", _TEXT_OR_NULL, None),
+    ("protected", bool, False), ("followers_count", int, 0), ("friends_count", int, 0),
+    ("listed_count", int, 0), ("favourites_count", int, 0), ("geo_enabled", bool, False),
+    ("verified", bool, False), ("statuses_count", int, 0),
+    ("profile_use_background_image", bool, False),
+)
+# The counts under a tweet's "entities".
+_ENTITIES = ("hashtags", "user_mentions", "urls", "symbols", "polls")
 
 
-def _count(data: dict, key: str, name: str) -> int:
-    """``int(data[key])``, 0 if absent; a DomainError naming ``name.key`` if
-    that fails, as for null, a list or ``1e400``, which JSON reads as infinity."""
-    value = data.get(key, 0)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name}.{key} is not a count: {value!r}") from None
-
-
-def _timestamp(data: dict, name: str) -> datetime:
-    """``data["created_at"]`` as aware UTC; a DomainError naming ``name.created_at``
-    for a non-string or a time that leaves the datetime range in UTC."""
-    value = data["created_at"]
-    if not isinstance(value, str):
-        raise DomainError(f"{name}.created_at is not a string: {value!r}")
+def _timestamp(data: dict, what: str, at: str) -> datetime:
+    """``data["created_at"]``, a string, as aware UTC; a DomainError naming
+    it if it does not parse or leaves the datetime range in UTC."""
+    value = field(data, "created_at", str, what, DomainError, at=at)
     try:
         return parse_timestamp(value)
-    except OverflowError:
-        raise DomainError(f"{name}.created_at is out of range in UTC: {value!r}") from None
+    except (DomainError, OverflowError):
+        raise DomainError(f"{what} field {at}created_at is {json.dumps(value)}, expected "
+                          f"an ISO-8601 time within the datetime range in UTC") from None
 
 
-def _entity_count(entities: dict, key: str, name: str) -> int:
-    if isinstance(entities.get(key), list):  # tolerate raw API dumps with full entity lists
-        return len(entities[key])
-    return _count(entities, key, f"{name}.entities")
+def _profile_from_json(data: dict, what: str) -> UserProfile:
+    return UserProfile(created_at=_timestamp(data, what, ""), **{
+        key: field(data, key, kind, what, DomainError, default)
+        for key, kind, default in _PROFILE_FIELDS})
 
 
-def _profile_from_json(data: dict) -> UserProfile:
-    return UserProfile(
-        name=str(data.get("name", "")),
-        screen_name=str(data.get("screen_name", "")),
-        created_at=_timestamp(data, "profile"),
-        location=data.get("location"),
-        description=data.get("description"),
-        url=data.get("url"),
-        protected=bool(data.get("protected", False)),
-        followers_count=_count(data, "followers_count", "profile"),
-        friends_count=_count(data, "friends_count", "profile"),
-        listed_count=_count(data, "listed_count", "profile"),
-        favourites_count=_count(data, "favourites_count", "profile"),
-        geo_enabled=bool(data.get("geo_enabled", False)),
-        verified=bool(data.get("verified", False)),
-        statuses_count=_count(data, "statuses_count", "profile"),
-        profile_use_background_image=bool(data.get("profile_use_background_image", False)),
-    )
+def _tweet_text(data: dict, what: str, at: str) -> str:
+    return field(data, "text", str, what, DomainError, "", at=at)
 
 
-def _tweet_text(data: dict) -> str:
-    return str(data.get("text", ""))
-
-
-def _tweet_from_json(data: dict, name: str) -> Tweet:
-    entities = data.get("entities", {})
-    if not isinstance(entities, dict):
-        raise DomainError(f"{name}.entities is not a JSON object: {entities!r}")
+def _tweet_from_json(data: dict, what: str, at: str) -> Tweet:
+    entities = field(data, "entities", dict, what, DomainError, {}, at=at)
+    counts, in_entities = [], at + "entities."
+    for key in _ENTITIES:
+        count = field(entities, key, (int, list), what, DomainError, 0, at=in_entities)
+        # Raw API dumps list the entities themselves, which count by length.
+        counts.append(len(count) if type(count) is list else count)
+    hashtags, mentions, urls, symbols, polls = counts
     return Tweet(
-        created_at=_timestamp(data, name),
-        text=_tweet_text(data),
-        truncated=bool(data.get("truncated", False)),
-        retweet_count=_count(data, "retweet_count", name),
-        favorite_count=_count(data, "favorite_count", name),
-        favorited=bool(data.get("favorited", False)),
-        retweeted=bool(data.get("retweeted", False)),
-        is_quote_status=bool(data.get("is_quote_status", False)),
-        hashtag_count=_entity_count(entities, "hashtags", name),
-        mention_count=_entity_count(entities, "user_mentions", name),
-        url_count=_entity_count(entities, "urls", name),
-        symbol_count=_entity_count(entities, "symbols", name),
-        has_poll=bool(data.get("has_poll", _entity_count(entities, "polls", name) > 0)),
+        created_at=_timestamp(data, what, at),
+        text=_tweet_text(data, what, at),
+        truncated=field(data, "truncated", bool, what, DomainError, False, at=at),
+        retweet_count=field(data, "retweet_count", int, what, DomainError, 0, at=at),
+        favorite_count=field(data, "favorite_count", int, what, DomainError, 0, at=at),
+        favorited=field(data, "favorited", bool, what, DomainError, False, at=at),
+        retweeted=field(data, "retweeted", bool, what, DomainError, False, at=at),
+        is_quote_status=field(data, "is_quote_status", bool, what, DomainError, False, at=at),
+        hashtag_count=hashtags, mention_count=mentions, url_count=urls, symbol_count=symbols,
+        has_poll=field(data, "has_poll", bool, what, DomainError, polls > 0, at=at),
     )
 
 
 def _profile_to_json(p: UserProfile) -> dict:
-    return {
-        "name": p.name,
-        "screen_name": p.screen_name,
-        "location": p.location,
-        "description": p.description,
-        "url": p.url,
-        "protected": p.protected,
-        "followers_count": p.followers_count,
-        "friends_count": p.friends_count,
-        "listed_count": p.listed_count,
-        "created_at": format_timestamp(p.created_at),
-        "favourites_count": p.favourites_count,
-        "geo_enabled": p.geo_enabled,
-        "verified": p.verified,
-        "statuses_count": p.statuses_count,
-        "profile_use_background_image": p.profile_use_background_image,
-    }
+    return dict(vars(p), created_at=format_timestamp(p.created_at))
 
 
 def _tweet_to_json(t: Tweet) -> dict:
@@ -264,36 +224,47 @@ def _tweet_to_json(t: Tweet) -> dict:
 
 def _read_labels(path: Path) -> dict[str, float]:
     labels: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_id", "score"]:
-            raise DomainError(f"labels file {path} needs header 'user_id,score', got {header}")
-        for row in reader:
-            if len(row) != 2:
-                raise DomainError(f"labels file {path} has a malformed row: {row}")
-            if row[0] in labels:
-                raise DomainError(f"labels file {path} lists user {row[0]!r} twice, "
-                                  f"again on line {reader.line_num}")
-            labels[row[0]] = float(row[1])
+    lines = read_csv(path, DomainError)
+    _, header = next(lines, (1, None))
+    if header != ["user_id", "score"]:
+        raise DomainError(f"labels file {path} needs header 'user_id,score', got {header}")
+    for line, row in lines:
+        if len(row) != 2:
+            raise DomainError(f"labels file {path} has a malformed row on line {line}: {row}")
+        if row[0] in labels:
+            raise DomainError(f"labels file {path} lists user {row[0]!r} twice, "
+                              f"again on line {line}")
+        try:
+            score = float(row[1])
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise DomainError(f"labels file {path} gives user {row[0]!r} the score "
+                              f"{row[1]!r} on line {line}, expected a finite number")
+        labels[row[0]] = score
     return labels
 
 
 def _read_record(root: Path, user_id: str, labels: dict[str, float] | None) -> UserRecord:
     """One user's files as a record, truncated at the caps and validated; its
     score comes from ``labels``, None for an unlabeled dataset."""
-    profile = _profile_from_json(_read_json(root / "profiles" / f"{user_id}.json", dict))
+    path = root / "profiles" / f"{user_id}.json"
+    profile = _profile_from_json(read_json(path, "profile file", DomainError),
+                                 f"profile file {path}")
 
     tweets: list[Tweet] = []
-    tweets_path = root / "tweets" / f"{user_id}.json"
-    if tweets_path.is_file():
-        tweets = [_tweet_from_json(t, f"tweets[{i}]")
-                  for i, t in enumerate(_read_json(tweets_path, list))]
+    path = root / "tweets" / f"{user_id}.json"
+    if path.is_file():
+        what = f"tweets file {path}"
+        tweets = [_tweet_from_json(t, what, f"[{i}].")
+                  for i, t in enumerate(read_json(path, "tweets file", DomainError, list))]
 
     comments: list[Comment] = []
-    comments_path = root / "comments" / f"{user_id}.json"
-    if comments_path.is_file():
-        comments = [Comment(text=str(c["text"])) for c in _read_json(comments_path, list)]
+    path = root / "comments" / f"{user_id}.json"
+    if path.is_file():
+        what = f"comments file {path}"
+        comments = [Comment(text=field(c, "text", str, what, DomainError, at=f"[{i}]."))
+                    for i, c in enumerate(read_json(path, "comments file", DomainError, list))]
 
     score = None
     if labels is not None:
@@ -338,7 +309,7 @@ def iter_records(root: str | Path) -> tuple[DatasetManifest, Iterator[UserRecord
     if labels_path.is_file():
         try:
             labels = _read_labels(labels_path)
-        except (DomainError, ValueError) as exc:
+        except DomainError as exc:
             raise DatasetLoadError([(str(labels_path), str(exc))]) from None
 
     user_ids = sorted(p.stem for p in profiles_dir.glob("*.json"))
@@ -351,7 +322,7 @@ def iter_records(root: str | Path) -> tuple[DatasetManifest, Iterator[UserRecord
         for user_id in user_ids:
             try:
                 record = _read_record(root, user_id, labels)
-            except (DomainError, KeyError, TypeError, ValueError) as exc:
+            except DomainError as exc:
                 failures.append((user_id, str(exc)))
                 continue
             yield record
@@ -376,8 +347,10 @@ def read_tweet_texts(root: str | Path, user_id: str, count: int) -> list[str]:
     the user and the file.
     """
     path = Path(root) / "tweets" / f"{user_id}.json"
+    what = f"tweets file {path}"
     try:
-        texts = [_tweet_text(t) for t in _read_json(path, list)[:MAX_TWEETS_PER_USER]]
+        tweets = read_json(path, "tweets file", DomainError, list)[:MAX_TWEETS_PER_USER]
+        texts = [_tweet_text(t, what, f"[{i}].") for i, t in enumerate(tweets)]
     except (DomainError, OSError) as exc:
         raise DatasetLoadError([(user_id, f"re-reading {path}: {exc}")]) from None
     if len(texts) != count:
@@ -393,7 +366,7 @@ def write_dataset(records: list[UserRecord], root: str | Path) -> DatasetManifes
     Records must be all labeled or all unlabeled; labels.csv is written
     only in the first case. Output is deterministic: users sorted by id,
     JSON keys sorted. Each file is replaced atomically (see
-    :func:`~multicred.atomic.atomic_write`).
+    :func:`~multicred.store.atomic_write`).
     """
     scored = [r.score is not None for r in records]
     if any(scored) and not all(scored):

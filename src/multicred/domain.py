@@ -43,6 +43,10 @@ class DomainError(ValueError):
     """A value violates a domain contract (range, membership, shape)."""
 
 
+class StateError(RuntimeError):
+    """An operation ran against stale or inconsistent model state."""
+
+
 @dataclass(frozen=True)
 class UserProfile:
     """Static account fields consumed by the feature pipeline.

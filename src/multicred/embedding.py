@@ -21,7 +21,6 @@ smoothing, producing a probability distribution over
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from importlib import resources
@@ -29,7 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .domain import StateError
 from .preprocess import CleanText
+from .store import field, read_json
 
 EMBEDDING_DIM = 768
 EMOTIONS = ("sadness", "joy", "love", "anger", "fear", "surprise")
@@ -96,15 +97,10 @@ def embed_texts(spec: EmbedderSpec, cleans: Sequence[CleanText]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def default_lexicon() -> dict[str, frozenset[str]]:
     """The shipped emotion→words lexicon."""
-    raw = resources.files("multicred.data").joinpath("emotion_lexicon.json").read_text("utf-8")
-    return _as_lexicon(json.loads(raw))
-
-
-def _as_lexicon(data: dict) -> dict[str, frozenset[str]]:
-    missing = [e for e in EMOTIONS if e not in data]
-    if missing:
-        raise ValueError(f"lexicon missing emotions: {missing}")
-    return {e: frozenset(w.lower() for w in data[e]) for e in EMOTIONS}
+    path = resources.files("multicred.data").joinpath("emotion_lexicon.json")
+    data = read_json(path, "emotion lexicon", StateError)
+    return {e: frozenset(w.lower() for w in field(data, e, list, "emotion lexicon", StateError))
+            for e in EMOTIONS}
 
 
 def analyze_sentiment(clean: CleanText) -> np.ndarray:

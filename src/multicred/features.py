@@ -46,13 +46,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
 from .autoencoder import Autoencoder
 from .dataset import DatasetManifest, iter_records, read_tweet_texts
-from .domain import DomainError, Tweet, UserProfile
+from .domain import DomainError, StateError, Tweet, UserProfile
 from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_texts
-from .network import ShapeError, StateError
+from .network import ShapeError
 from .preprocess import preprocess
+from .store import atomic_write, read_csv
 
 LAYOUT_VERSION = 1
 
@@ -518,34 +518,33 @@ def write_feature_csv(dataset: LabeledDataset, path: str | Path) -> None:
 def read_feature_csv(path: str | Path, num_classes: int) -> LabeledDataset:
     """Load a dataset previously written by :func:`write_feature_csv`.
 
-    A missing header or a malformed row raises a DomainError naming the
-    path and its 1-based line.
+    A missing header, a malformed row or a byte that is not UTF-8 raises a
+    DomainError naming the path and its 1-based line.
     """
     ids, rows, labels = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DomainError(f"{path}:1: missing header, the file is empty")
-        if len(header) != NUM_FEATURES + 2:
-            raise DomainError(f"{path}:1: header has {len(header)} columns, "
-                              f"expected {NUM_FEATURES + 2}")
-        for row in reader:
-            try:
-                if len(row) != NUM_FEATURES + 2:
-                    raise DomainError(f"{len(row)} columns, expected {NUM_FEATURES + 2}")
-                values = np.fromiter(map(float, row[1:-1]), np.float64, NUM_FEATURES)
-                label = int(row[-1])
-                if not 0 <= label < num_classes:
-                    raise DomainError(f"class index {label} out of range for "
-                                      f"{num_classes} classes")
-                if not np.isfinite(values).all():
-                    raise DomainError(f"non-finite feature values for user {row[0]}")
-            except ValueError as exc:
-                raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
-            ids.append(row[0])
-            rows.append(values)
-            labels.append(label)
+    lines = read_csv(path, DomainError)
+    _, header = next(lines, (1, None))
+    if header is None:
+        raise DomainError(f"{path}:1: missing header, the file is empty")
+    if len(header) != NUM_FEATURES + 2:
+        raise DomainError(f"{path}:1: header has {len(header)} columns, "
+                          f"expected {NUM_FEATURES + 2}")
+    for line, row in lines:
+        try:
+            if len(row) != NUM_FEATURES + 2:
+                raise DomainError(f"{len(row)} columns, expected {NUM_FEATURES + 2}")
+            values = np.fromiter(map(float, row[1:-1]), np.float64, NUM_FEATURES)
+            label = int(row[-1])
+            if not 0 <= label < num_classes:
+                raise DomainError(f"class index {label} out of range for "
+                                  f"{num_classes} classes")
+            if not np.isfinite(values).all():
+                raise DomainError(f"non-finite feature values for user {row[0]}")
+        except ValueError as exc:
+            raise DomainError(f"{path}:{line}: {exc}") from None
+        ids.append(row[0])
+        rows.append(values)
+        labels.append(label)
     x = np.array(rows, dtype=np.float64).reshape(len(rows), NUM_FEATURES)
     return LabeledDataset(tuple(ids), x, np.array(labels, dtype=np.intp), num_classes)
 

@@ -31,21 +31,22 @@ Conventions fixed here:
    ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS`` and the schedule's
    ``LR_INITIAL`` and ``LR_DECAY`` are module constants;
  - code that changes a parameter writes into its view (``p[...] = x``);
-   rebinding a dict entry would detach it from the buffer.
+   rebinding a dict entry would detach it from the buffer;
+ - a model's stored form is :func:`model_document`; :mod:`multicred.store`
+   writes and reads the files.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional, Sequence, TextIO
+from functools import partial
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import DomainError
+from .domain import DomainError, StateError
+from . import store
 
 FORMAT_VERSION = 2
 
@@ -68,13 +69,12 @@ LR_DECAY = 0.9
 
 _KINDS = ("dense", "batchnorm", "dropout", "relu", "softmax")
 
+# Passed as a Model's rng by model_from_dict, which overwrites every value.
+_LOADED = object()
+
 
 class ShapeError(ValueError):
     """An array dimension does not match the layer graph."""
-
-
-class StateError(RuntimeError):
-    """An operation ran against stale or inconsistent model state."""
 
 
 class NumericError(ArithmeticError):
@@ -149,24 +149,6 @@ class NetworkSpec:
         return self.layers[-1].output_dim
 
 
-def count_params(spec: NetworkSpec) -> tuple[int, int]:
-    """Total and trainable parameter counts for a layer graph.
-
-    Dense: in*out weights plus out biases, all trainable. Batchnorm:
-    scale and shift are trainable, the running mean/variance pair is not.
-    """
-    total = trainable = 0
-    for layer in spec.layers:
-        if layer.kind == "dense":
-            n = layer.input_dim * layer.output_dim + layer.output_dim
-            total += n
-            trainable += n
-        elif layer.kind == "batchnorm":
-            total += 4 * layer.output_dim
-            trainable += 2 * layer.output_dim
-    return total, trainable
-
-
 def _param_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
     """Trainable parameter shapes of one layer, in buffer order."""
     if layer.kind == "dense":
@@ -211,6 +193,8 @@ class Model:
         self.grad: Optional[np.ndarray] = None  # allocated by the first backward
         self._grads: Optional[list[dict[str, np.ndarray]]] = None
         self._version = 0
+        if rng is _LOADED:  # a loader writes every value, so none is drawn
+            return
         rng = rng if rng is not None else np.random.default_rng(0)
         for layer, params, stats in zip(spec.layers, self.params, self.running):
             if layer.kind == "dense":
@@ -358,13 +342,6 @@ def mean_squared_error(outputs: np.ndarray, targets: np.ndarray) -> float:
     if o.shape != t.shape:
         raise ShapeError(f"outputs shape {o.shape} != targets shape {t.shape}")
     return float(((o - t) ** 2).sum(axis=1).mean())
-
-
-def loss_for(model: Model, activations: ForwardPass, targets: np.ndarray) -> float:
-    """The loss the network trains against: CE after softmax, else MSE."""
-    if model.spec.layers[-1].kind == "softmax":
-        return cross_entropy(activations.outputs, targets)
-    return mean_squared_error(activations.outputs, targets)
 
 
 def backward(model: Model, activations: ForwardPass, targets: np.ndarray) -> np.ndarray:
@@ -522,52 +499,6 @@ def lr_at(epoch: int) -> float:
     return LR_INITIAL * LR_DECAY**epoch
 
 
-def grad_check(
-    model: Model, batch: tuple[np.ndarray, np.ndarray], eps: float = 1e-5
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    A verification oracle for small networks: perturbs every parameter by
-    +/- eps and compares (L(t+eps)-L(t-eps))/(2 eps) against backward's
-    output. Dropout must be disabled and eps must lie in [1e-6, 1e-4].
-    """
-    if not 1e-6 <= eps <= 1e-4:
-        raise DomainError(f"eps must lie in [1e-6, 1e-4], got {eps}")
-    total, _ = count_params(model.spec)
-    if total > 10_000:
-        raise DomainError(f"model too large for finite differences: {total} parameters")
-    if any(l.kind == "dropout" and l.dropout_rate > 0.0 for l in model.spec.layers):
-        raise DomainError("disable dropout before gradient checking")
-
-    inputs, targets = batch
-    saved_mode = model.mode
-    saved = model.snapshot()
-    model.train_mode()
-    try:
-        # Only backward writes model.grad, so the forwards below leave it be.
-        analytic = backward(model, forward(model, inputs), targets)
-
-        def loss_now() -> float:
-            return loss_for(model, forward(model, inputs), targets)
-
-        worst = 0.0
-        flat = model.flat
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            plus = loss_now()
-            flat[j] = orig - eps
-            minus = loss_now()
-            flat[j] = orig
-            numeric = (plus - minus) / (2.0 * eps)
-            a = float(analytic[j])
-            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
-        return worst
-    finally:
-        model.restore(saved)
-        model.mode = saved_mode
-
-
 def spec_to_json(spec: NetworkSpec) -> list[dict]:
     out = []
     for layer in spec.layers:
@@ -582,52 +513,25 @@ def spec_to_json(spec: NetworkSpec) -> list[dict]:
     return out
 
 
-def _stored(container, key, kind: type, name: str):
-    """``container[key]``, checked to be a ``kind``; a StateError naming it if not."""
-    if not isinstance(container, dict) or key not in container:
-        raise StateError(f"serialized network has no field {name}")
-    value = container[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise StateError(f"serialized network field {name} is not a {kind.__name__}")
-    return value
-
-
-def _stored_array(container, key, size: int, name: str) -> np.ndarray:
-    """The ``size`` finite numbers encoded at ``container[key]``."""
-    if not isinstance(container, dict) or key not in container:
-        raise StateError(f"serialized network has no field {name}")
-    return decode_array(container[key], size, f"serialized network field {name}")
-
-
-def _stored_real(container: dict, key: str, default: float, valid: Callable[[float], bool],
-                 requirement: str, name: str) -> float:
-    """``container[key]``, or ``default`` if absent: a finite number passing ``valid``."""
-    value = container.get(key, default)
-    try:
-        # type(), not isinstance(): a bool is not a number here
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not (math.isfinite(number) and valid(number)):
-        raise StateError(f"serialized network field {name} is {value!r}, "
-                         f"expected a finite number {requirement}")
-    return number
+# What a fault in a stored model names, and how it reads one field of it.
+_STORED = "serialized network"
+_model_field = partial(store.field, what=_STORED, error=StateError)
 
 
 def spec_from_json(data: Sequence[dict]) -> NetworkSpec:
     layers = []
     for i, entry in enumerate(data):
-        name = lambda key: f"layers[{i}].{key}"
+        get = partial(_model_field, entry, at=f"layers[{i}].")
         layers.append(LayerSpec(
-            kind=_stored(entry, "kind", str, name("kind")),
-            input_dim=_stored(entry, "input_dim", int, name("input_dim")),
-            output_dim=_stored(entry, "output_dim", int, name("output_dim")),
-            dropout_rate=_stored_real(entry, "dropout_rate", 0.0, lambda v: 0.0 <= v < 1.0,
-                                      "in [0, 1)", name("dropout_rate")),
-            momentum=_stored_real(entry, "momentum", 0.99, lambda v: 0.0 <= v <= 1.0,
-                                  "in [0, 1]", name("momentum")),
-            epsilon=_stored_real(entry, "epsilon", 1e-3, lambda v: v > 0.0,
-                                 "> 0", name("epsilon")),
+            kind=get("kind", str),
+            input_dim=get("input_dim", int),
+            output_dim=get("output_dim", int),
+            dropout_rate=get("dropout_rate", float, default=0.0,
+                             valid=lambda v: 0.0 <= v < 1.0, requirement="in [0, 1)"),
+            momentum=get("momentum", float, default=0.99,
+                         valid=lambda v: 0.0 <= v <= 1.0, requirement="in [0, 1]"),
+            epsilon=get("epsilon", float, default=1e-3,
+                        valid=lambda v: v > 0.0, requirement="> 0"),
         ))
     return NetworkSpec(tuple(layers))
 
@@ -638,8 +542,8 @@ def model_document(model: Model, artifact_kind: str) -> dict:
     Parameter arrays are flattened row-major; ``artifact_kind`` tags what
     the network is (e.g. "classifier" vs "autoencoder") so artifacts
     cannot be loaded into the wrong slot. The arrays are the model's own,
-    not copies: write the document with :func:`write_json` before the
-    model changes.
+    not copies: write the document with :func:`multicred.store.write_json`
+    before the model changes.
     """
     return {
         "format_version": FORMAT_VERSION,
@@ -650,123 +554,12 @@ def model_document(model: Model, artifact_kind: str) -> dict:
     }
 
 
-# Stored float arrays are little-endian float64 values, row-major, as one
-# base64 string: 8 bytes a value, 32 base64 characters per 3 values.
-STORED_DTYPE = np.dtype("<f8")
-
-
-def encode_array(values: np.ndarray) -> str:
-    """The stored form of a float array: its values as little-endian float64,
-    row-major, in base64. :func:`decode_array` returns the same bits."""
-    data = np.ascontiguousarray(values, dtype=STORED_DTYPE)
-    return base64.b64encode(data).decode("ascii")
-
-
-def decode_array(value, size: int, name: str) -> np.ndarray:
-    """The ``size`` finite float64 values :func:`encode_array` stored as ``value``.
-
-    ``value`` must be a string of canonical base64 (no whitespace, padding
-    only to the last 4-character group) whose bytes are exactly ``size``
-    float64 values, all finite. Any other value raises a StateError that
-    begins with ``name``, the field as the caller names it. The result is
-    a read-only array over the decoded bytes.
-    """
-    if not isinstance(value, str):
-        raise StateError(f"{name} is not a base64 string")
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError:  # binascii.Error, or a non-ASCII character
-        raise StateError(f"{name} is not valid base64") from None
-    if len(value) != 4 * -(-len(raw) // 3):  # "=" beyond the last group's padding
-        raise StateError(f"{name} is not valid base64")
-    if len(raw) % STORED_DTYPE.itemsize:
-        raise StateError(f"{name} holds {len(raw)} bytes, not a whole number of float64 values")
-    values = np.frombuffer(raw, dtype=STORED_DTYPE)
-    if values.shape != (size,):
-        raise StateError(f"{name} has shape {values.shape}, expected ({size},)")
-    if not np.isfinite(values).all():
-        raise StateError(f"{name} holds non-finite values")
-    return values
-
-
-# Values per chunk :func:`write_json` encodes at once: a whole number of
-# 3-value (24-byte) groups, so no chunk but the last ends in base64 padding.
-WRITE_BLOCK = 3 * 1024
-
-
-def write_json(fh: TextIO, doc) -> None:
-    """Write ``doc`` to ``fh`` as ``json.dumps(doc, sort_keys=True)`` would,
-    with every numpy array as the string :func:`encode_array` gives.
-
-    An array goes out :data:`WRITE_BLOCK` values at a time, so no string
-    of a whole array and none of the whole document is ever built.
-    """
-    if isinstance(doc, np.ndarray):
-        flat = np.ascontiguousarray(doc, dtype=STORED_DTYPE).ravel()
-        fh.write('"')
-        for lo in range(0, flat.size, WRITE_BLOCK):
-            fh.write(encode_array(flat[lo:lo + WRITE_BLOCK]))
-        fh.write('"')
-    elif isinstance(doc, dict):
-        fh.write("{")
-        for j, key in enumerate(sorted(doc)):
-            fh.write((", " if j else "") + json.dumps(key) + ": ")
-            write_json(fh, doc[key])
-        fh.write("}")
-    elif isinstance(doc, list):
-        fh.write("[")
-        for j, item in enumerate(doc):
-            if j:
-                fh.write(", ")
-            write_json(fh, item)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(doc))
-
-
-def read_json(path: str | Path, what: str) -> dict:
-    """The JSON object in the state file ``path``, which ``what`` names.
-
-    The file must be UTF-8 and strict JSON: no key repeated within an
-    object and no ``NaN`` or ``Infinity``. A file that breaks this, nests
-    too deeply for the parser or holds another top-level value raises a
-    StateError naming ``what`` and ``path``.
-    """
-    def unique(pairs: list[tuple[str, object]]) -> dict:
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise StateError(f"{what} {path} repeats the key {key!r} in one object")
-            obj[key] = value
-        return obj
-
-    def constant(literal: str):
-        raise StateError(f"{what} {path} holds {literal}, which is not a JSON number")
-
-    try:
-        doc = json.loads(Path(path).read_bytes().decode("utf-8"),
-                         object_pairs_hook=unique, parse_constant=constant)
-    except UnicodeDecodeError as exc:
-        raise StateError(f"{what} {path} is not UTF-8 text: {exc.reason} "
-                         f"at byte offset {exc.start}") from None
-    except json.JSONDecodeError as exc:
-        raise StateError(f"{what} {path} is not valid JSON: {exc.msg} "
-                         f"at line {exc.lineno} column {exc.colno}") from None
-    except RecursionError:
-        raise StateError(f"{what} {path} nests JSON arrays or objects too deeply") from None
-    if not isinstance(doc, dict):
-        raise StateError(f"{what} {path} does not hold a JSON object")
-    return doc
-
-
 def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:
     """Rebuild a model from the parsed JSON of :func:`model_document`.
 
     A missing, mistyped or mis-sized field raises a StateError naming it,
     such as ``layers``, ``parameters[1].weight`` or ``running_stats[3].mean``.
     """
-    if not isinstance(data, dict):
-        raise StateError("serialized network is not a JSON object")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise StateError(
@@ -776,21 +569,25 @@ def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:
     if expected_kind is not None and kind != expected_kind:
         raise StateError(f"artifact kind {kind!r} where {expected_kind!r} was expected")
 
-    spec = spec_from_json(_stored(data, "layers", list, "layers"))
-    model = Model(spec, rng=np.random.default_rng(0))
-    parameters = _stored(data, "parameters", list, "parameters")
+    spec = spec_from_json(_model_field(data, "layers", list))
+    model = Model(spec, rng=_LOADED)
+    parameters = _model_field(data, "parameters", list)
     if len(parameters) != len(spec.layers):
-        raise StateError(f"serialized network field parameters has {len(parameters)} "
+        raise StateError(f"{_STORED} field parameters has {len(parameters)} "
                          f"entries for {len(spec.layers)} layers")
+
+    def fill(arrays: dict[str, np.ndarray], container, at: str) -> None:
+        for key, arr in arrays.items():
+            stored = _model_field(container, key, object, at=at)
+            arr[...] = store.decode_array(stored, arr.size, f"{_STORED} field {at}{key}"
+                                          ).reshape(arr.shape)
+
     for i, (params, running) in enumerate(zip(model.params, model.running)):
-        for key, arr in params.items():
-            name = f"parameters[{i}].{key}"
-            arr[...] = _stored_array(parameters[i], key, arr.size, name).reshape(arr.shape)
+        fill(params, parameters[i], f"parameters[{i}].")
         if running is not None:
-            stats = _stored(data, "running_stats", list, "running_stats")
+            stats = _model_field(data, "running_stats", list)
             if i >= len(stats):
-                raise StateError(f"serialized network has no field running_stats[{i}]")
-            for key, arr in running.items():
-                arr[...] = _stored_array(stats[i], key, arr.size, f"running_stats[{i}].{key}")
+                raise StateError(f"{_STORED} has no field running_stats[{i}]")
+            fill(running, stats[i], f"running_stats[{i}].")
     model.inference_mode()
     return model

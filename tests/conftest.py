@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from multicred import network as nn
+from multicred import store
 from multicred.autoencoder import AutoencoderSpec, _build_network, train_autoencoder
 from multicred.dataset import write_dataset
+from multicred.domain import DomainError
 from multicred.embedding import EmbedderSpec
 from multicred.features import fill_latents, scan_dataset
 
@@ -38,12 +40,77 @@ def reconstruction_mse(model: nn.Model, x: np.ndarray) -> float:
 def model_dict(model: nn.Model, artifact_kind: str) -> dict:
     """A model's JSON document as read back from its file."""
     out = io.StringIO()
-    nn.write_json(out, nn.model_document(model, artifact_kind))
+    store.write_json(out, nn.model_document(model, artifact_kind))
     return json.loads(out.getvalue())
 
 
+def count_params(spec: nn.NetworkSpec) -> tuple[int, int]:
+    """Total and trainable parameter counts for a layer graph.
+
+    Dense: in*out weights plus out biases, all trainable. Batchnorm:
+    scale and shift are trainable, the running mean/variance pair is not.
+    """
+    total = trainable = 0
+    for layer in spec.layers:
+        if layer.kind == "dense":
+            n = layer.input_dim * layer.output_dim + layer.output_dim
+            total += n
+            trainable += n
+        elif layer.kind == "batchnorm":
+            total += 4 * layer.output_dim
+            trainable += 2 * layer.output_dim
+    return total, trainable
+
+
+def grad_check(model: nn.Model, batch: tuple[np.ndarray, np.ndarray], eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    A verification oracle for small networks: perturbs every parameter by
+    +/- eps and compares (L(t+eps)-L(t-eps))/(2 eps) against backward's
+    output. Dropout must be disabled and eps must lie in [1e-6, 1e-4].
+    """
+    if not 1e-6 <= eps <= 1e-4:
+        raise DomainError(f"eps must lie in [1e-6, 1e-4], got {eps}")
+    total, _ = count_params(model.spec)
+    if total > 10_000:
+        raise DomainError(f"model too large for finite differences: {total} parameters")
+    if any(l.kind == "dropout" and l.dropout_rate > 0.0 for l in model.spec.layers):
+        raise DomainError("disable dropout before gradient checking")
+
+    inputs, targets = batch
+    saved_mode = model.mode
+    saved = model.snapshot()
+    model.train_mode()
+    try:
+        # Only backward writes model.grad, so the forwards below leave it be.
+        analytic = nn.backward(model, nn.forward(model, inputs), targets)
+
+        loss = (nn.cross_entropy if model.spec.layers[-1].kind == "softmax"
+                else nn.mean_squared_error)
+
+        def loss_now() -> float:
+            return loss(nn.forward(model, inputs).outputs, targets)
+
+        worst = 0.0
+        flat = model.flat
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            plus = loss_now()
+            flat[j] = orig - eps
+            minus = loss_now()
+            flat[j] = orig
+            numeric = (plus - minus) / (2.0 * eps)
+            a = float(analytic[j])
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+        return worst
+    finally:
+        model.restore(saved)
+        model.mode = saved_mode
+
+
 # The stored array format, written out here independently of the codec in
-# network.py: a float array's little-endian float64 bytes, row-major, in base64.
+# store.py: a float array's little-endian float64 bytes, row-major, in base64.
 
 def stored(values) -> str:
     """The string a state file stores for the float array ``values``."""

@@ -32,7 +32,8 @@ from multicred.features import (
 )
 from multicred.preprocess import preprocess
 
-from conftest import feature_rows, reconstruction_mse, untrained_autoencoder_model
+from conftest import (count_params, feature_rows, grad_check, reconstruction_mse,
+                      untrained_autoencoder_model)
 
 NUM_FEATURES = 51
 
@@ -80,10 +81,10 @@ def pipeline_runs(tmp_path_factory):
 @criterion(1, "classifier parameter counts match the golden values exactly")
 def test_parameter_golden():
     model = build_multicred(10)
-    assert nn.count_params(model.spec) == (98250, 97226)
+    assert count_params(model.spec) == (98250, 97226)
     rows = []
     for layer in model.spec.layers:
-        total, _ = nn.count_params(nn.NetworkSpec((layer,)))
+        total, _ = count_params(nn.NetworkSpec((layer,)))
         if total:
             rows.append(total)
     assert rows == [13312, 1024, 65792, 1024, 16448, 650]
@@ -104,7 +105,7 @@ def test_gradient_oracle():
     rng = np.random.default_rng(7)
     inputs = rng.normal(size=(8, 51))
     targets = np.eye(4)[rng.integers(4, size=8)]
-    assert nn.grad_check(model, (inputs, targets), eps=1e-5) < 1e-4
+    assert grad_check(model, (inputs, targets), eps=1e-5) < 1e-4
 
 
 @criterion(4, "SMOTE equalizes a skewed class distribution and stays on segments")

@@ -15,6 +15,8 @@ from multicred.classifier import (
 from multicred.domain import DomainError
 from multicred.features import NUM_FEATURES, LabeledDataset, SplitDataset
 
+from conftest import count_params
+
 TABLE_ROWS = (13312, 1024, 65792, 1024, 16448, 650)
 
 
@@ -58,13 +60,13 @@ def separable_splits(n_per_class=40, num_classes=2, seed=0, margin=4.0, scale=0.
 class TestBuildMulticred:
     def test_ten_class_parameter_totals(self):
         model = build_multicred(10)
-        assert nn.count_params(model.spec) == (98250, 97226)
+        assert count_params(model.spec) == (98250, 97226)
 
     def test_per_row_parameter_counts(self):
         model = build_multicred(10)
         per_layer = []
         for layer in model.spec.layers:
-            total, _ = nn.count_params(nn.NetworkSpec((layer,)))
+            total, _ = count_params(nn.NetworkSpec((layer,)))
             if total:
                 per_layer.append(total)
         assert tuple(per_layer) == TABLE_ROWS
@@ -74,7 +76,7 @@ class TestBuildMulticred:
         for c in (4, 6, 8, 10):
             model = build_multicred(c)
             dense_out = model.spec.layers[-2]
-            total, _ = nn.count_params(nn.NetworkSpec((dense_out,)))
+            total, _ = count_params(nn.NetworkSpec((dense_out,)))
             assert total == out_params(c)
         assert out_params(4) == 260 and out_params(10) == 650
 

@@ -123,7 +123,8 @@ class TestPrepare:
         assert run(args) == 2
         err = capsys.readouterr().err
         assert "3 dataset entries failed to load" in err and "Traceback" not in err
-        assert "user00002: malformed JSON" in err
+        bad = data / "profiles" / "user00002.json"
+        assert f"user00002: profile file {bad} is not valid JSON" in err
         assert "user00030: " in err and "user00030.json does not hold a JSON array" in err
         assert "user00041: invalid record: profile.followers_count exceeds 2**63 - 1" in err
 
@@ -201,7 +202,7 @@ def _autoencoder_doc(input_dim, latent_dim, meta, hidden=128):
 class TestBundleCrossCheck:
     @pytest.mark.parametrize("tamper, named", [
         (lambda b: b.update(num_classes=6), "num_classes"),
-        (lambda b: b.update(num_classes=4.0), "num_classes must be an integer, got 4.0"),
+        (lambda b: b.update(num_classes=4.0), "field num_classes is 4.0, expected an integer"),
         (lambda b: retouch(b["normalization"], "minimum", lambda a: a.__setitem__(0, np.nan)),
          "normalization.minimum holds non-finite values"),
         (lambda b: retouch(b["normalization"], "maximum", lambda a: a.__setitem__(3, np.inf)),
@@ -235,7 +236,7 @@ class TestBundleCrossCheck:
         (lambda b: b["classifier"]["layers"][3].update(epsilon=-1000.0), "layers[3].epsilon"),
         (lambda b: b["classifier"]["layers"][7].update(momentum="a"), "layers[7].momentum"),
         (lambda b: b["autoencoder"].update(autoencoder=[]),
-         "field autoencoder is not a JSON object"),
+         "field autoencoder is [], expected a JSON object"),
         (lambda b: b["autoencoder"]["autoencoder"].update(epochs=0), "autoencoder.epochs is 0"),
         (lambda b: b["autoencoder"]["autoencoder"].update(batch_size=16.0),
          "autoencoder.batch_size is 16.0"),
@@ -312,7 +313,7 @@ class TestBundleCrossCheck:
                    + FAST_TRAIN)
         assert code == 1
         err = capsys.readouterr().err
-        assert "prepare metadata num_classes" in err and json.dumps(value) in err
+        assert "prepare metadata field num_classes" in err and json.dumps(value) in err
         assert "Traceback" not in err
         assert not (tmp_path / "model.json").exists()
 
@@ -398,6 +399,81 @@ class TestStateFiles:
         err = capsys.readouterr().err
         assert str(labels) in err and "twice" in err and "Traceback" not in err
         assert not (tmp_path / "prep").exists()
+
+
+def _retyped(key, value, index=None):
+    """A change to a JSON file that sets ``key`` to ``value`` in its object,
+    or in its item ``index``."""
+    def change(raw: bytes) -> bytes:
+        doc = json.loads(raw)
+        (doc if index is None else doc[index])[key] = value
+        return json.dumps(doc).encode()
+    return change
+
+
+def _cell(line: int, column: int, value: bytes):
+    """A change to a CSV file that sets the cell at 1-based ``line`` and
+    0-based ``column`` to ``value``."""
+    def change(raw: bytes) -> bytes:
+        lines = raw.split(b"\n")
+        cells = lines[line - 1].split(b",")
+        cells[column] = value
+        lines[line - 1] = b",".join(cells)
+        return b"\n".join(lines)
+    return change
+
+
+class TestInputFaultGate:
+    """Every fault in every file a command reads is named, with no traceback:
+    dataset JSON files and labels.csv exit 2, the split CSVs exit 1."""
+
+    def test_every_input_fault_is_named_without_traceback(self, pipeline, tmp_path, capsys):
+        data, prep = tmp_path / "data", tmp_path / "prep"
+        assert run(["generate", "--out", str(data), "--users", "4", "--classes", "4",
+                    "--tweets-per-user", "2", "--comments-per-user", "2"]) == 0
+        shutil.copytree(pipeline / "prep", prep)
+        prepare = lambda root: ["prepare", "--data", str(root), "--out", str(root / "out")]
+        train = lambda root: (["train", "--prepared", str(root), "--out", str(root / "m.json")]
+                              + FAST_TRAIN)
+
+        cases = []  # (label, file, its new bytes or a change to them, command, exit code)
+        for sub, wrong_type in (("profiles", b"[]"), ("tweets", b"{}"), ("comments", b"[3]")):
+            faults = dict(_BAD_STATE_FILES, array=(wrong_type, None))
+            for case, (content, _) in sorted(faults.items()):
+                cases.append((f"{sub} {case}", f"{sub}/user00001.json", content, prepare, 2))
+        for label, sub, change in (
+                ('verified "false"', "profiles", _retyped("verified", "false")),
+                ("followers_count 3.7", "profiles", _retyped("followers_count", 3.7)),
+                ("followers_count true", "profiles", _retyped("followers_count", True)),
+                ("location 0", "profiles", _retyped("location", 0)),
+                ("tweet text null", "tweets", _retyped("text", None, index=1)),
+                ("comment text null", "comments", _retyped("text", None, index=0))):
+            cases.append((label, f"{sub}/user00002.json", change, prepare, 2))
+        csv_faults = lambda non_finite_cell: {
+            "empty": b"",
+            "invalid UTF-8": _cell(2, 0, b"user\xff"),
+            "truncated row": lambda raw: raw[:raw.rindex(b",") - 1],
+            "non-finite cell": non_finite_cell,
+        }.items()
+        for case, content in csv_faults(_cell(3, 1, b"nan")):
+            cases.append((f"labels.csv {case}", "labels.csv", content, prepare, 2))
+        for split in ("train.csv", "test.csv", "validation.csv"):
+            for case, content in csv_faults(_cell(3, 7, b"inf")):
+                cases.append((f"{split} {case}", split, content, train, 1))
+        assert len(cases) == 3 * 7 + 6 + 4 + 3 * 4
+
+        wrong = []
+        for label, name, content, command, code in cases:
+            root = tmp_path / "case"
+            shutil.copytree(prep if command is train else data, root)
+            path = root / name
+            path.write_bytes(content(path.read_bytes()) if callable(content) else content)
+            got = run(command(root))
+            err = capsys.readouterr().err
+            if got != code or str(path) not in err or "Traceback" in err:
+                wrong.append(f"{label}: exit {got}, stderr {err!r}")
+            shutil.rmtree(root)
+        assert wrong == []
 
 
 class TestFeatureCsvRows:

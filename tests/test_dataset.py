@@ -141,14 +141,17 @@ class TestLoad:
             "u4,62.5\nu5,62.5\nu6,62.5\nu7,62.5\nu8,62.5\n", "utf-8")
         with pytest.raises(DatasetLoadError) as err:
             read_all(tmp_path)
+        tweets = lambda uid: f"tweets file {tmp_path / 'tweets' / uid}.json"
         assert err.value.failures == [
             ("u1", "invalid record: tweets[1].retweet_count negative"),
             ("u3", "invalid record: score out of [0,100]"),
-            ("u4", "profile.created_at is not a string: ['2014']"),
-            ("u5", "tweets[0].created_at is out of range in UTC: '0001-01-01T00:00:00+01:00'"),
-            ("u6", "tweets[2].entities is not a JSON object: None"),
-            ("u7", "tweets[0].favorite_count is not a count: inf"),
-            ("u8", f"{deep} nests JSON arrays or objects too deeply"),
+            ("u4", f"profile file {tmp_path / 'profiles' / 'u4.json'} field created_at "
+                   f"is [\"2014\"], expected a string"),
+            ("u5", f"{tweets('u5')} field [0].created_at is \"0001-01-01T00:00:00+01:00\", "
+                   f"expected an ISO-8601 time within the datetime range in UTC"),
+            ("u6", f"{tweets('u6')} field [2].entities is null, expected a JSON object"),
+            ("u7", f"{tweets('u7')} field [0].favorite_count is Infinity, expected an integer"),
+            ("u8", f"comments file {deep} nests JSON arrays or objects too deeply"),
         ]
 
     def test_oversized_count_named(self, tmp_path):
@@ -166,17 +169,18 @@ class TestLoad:
         ("tweets", '{"text": "x"}', "u1.json does not hold a JSON array of objects"),
         ("tweets", '["x"]', "u1.json does not hold a JSON array of objects"),
         ("comments", '[{"text": "x"}, 3]', "u1.json does not hold a JSON array of objects"),
-        ("profiles", '{"created_at": 5}', "profile.created_at is not a string"),
+        ("profiles", '{"created_at": 5}', "u1.json field created_at is 5, expected a string"),
         ("profiles", '{"created_at": "0001-01-01T00:00:00+01:00"}',
-         "profile.created_at is out of range in UTC"),
+         "u1.json field created_at is \"0001-01-01T00:00:00+01:00\", expected an ISO-8601 "
+         "time within the datetime range in UTC"),
         ("profiles", '{"created_at": "2014-02-03T04:05:06Z", "followers_count": 1e400}',
-         "profile.followers_count is not a count: inf"),
+         "u1.json field followers_count is Infinity, expected an integer"),
         ("tweets", '[{"created_at": "2022-11-30T12:00:00Z", "entities": []}]',
-         "tweets[0].entities is not a JSON object"),
+         "u1.json field [0].entities is [], expected a JSON object"),
         ("tweets", '[{"created_at": "2022-11-30T12:00:00Z", "entities": null}]',
-         "tweets[0].entities is not a JSON object"),
+         "u1.json field [0].entities is null, expected a JSON object"),
         ("tweets", '[{"created_at": "2022-11-30T12:00:00Z", "entities": {"urls": 1e400}}]',
-         "tweets[0].entities.urls is not a count: inf"),
+         "u1.json field [0].entities.urls is Infinity, expected an integer or a JSON array"),
     ])
     def test_wrong_json_shape_named(self, tmp_path, sub, content, named):
         write_fixture(tmp_path, user_ids=("u1", "u2"))

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicred import network as nn
+from multicred import store
 from multicred.autoencoder import Autoencoder, AutoencoderSpec, autoencoder_document
 from multicred.classifier import build_multicred
 from multicred.domain import DomainError
 
-from conftest import model_dict, retouch, stored, untrained_autoencoder_model
+from conftest import (count_params, grad_check, model_dict, retouch, stored,
+                      untrained_autoencoder_model)
 
 
 def softmax_ce_net(seed=0):
@@ -52,17 +54,17 @@ class TestSpecs:
 
 class TestCountParams:
     def test_hidden_layer_1_row(self):
-        assert nn.count_params(nn.NetworkSpec((nn.dense(51, 256),))) == (13312, 13312)
+        assert count_params(nn.NetworkSpec((nn.dense(51, 256),))) == (13312, 13312)
 
     def test_batchnorm_row(self):
-        assert nn.count_params(nn.NetworkSpec((nn.batchnorm(256),))) == (1024, 512)
+        assert count_params(nn.NetworkSpec((nn.batchnorm(256),))) == (1024, 512)
 
     def test_empty_spec(self):
-        assert nn.count_params(nn.NetworkSpec(())) == (0, 0)
+        assert count_params(nn.NetworkSpec(())) == (0, 0)
 
     def test_activation_layers_are_free(self):
         spec = nn.NetworkSpec((nn.dropout(16), nn.relu(16), nn.softmax(16)))
-        assert nn.count_params(spec) == (0, 0)
+        assert count_params(spec) == (0, 0)
 
 
 class TestForward:
@@ -273,12 +275,12 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 51))
         y = one_hot(rng.integers(4, size=6), 4)
-        assert nn.grad_check(model, (x, y), eps=1e-5) < 1e-4
+        assert grad_check(model, (x, y), eps=1e-5) < 1e-4
 
     def test_linear_model_squared_loss_nearly_exact(self):
         model = nn.Model(nn.NetworkSpec((nn.dense(4, 3),)), rng=np.random.default_rng(2))
         rng = np.random.default_rng(3)
-        assert nn.grad_check(model, (rng.normal(size=(7, 4)), rng.normal(size=(7, 3))),
+        assert grad_check(model, (rng.normal(size=(7, 4)), rng.normal(size=(7, 3))),
                              eps=1e-4) < 1e-8
 
     def test_batchnorm_path(self):
@@ -288,18 +290,18 @@ class TestGradCheck:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(8, 6))
         y = one_hot(rng.integers(3, size=8), 3)
-        assert nn.grad_check(model, (x, y), eps=1e-5) < 1e-4
+        assert grad_check(model, (x, y), eps=1e-5) < 1e-4
 
     def test_eps_zero_violates_precondition(self):
         model = softmax_ce_net()
         with pytest.raises(DomainError, match="eps"):
-            nn.grad_check(model, (np.zeros((2, 51)), one_hot([0, 1], 4)), eps=0.0)
+            grad_check(model, (np.zeros((2, 51)), one_hot([0, 1], 4)), eps=0.0)
 
     def test_dropout_must_be_disabled(self):
         spec = nn.NetworkSpec((nn.dropout(4, 0.3), nn.dense(4, 2), nn.softmax(2)))
         model = nn.Model(spec, rng=np.random.default_rng(6))
         with pytest.raises(DomainError, match="dropout"):
-            nn.grad_check(model, (np.zeros((2, 4)), one_hot([0, 1], 2)), eps=1e-5)
+            grad_check(model, (np.zeros((2, 4)), one_hot([0, 1], 2)), eps=1e-5)
 
     def test_leaves_model_state_untouched(self):
         # The forwards grad_check runs are train-mode: they move the running
@@ -311,7 +313,7 @@ class TestGradCheck:
         x = rng.normal(size=(4, 6))
         y = one_hot(rng.integers(3, size=4), 3)
         flat, stats = model.flat.copy(), model.stats.copy()
-        nn.grad_check(model, (x, y), eps=1e-5)
+        grad_check(model, (x, y), eps=1e-5)
         assert model.mode == nn.INFERENCE
         assert model.flat.tobytes() == flat.tobytes()
         assert model.stats.tobytes() == stats.tobytes()
@@ -427,7 +429,7 @@ class TestFlatBuffer:
         x, y = batch_for(model, np.random.default_rng(7))
         grad = nn.backward(model, nn.forward(model, x, rng=np.random.default_rng(8)), y)
         assert grad is model.grad
-        assert model.flat.size == nn.count_params(model.spec)[1]
+        assert model.flat.size == count_params(model.spec)[1]
         assert grad.shape == model.flat.shape
         for params, layer_grads in zip(model.params, model.views(grad)):
             assert params.keys() == layer_grads.keys()
@@ -518,7 +520,7 @@ def with_stored_arrays(doc):
 
 def written(doc) -> str:
     out = io.StringIO()
-    nn.write_json(out, doc)
+    store.write_json(out, doc)
     return out.getvalue()
 
 
@@ -542,24 +544,24 @@ class TestArrayCodec:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGES),
                     max_size=40),
-           st.integers(0, 2**32 - 1), st.integers(0, 2 * nn.WRITE_BLOCK + 5))
+           st.integers(0, 2**32 - 1), st.integers(0, 2 * store.WRITE_BLOCK + 5))
     def test_round_trip_is_bit_exact_and_equals_base64_of_the_bytes(self, drawn, seed, n):
         values = np.concatenate([np.array(drawn, dtype=float), _finite_bit_patterns(seed, n)])
-        text = nn.encode_array(values)
+        text = store.encode_array(values)
         assert text == base64.b64encode(values.astype("<f8").tobytes()).decode()
-        back = nn.decode_array(text, values.size, "values")
+        back = store.decode_array(text, values.size, "values")
         assert back.tobytes() == values.astype("<f8").tobytes()
         doc = {"v": values, "list": [values[:3], {"n": 1}]}
         assert written(doc) == json.dumps(
-            {"v": text, "list": [nn.encode_array(values[:3]), {"n": 1}]}, sort_keys=True)
+            {"v": text, "list": [store.encode_array(values[:3]), {"n": 1}]}, sort_keys=True)
 
     def test_two_dimensional_arrays_are_stored_row_major(self):
         a = np.arange(6.0).reshape(2, 3)
-        assert nn.encode_array(a) == nn.encode_array(a.ravel()) == stored([0, 1, 2, 3, 4, 5])
-        assert nn.encode_array(a.T) == stored([0, 3, 1, 4, 2, 5])
+        assert store.encode_array(a) == store.encode_array(a.ravel()) == stored([0, 1, 2, 3, 4, 5])
+        assert store.encode_array(a.T) == stored([0, 3, 1, 4, 2, 5])
 
     def test_write_block_ends_on_a_base64_group(self):
-        assert nn.WRITE_BLOCK * 8 % 3 == 0
+        assert store.WRITE_BLOCK * 8 % 3 == 0
 
     @pytest.mark.parametrize("value, problem", [
         ([1.0, 2.0], "is not a base64 string"),
@@ -584,7 +586,7 @@ class TestArrayCodec:
             "three-values", "nan", "inf", "minus-inf"])
     def test_decode_failure_names_the_field(self, value, problem):
         with pytest.raises(nn.StateError, match=r"^parameters\[3\]\.weight " + problem):
-            nn.decode_array(value, 2, "parameters[3].weight")
+            store.decode_array(value, 2, "parameters[3].weight")
 
 
 class TestWriteJson:
@@ -601,7 +603,7 @@ class TestWriteJson:
     def test_autoencoder_bytes_equal_json_dumps(self):
         spec = AutoencoderSpec(seed=5)
         ae = Autoencoder(spec, untrained_autoencoder_model(spec), trained=True)
-        assert ae.model.params[0]["weight"].size > nn.WRITE_BLOCK
+        assert ae.model.params[0]["weight"].size > store.WRITE_BLOCK
         expected = dict(with_stored_arrays(nn.model_document(ae.model, "autoencoder")),
                         autoencoder={"epochs": 200, "batch_size": 16, "seed": 5, "trained": True})
         assert written(autoencoder_document(ae)) == json.dumps(expected, sort_keys=True)
@@ -625,14 +627,14 @@ class TestWriteJson:
         out = Sink()
         tracemalloc.start()
         try:
-            nn.write_json(out, doc)
+            store.write_json(out, doc)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # One block's bytes and their base64 text: under 30 bytes per value.
         # The document string alone would take a byte per character written
         # (1 MB here), a float list of the parameters 32 bytes per value.
-        assert peak < 128 * nn.WRITE_BLOCK + 100_000
+        assert peak < 128 * store.WRITE_BLOCK + 100_000
         assert 5 * peak < out.size
 
 
@@ -644,6 +646,27 @@ class TestSerialization:
         loaded = nn.model_from_dict(model_dict(model, artifact_kind="classifier"),
                                     expected_kind="classifier")
         np.testing.assert_array_equal(nn.forward(loaded, x).outputs, expected)
+
+    @pytest.mark.parametrize("net", [
+        lambda: build_multicred(4, seed=3),
+        lambda: untrained_autoencoder_model(AutoencoderSpec(seed=5)),
+    ], ids=["classifier", "autoencoder"])
+    def test_loading_draws_no_normal_sample(self, net, monkeypatch):
+        # Loading writes every weight, so a normal draw would be work thrown away.
+        model = net()
+        model.stats[...] = np.random.default_rng(6).random(model.stats.size)
+        doc = model_dict(model, "any")
+
+        class NoNormalDraws(np.random.Generator):
+            def normal(self, *args, **kwargs):
+                pytest.fail("model_from_dict drew a normal sample")
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: NoNormalDraws(np.random.PCG64(seed)))
+        loaded = nn.model_from_dict(doc, expected_kind="any")
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        assert loaded.stats.tobytes() == model.stats.tobytes()
+        assert loaded.mode == nn.INFERENCE
 
     def test_version_mismatch_fails(self, tmp_path):
         model = softmax_ce_net()
@@ -681,8 +704,9 @@ class TestSerialization:
         (lambda d: d["layers"][2].update(epsilon=-1000.0), r"layers\[2\]\.epsilon is -1000\.0"),
         (lambda d: d["layers"][2].update(epsilon=0), r"layers\[2\]\.epsilon is 0,"),
         (lambda d: d["layers"][2].update(epsilon=10**400), r"layers\[2\]\.epsilon"),
-        (lambda d: d["layers"][2].update(momentum="a"), r"layers\[2\]\.momentum is 'a'"),
-        (lambda d: d["layers"][2].update(momentum=True), r"layers\[2\]\.momentum is True"),
+        (lambda d: d["layers"][2].update(momentum="a"),
+         r'layers\[2\]\.momentum is "a", expected a finite number in \[0, 1\]'),
+        (lambda d: d["layers"][2].update(momentum=True), r"layers\[2\]\.momentum is true,"),
         (lambda d: d["layers"][2].update(momentum=1.01), r"layers\[2\]\.momentum"),
         (lambda d: d["layers"][1].update(dropout_rate="x"), r"layers\[1\]\.dropout_rate"),
         (lambda d: d["layers"][1].update(dropout_rate=1.0), r"layers\[1\]\.dropout_rate"),
