@@ -25,7 +25,6 @@ from .domain import (
     UserRecord,
     bin_score,
     newsguard_score,
-    validate_record,
 )
 from .dataset import (
     DatasetLoadError,
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassificationSystem", "Comment", "CriteriaFlags", "DomainError",
     "Tweet", "UserProfile", "UserRecord",
-    "bin_score", "newsguard_score", "validate_record",
+    "bin_score", "newsguard_score",
     "DatasetLoadError", "DatasetManifest", "SyntheticConfig",
     "generate_synthetic", "iter_records", "write_dataset",
     "CleanText", "preprocess",

@@ -143,19 +143,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_value(command: str, key: str, value):
-    """A config-file value checked against the flag's type, as the flag gives it."""
-    if key not in _FLAGS[command]:
-        raise UsageError(f"multicred {command}: config key {key!r} is not an option "
-                         f"of this command")
-    kind = _FLAGS[command][key][0]
-    accepted = (int, float) if kind is float else (kind,)
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise UsageError(f"multicred {command}: config key {key!r} must be "
-                         f"{kind.__name__}, got {json.dumps(value)}")
-    return kind(value)
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict = {}
     if args.config:
@@ -166,7 +153,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
     command = args.command
     merged = dict(_DEFAULTS.get(command, {}))
-    merged.update({k: _config_value(command, k, v) for k, v in file_values.items()})
+    for key in file_values:
+        if key not in _FLAGS[command]:
+            raise UsageError(f"multicred {command}: config key {key!r} is not an option "
+                             f"of this command")
+        merged[key] = field(file_values, key, _FLAGS[command][key][0], f"config file {path}",
+                            UsageError)
     for key, value in vars(args).items():
         if key in ("config", "command"):
             continue
@@ -321,7 +313,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     prepared = _require_dir(cfg.prepared, "prepared directory")
     meta, splits = _load_prepared(prepared)
     num_classes = meta["num_classes"]
-    embedder = field(meta, "embedder", dict, "prepare metadata", StateError)
+    embedder = _embedder(meta, "prepare metadata")
 
     config = clf_mod.TrainConfig(
         num_classes=num_classes,
@@ -350,7 +342,7 @@ def _cmd_train(cfg: RunConfig) -> int:
         "format_version": BUNDLE_VERSION,
         "artifact_kind": BUNDLE_KIND,
         "num_classes": num_classes,
-        "embedder": embedder,
+        "embedder": {"kind": "hash", "hash_seed": embedder.hash_seed},
         "normalization": {"minimum": stats.minimum, "maximum": stats.maximum},
         "classifier": nn.model_document(model, artifact_kind="classifier"),
         "autoencoder": ae_mod.autoencoder_document(ae),
@@ -379,9 +371,7 @@ def _load_bundle(path: Path):
         )
     if doc.get("artifact_kind") != BUNDLE_KIND:
         raise StateError(f"not a pipeline bundle: {doc.get('artifact_kind')!r}")
-    get("embedder.kind", str, valid=lambda kind: kind == "hash",
-        requirement='"hash", the only embedder supported')
-    embedder = EmbedderSpec(hash_seed=get("embedder.hash_seed", int))
+    embedder = _embedder(doc, "model bundle")
     model = nn.model_from_dict(get("classifier", dict), expected_kind="classifier")
     num_classes = get("num_classes", int)
     if num_classes != model.spec.output_dim:
@@ -392,6 +382,17 @@ def _load_bundle(path: Path):
     ae = ae_mod.autoencoder_from_dict(get("autoencoder", dict))
     stats = _normalization_stats(doc, "model bundle", "normalization.")
     return num_classes, model, ae, stats, embedder
+
+
+def _embedder(doc: dict, what: str) -> EmbedderSpec:
+    """The embedder at ``doc["embedder"]``: kind "hash", the only one supported,
+    and a ``hash_seed`` in [0, 2**64 - 1]; a StateError names a field that is not."""
+    get = partial(field, doc, what=what, error=StateError)
+    get("embedder.kind", str, valid=lambda kind: kind == "hash",
+        requirement='"hash", the only embedder supported')
+    return EmbedderSpec(hash_seed=get("embedder.hash_seed", int,
+                                      valid=lambda seed: 0 <= seed < 2**64,
+                                      requirement="in [0, 2**64 - 1]"))
 
 
 def _normalization_stats(doc: dict, what: str, prefix: str) -> feat_mod.NormalizationStats:

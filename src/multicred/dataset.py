@@ -11,17 +11,18 @@ On-disk layout, one dataset per directory:
 
 Files are read strictly, through :mod:`multicred.store`: UTF-8 JSON with
 no repeated key and no ``NaN`` or ``Infinity``, and typed fields, none
-coerced. Booleans are ``true``/``false``; counts integers, or an entity
-list (as raw API dumps give it) counted by length; ``created_at`` and
-``text`` strings; ``location``, ``description`` and ``url`` a string or
+coerced. Booleans are ``true``/``false``; counts integers in
+[0, 2**63 - 1], or an entity list (as raw API dumps give it) counted by
+length; ``created_at`` and ``text`` strings, a tweet's text at most
+4,000 characters; ``location``, ``description`` and ``url`` a string or
 null. Absent fields take their defaults; any other value, or a labels
-score that is not a finite number, is an error naming the file.
+score that is not a finite number or not in [0, 100], names the file.
 
 :func:`iter_records` reads one user at a time and reports every
 malformed file at once, when the last user has been read, instead of
 stopping at the first; tweet and comment lists are truncated at the
-ingest caps. :func:`read_tweet_texts` re-reads one user's tweet texts
-only, for passes that need nothing else.
+ingest caps, after every entry has been checked. :func:`read_tweet_texts`
+re-reads one user's tweet texts only, for passes that need nothing else.
 
 The synthetic generator plants one credibility class per user and draws
 trust-criteria flags whose summed weights land inside that class's score
@@ -46,6 +47,8 @@ import numpy as np
 from .domain import (
     CRITERIA,
     MAX_COMMENTS_PER_USER,
+    MAX_COUNT,
+    MAX_TWEET_TEXT_LEN,
     MAX_TWEETS_PER_USER,
     ClassificationSystem,
     Comment,
@@ -58,7 +61,6 @@ from .domain import (
     format_timestamp,
     newsguard_score,
     parse_timestamp,
-    validate_record,
 )
 from .embedding import default_lexicon
 from .store import atomic_write, field, read_csv, read_json
@@ -140,7 +142,7 @@ class DatasetLoadError(Exception):
 
 
 # A profile's typed fields: JSON key (also the UserProfile field), type
-# and default. Optional texts are a string or null.
+# and default. Optional texts are a string or null; every integer is a count.
 _TEXT_OR_NULL = (str, type(None))
 _PROFILE_FIELDS = (
     ("name", str, ""), ("screen_name", str, ""), ("location", _TEXT_OR_NULL, None),
@@ -152,6 +154,18 @@ _PROFILE_FIELDS = (
 )
 # The counts under a tweet's "entities".
 _ENTITIES = ("hashtags", "user_mentions", "urls", "symbols", "polls")
+# The store.field rules on a count and on a tweet's text. An entity list
+# counts by its length, so it is always in range.
+_IN_RANGE = "in [0, 2**63 - 1]"
+_FITS = f"of at most {MAX_TWEET_TEXT_LEN} characters"
+
+
+def _in_range(count) -> bool:
+    return type(count) is list or 0 <= count <= MAX_COUNT
+
+
+def _fits(text: str) -> bool:
+    return len(text) <= MAX_TWEET_TEXT_LEN
 
 
 def _timestamp(data: dict, what: str, at: str) -> datetime:
@@ -167,19 +181,22 @@ def _timestamp(data: dict, what: str, at: str) -> datetime:
 
 def _profile_from_json(data: dict, what: str) -> UserProfile:
     return UserProfile(created_at=_timestamp(data, what, ""), **{
-        key: field(data, key, kind, what, DomainError, default)
+        key: field(data, key, kind, what, DomainError, default,
+                   valid=_in_range if kind is int else None, requirement=_IN_RANGE)
         for key, kind, default in _PROFILE_FIELDS})
 
 
 def _tweet_text(data: dict, what: str, at: str) -> str:
-    return field(data, "text", str, what, DomainError, "", at=at)
+    return field(data, "text", str, what, DomainError, "", at=at, valid=_fits,
+                 requirement=_FITS)
 
 
 def _tweet_from_json(data: dict, what: str, at: str) -> Tweet:
     entities = field(data, "entities", dict, what, DomainError, {}, at=at)
     counts, in_entities = [], at + "entities."
     for key in _ENTITIES:
-        count = field(entities, key, (int, list), what, DomainError, 0, at=in_entities)
+        count = field(entities, key, (int, list), what, DomainError, 0, at=in_entities,
+                      valid=_in_range, requirement=_IN_RANGE)
         # Raw API dumps list the entities themselves, which count by length.
         counts.append(len(count) if type(count) is list else count)
     hashtags, mentions, urls, symbols, polls = counts
@@ -187,8 +204,10 @@ def _tweet_from_json(data: dict, what: str, at: str) -> Tweet:
         created_at=_timestamp(data, what, at),
         text=_tweet_text(data, what, at),
         truncated=field(data, "truncated", bool, what, DomainError, False, at=at),
-        retweet_count=field(data, "retweet_count", int, what, DomainError, 0, at=at),
-        favorite_count=field(data, "favorite_count", int, what, DomainError, 0, at=at),
+        retweet_count=field(data, "retweet_count", int, what, DomainError, 0, at=at,
+                            valid=_in_range, requirement=_IN_RANGE),
+        favorite_count=field(data, "favorite_count", int, what, DomainError, 0, at=at,
+                             valid=_in_range, requirement=_IN_RANGE),
         favorited=field(data, "favorited", bool, what, DomainError, False, at=at),
         retweeted=field(data, "retweeted", bool, what, DomainError, False, at=at),
         is_quote_status=field(data, "is_quote_status", bool, what, DomainError, False, at=at),
@@ -246,8 +265,8 @@ def _read_labels(path: Path) -> dict[str, float]:
 
 
 def _read_record(root: Path, user_id: str, labels: dict[str, float] | None) -> UserRecord:
-    """One user's files as a record, truncated at the caps and validated; its
-    score comes from ``labels``, None for an unlabeled dataset."""
+    """One user's files as a record, every field checked, truncated at the
+    caps; its score comes from ``labels``, None for an unlabeled dataset."""
     path = root / "profiles" / f"{user_id}.json"
     profile = _profile_from_json(read_json(path, "profile file", DomainError),
                                  f"profile file {path}")
@@ -271,18 +290,17 @@ def _read_record(root: Path, user_id: str, labels: dict[str, float] | None) -> U
         if user_id not in labels:
             raise DomainError(f"user {user_id} missing from labels.csv")
         score = labels[user_id]
+        if not 0.0 <= score <= 100.0:
+            raise DomainError(f"labels file {root / 'labels.csv'} gives user {user_id!r} "
+                              f"the score {score!r}, expected a number in [0, 100]")
 
-    record = UserRecord(
+    return UserRecord(
         user_id=user_id,
         profile=profile,
         tweets=tuple(tweets[:MAX_TWEETS_PER_USER]),
         comments=tuple(comments[:MAX_COMMENTS_PER_USER]),
         score=score,
     )
-    violations = validate_record(record)
-    if violations:
-        raise DomainError("invalid record: " + "; ".join(violations))
-    return record
 
 
 def iter_records(root: str | Path) -> tuple[DatasetManifest, Iterator[UserRecord]]:
@@ -290,11 +308,11 @@ def iter_records(root: str | Path) -> tuple[DatasetManifest, Iterator[UserRecord
 
     The manifest (the user ids and whether labels are present) is read
     at once; a missing profiles/ directory or a bad labels.csv raises
-    here. Each record is read, truncated at the ingest caps and checked by
-    :func:`validate_record` only when the iterator reaches it, and only
-    one is held at a time. Missing tweet or comment files mean empty
-    lists. Every malformed or missing file, every invalid record, and
-    every labeled user without a profile is collected and raised together
+    here. Each record is read, checked field by field and truncated at the
+    ingest caps only when the iterator reaches it, and only one is held
+    at a time. Missing tweet or comment files mean empty lists. Every
+    malformed or missing file, every invalid field or score, and every
+    labeled user without a profile is collected and raised together
     as one :class:`DatasetLoadError` once the last user has been read,
     rather than dropping records silently; the records yielded before
     are then not a dataset.

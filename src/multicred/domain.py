@@ -161,45 +161,6 @@ def newsguard_score(flags: CriteriaFlags) -> float:
     return float(sum(w for (_, w), on in zip(CRITERIA, flags.flags) if on))
 
 
-def validate_record(record: UserRecord) -> list[str]:
-    """Check every type invariant; return one description per violation.
-
-    Violations are data, not errors: an empty list means the record is valid.
-    """
-    violations: list[str] = []
-    p = record.profile
-
-    for fname in ("followers_count", "friends_count", "listed_count",
-                  "favourites_count", "statuses_count"):
-        if getattr(p, fname) < 0:
-            violations.append(f"profile.{fname} negative")
-        elif getattr(p, fname) > MAX_COUNT:
-            violations.append(f"profile.{fname} exceeds 2**63 - 1")
-    if not isinstance(p.created_at, datetime):
-        violations.append("profile.created_at is not a timestamp")
-
-    if len(record.tweets) > MAX_TWEETS_PER_USER:
-        violations.append(f"tweets exceed cap {MAX_TWEETS_PER_USER}")
-    if len(record.comments) > MAX_COMMENTS_PER_USER:
-        violations.append(f"comments exceed cap {MAX_COMMENTS_PER_USER}")
-
-    for i, t in enumerate(record.tweets):
-        for fname in ("retweet_count", "favorite_count", "hashtag_count",
-                      "mention_count", "url_count", "symbol_count"):
-            if getattr(t, fname) < 0:
-                violations.append(f"tweets[{i}].{fname} negative")
-            elif getattr(t, fname) > MAX_COUNT:
-                violations.append(f"tweets[{i}].{fname} exceeds 2**63 - 1")
-        if len(t.text) > MAX_TWEET_TEXT_LEN:
-            violations.append(f"tweets[{i}].text exceeds {MAX_TWEET_TEXT_LEN} characters")
-
-    if record.score is not None:
-        if not math.isfinite(record.score) or not 0.0 <= record.score <= 100.0:
-            violations.append("score out of [0,100]")
-
-    return violations
-
-
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp (or legacy Twitter format) to aware UTC.
 

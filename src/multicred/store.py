@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Optional, TextIO
@@ -44,14 +45,19 @@ def atomic_write(path: str | Path, newline: Optional[str] = None) -> Iterator[Te
         raise
 
 
+# The escape of a UTF-16 surrogate, the only way a parsed string gets one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def read_json(path: str | Path, what: str, error: type[Exception], shape: type = dict):
     """The JSON value in ``path``, a file ``what`` names: an object if
     ``shape`` is dict, an array of objects if it is list.
 
     The file must be UTF-8 and strict JSON: no key repeated within an
-    object and no ``NaN`` or ``Infinity``. A file that breaks this, nests
-    too deeply for the parser or holds another top-level value raises
-    ``error`` naming ``what`` and ``path``.
+    object, no ``NaN`` or ``Infinity``, and no escape of an unpaired UTF-16
+    surrogate (``\\ud800``), which is no character. A file that breaks
+    this, nests too deeply for the parser or holds another top-level value
+    raises ``error`` naming ``what`` and ``path``.
     """
     def unique(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
@@ -68,8 +74,15 @@ def read_json(path: str | Path, what: str, error: type[Exception], shape: type =
     try:
         text = raw.decode("utf-8")
         doc = json.loads(text, object_pairs_hook=unique, parse_constant=constant)
+        if "\\" in text and _SURROGATE_ESCAPE.search(text):
+            # The parser joins an escaped pair into one character, so a
+            # surrogate left in a string is unpaired: UTF-8 has no form for it.
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except error:  # from the hooks; a DomainError is a ValueError too
         raise
+    except UnicodeEncodeError as exc:
+        raise error(f"{what} {path} holds \\u{ord(exc.object[exc.start]):04x}, "
+                    f"an unpaired UTF-16 surrogate escape") from None
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text: {exc.reason} "
                     f"at byte offset {exc.start}") from None
@@ -86,6 +99,12 @@ def read_json(path: str | Path, what: str, error: type[Exception], shape: type =
     if shape is list and not (type(doc) is list and all(type(v) is dict for v in doc)):
         raise error(f"{what} {path} does not hold a JSON array of objects")
     return doc
+
+
+def _shown(value) -> str:
+    """``value`` as JSON for a message, its start only if it is long."""
+    text = json.dumps(value)
+    return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters of JSON)"
 
 
 _ABSENT = object()
@@ -114,7 +133,7 @@ def field(doc: dict, name: str, kind: type | tuple[type, ...], what: str,
         for j, key in enumerate(keys):
             if type(value) is not dict:
                 where = (at + ".".join(keys[:j])).rstrip(".")
-                raise error(f"{what} field {where} is {json.dumps(value)}, "
+                raise error(f"{what} field {where} is {_shown(value)}, "
                             f"expected a JSON object")
             value = value.get(key, _ABSENT)
             if value is _ABSENT:
@@ -140,7 +159,7 @@ def field(doc: dict, name: str, kind: type | tuple[type, ...], what: str,
         ok = object in kinds or found in kinds
     if not ok or valid is not None and not valid(got):
         wanted = " or ".join(_KIND_NAMES[k] for k in kinds)
-        raise error(f"{what} field {at}{name} is {json.dumps(value)}, "
+        raise error(f"{what} field {at}{name} is {_shown(value)}, "
                     f"expected {wanted}{' ' + requirement if requirement else ''}")
     return got
 

@@ -126,7 +126,9 @@ class TestPrepare:
         bad = data / "profiles" / "user00002.json"
         assert f"user00002: profile file {bad} is not valid JSON" in err
         assert "user00030: " in err and "user00030.json does not hold a JSON array" in err
-        assert "user00041: invalid record: profile.followers_count exceeds 2**63 - 1" in err
+        big = data / "profiles" / "user00041.json"
+        assert (f"user00041: profile file {big} field followers_count is 1{'0' * 59}... "
+                f"(401 characters of JSON), expected an integer in [0, 2**63 - 1]") in err
 
     def test_corpus_cap_below_two_is_validation_error(self, tmp_path, pipeline, capsys):
         code = run(["prepare", "--data", str(pipeline / "data"), "--out", str(tmp_path / "p"),
@@ -287,6 +289,24 @@ class TestBundleCrossCheck:
         assert "normalization stats" in err and named in err and "Traceback" not in err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("embedder, named", [
+        ({"kind": "remote", "hash_seed": 0}, 'field embedder.kind is "remote", expected'),
+        ({"kind": "hash", "hash_seed": -5}, "field embedder.hash_seed is -5, expected"),
+    ], ids=["remote-kind", "negative-seed"])
+    def test_train_rejects_an_embedder_predict_would_reject(self, pipeline, tmp_path, capsys,
+                                                            embedder, named):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        meta = json.loads((prep / "prepare_meta.json").read_text("utf-8"))
+        meta["embedder"] = embedder
+        (prep / "prepare_meta.json").write_text(json.dumps(meta), "utf-8")
+        code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "model.json")]
+                   + FAST_TRAIN)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"prepare metadata {named}" in err and "Traceback" not in err
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize("field", ["num_classes", "embedder"])
     def test_prepare_meta_missing_field_rejected_by_name(self, pipeline, tmp_path, capsys,
                                                          field):
@@ -401,12 +421,13 @@ class TestStateFiles:
         assert not (tmp_path / "prep").exists()
 
 
-def _retyped(key, value, index=None):
+def _retyped(key, value, index=None, under=None):
     """A change to a JSON file that sets ``key`` to ``value`` in its object,
-    or in its item ``index``."""
+    or in its item ``index``, or in the object at ``under`` there."""
     def change(raw: bytes) -> bytes:
         doc = json.loads(raw)
-        (doc if index is None else doc[index])[key] = value
+        target = doc if index is None else doc[index]
+        (target if under is None else target[under])[key] = value
         return json.dumps(doc).encode()
     return change
 
@@ -447,7 +468,13 @@ class TestInputFaultGate:
                 ("followers_count true", "profiles", _retyped("followers_count", True)),
                 ("location 0", "profiles", _retyped("location", 0)),
                 ("tweet text null", "tweets", _retyped("text", None, index=1)),
-                ("comment text null", "comments", _retyped("text", None, index=0))):
+                ("comment text null", "comments", _retyped("text", None, index=0)),
+                ("friends_count -1", "profiles", _retyped("friends_count", -1)),
+                ("retweet_count 2**63", "tweets", _retyped("retweet_count", 2**63, index=0)),
+                ("tweet text 4,001 characters", "tweets", _retyped("text", "x" * 4001, index=1)),
+                ("entities.polls -1", "tweets", _retyped("polls", -1, index=0, under="entities")),
+                ("tweet text lone surrogate", "tweets",
+                 _retyped("text", "ab\ud800cd", index=1))):
             cases.append((label, f"{sub}/user00002.json", change, prepare, 2))
         csv_faults = lambda non_finite_cell: {
             "empty": b"",
@@ -460,7 +487,7 @@ class TestInputFaultGate:
         for split in ("train.csv", "test.csv", "validation.csv"):
             for case, content in csv_faults(_cell(3, 7, b"inf")):
                 cases.append((f"{split} {case}", split, content, train, 1))
-        assert len(cases) == 3 * 7 + 6 + 4 + 3 * 4
+        assert len(cases) == 3 * 7 + 6 + 5 + 4 + 3 * 4
 
         wrong = []
         for label, name, content, command, code in cases:
@@ -622,11 +649,13 @@ class TestConfigFile:
         ({"users": 20, "sead": 3, "clases": 6}, "'sead'"),
         ({"users": 20, "ae_epochs": 3}, "'ae_epochs'"),  # a prepare flag, not generate's
         ({"users": 20, "command": "prepare"}, "'command'"),
-        ({"users": "20"}, "'users'"),
-        ({"seed": 7.5}, "'seed'"),
-        ({"users": True}, "'users'"),
-        ({"separation": "1.0"}, "'separation'"),
-        ({"out": 3}, "'out'"),
+        ({"users": "20"}, 'field users is "20", expected an integer'),
+        ({"seed": 7.5}, "field seed is 7.5, expected an integer"),
+        ({"users": True}, "field users is true, expected an integer"),
+        ({"separation": "1.0"}, 'field separation is "1.0", expected a finite number'),
+        ({"out": 3}, "field out is 3, expected a string"),
+        pytest.param({"separation": 10**400}, "field separation is 1" + "0" * 59 + "... (401 "
+                     "characters of JSON), expected a finite number", id="separation-10**400"),
     ])
     def test_bad_config_key_or_type_is_usage_error(self, tmp_path, capsys, values, named):
         config = tmp_path / "run.json"
@@ -635,6 +664,8 @@ class TestConfigFile:
         assert run(["--config", str(config), "generate", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        if "field" in named:
+            assert err.startswith(f"config file {config} field ")
         assert not out.exists()
 
     def test_int_config_value_for_float_flag(self, tmp_path):

@@ -143,14 +143,17 @@ class TestLoad:
             read_all(tmp_path)
         tweets = lambda uid: f"tweets file {tmp_path / 'tweets' / uid}.json"
         assert err.value.failures == [
-            ("u1", "invalid record: tweets[1].retweet_count negative"),
-            ("u3", "invalid record: score out of [0,100]"),
+            ("u1", f"{tweets('u1')} field [1].retweet_count is -4, "
+                   f"expected an integer in [0, 2**63 - 1]"),
+            ("u3", f"labels file {tmp_path / 'labels.csv'} gives user 'u3' the score 130.0, "
+                   f"expected a number in [0, 100]"),
             ("u4", f"profile file {tmp_path / 'profiles' / 'u4.json'} field created_at "
                    f"is [\"2014\"], expected a string"),
             ("u5", f"{tweets('u5')} field [0].created_at is \"0001-01-01T00:00:00+01:00\", "
                    f"expected an ISO-8601 time within the datetime range in UTC"),
             ("u6", f"{tweets('u6')} field [2].entities is null, expected a JSON object"),
-            ("u7", f"{tweets('u7')} field [0].favorite_count is Infinity, expected an integer"),
+            ("u7", f"{tweets('u7')} field [0].favorite_count is Infinity, expected an integer "
+                   f"in [0, 2**63 - 1]"),
             ("u8", f"comments file {deep} nests JSON arrays or objects too deeply"),
         ]
 
@@ -161,8 +164,48 @@ class TestLoad:
         with pytest.raises(DatasetLoadError) as err:
             read_all(tmp_path)
         assert err.value.failures == [
-            ("u2", "invalid record: profile.followers_count exceeds 2**63 - 1"),
+            ("u2", f"profile file {tmp_path / 'profiles' / 'u2.json'} field followers_count "
+                   f"is 1{'0' * 59}... (401 characters of JSON), "
+                   f"expected an integer in [0, 2**63 - 1]"),
         ]
+
+    def test_values_at_the_range_bounds_load(self, tmp_path):
+        write_fixture(tmp_path, user_ids=("u1", "u2"))
+        top = 2**63 - 1
+        (tmp_path / "profiles" / "u1.json").write_text(
+            json.dumps(dict(PROFILE, followers_count=top, friends_count=0)), "utf-8")
+        tweet = dict(TWEET, text="x" * 4000, retweet_count=top, favorite_count=0,
+                     entities={"hashtags": top, "user_mentions": 0, "polls": top})
+        (tmp_path / "tweets" / "u1.json").write_text(json.dumps([tweet]), "utf-8")
+        (tmp_path / "labels.csv").write_text("user_id,score\nu1,0\nu2,100\n", "utf-8")
+        _, (u1, u2) = read_all(tmp_path)
+        assert u1.profile.followers_count == top and u1.score == 0.0 and u2.score == 100.0
+        [got] = u1.tweets
+        assert len(got.text) == 4000 and got.retweet_count == top
+        assert got.hashtag_count == top and got.has_poll
+
+    def test_range_fault_past_the_cap_named(self, tmp_path):
+        write_fixture(tmp_path, user_ids=("u1",))
+        path = tmp_path / "tweets" / "u1.json"
+        path.write_text(json.dumps([TWEET] * 3250 + [dict(TWEET, retweet_count=-1)]), "utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            read_all(tmp_path)
+        assert err.value.failures == [
+            ("u1", f"tweets file {path} field [3250].retweet_count is -1, "
+                   f"expected an integer in [0, 2**63 - 1]")]
+
+    def test_only_the_first_fault_of_a_user_named(self, tmp_path):
+        write_fixture(tmp_path, user_ids=("u1",))
+        profile = tmp_path / "profiles" / "u1.json"
+        profile.write_text(json.dumps(dict(PROFILE, listed_count=-1)), "utf-8")
+        (tmp_path / "tweets" / "u1.json").write_text(
+            json.dumps([dict(TWEET, favorite_count=-1)]), "utf-8")
+        (tmp_path / "labels.csv").write_text("user_id,score\nu1,101\n", "utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            read_all(tmp_path)
+        assert err.value.failures == [
+            ("u1", f"profile file {profile} field listed_count is -1, "
+                   f"expected an integer in [0, 2**63 - 1]")]
 
     @pytest.mark.parametrize("sub, content, named", [
         ("profiles", "[]", "u1.json does not hold a JSON object"),
@@ -189,6 +232,30 @@ class TestLoad:
             read_all(tmp_path)
         [(user_id, reason)] = err.value.failures
         assert user_id == "u1" and named in reason
+
+    @pytest.mark.parametrize("sub, content, named", [
+        ("profiles", '{"created_at": "2014-02-03T04:05:06Z", "statuses_count": -1}',
+         "field statuses_count is -1, expected an integer in [0, 2**63 - 1]"),
+        ("tweets", '[{"created_at": "2022-11-30T12:00:00Z", "entities": {"polls": -1}}]',
+         "field [0].entities.polls is -1, expected an integer or a JSON array "
+         "in [0, 2**63 - 1]"),
+        ("tweets", '[{"created_at": "2022-11-30T12:00:00Z", "favorite_count": %d}]' % 2**63,
+         "field [0].favorite_count is 9223372036854775808, expected an integer "
+         "in [0, 2**63 - 1]"),
+        ("tweets", '[{"created_at": "2022-11-30T12:00:00Z", "text": "%s"}]' % ("x" * 4001),
+         'field [0].text is "' + "x" * 59 + '... (4003 characters of JSON), '
+         "expected a string of at most 4000 characters"),
+        ("comments", r'[{"text": "a\ud800"}]',
+         r"holds \ud800, an unpaired UTF-16 surrogate escape"),
+    ], ids=["negative-count", "negative-polls", "count-2**63", "text-4001", "lone-surrogate"])
+    def test_value_out_of_range_named(self, tmp_path, sub, content, named):
+        write_fixture(tmp_path, user_ids=("u1", "u2"))
+        path = tmp_path / sub / "u1.json"
+        path.write_text(content, "utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            read_all(tmp_path)
+        what = "profile" if sub == "profiles" else sub
+        assert err.value.failures == [("u1", f"{what} file {path} {named}")]
 
     @pytest.mark.parametrize("sub, fields", [
         ("profiles", [(key,) for key in PROFILE]),
@@ -237,6 +304,13 @@ class TestLoad:
         (tmp_path / "tweets" / "u1.json").write_text(json.dumps([TWEET] * 3300), "utf-8")
         _, records = read_all(tmp_path)
         assert len(records[0].tweets) == 3250
+
+    def test_comment_cap_enforced_on_ingest(self, tmp_path):
+        write_fixture(tmp_path, user_ids=("u1",))
+        (tmp_path / "comments" / "u1.json").write_text(
+            json.dumps([{"text": "nice story"}] * 801), "utf-8")
+        _, records = read_all(tmp_path)
+        assert len(records[0].comments) == 800
 
     def test_entity_lists_tolerated(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1",))

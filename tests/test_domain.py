@@ -6,34 +6,13 @@ import pytest
 from multicred.domain import (
     CRITERIA,
     ClassificationSystem,
-    Comment,
     CriteriaFlags,
     DomainError,
-    Tweet,
-    UserProfile,
-    UserRecord,
     bin_score,
     format_timestamp,
     newsguard_score,
     parse_timestamp,
-    validate_record,
 )
-
-
-def make_profile(**overrides):
-    base = dict(
-        name="Account", screen_name="account",
-        created_at=datetime(2015, 6, 1, 12, 0, 0, tzinfo=timezone.utc),
-        followers_count=10, friends_count=5, statuses_count=100,
-    )
-    base.update(overrides)
-    return UserProfile(**base)
-
-
-def make_record(**overrides):
-    base = dict(user_id="u1", profile=make_profile(), tweets=(), comments=(), score=50.0)
-    base.update(overrides)
-    return UserRecord(**base)
 
 
 class TestBinScore:
@@ -94,46 +73,6 @@ class TestNewsguardScore:
 
     def test_weights_match_the_scoring_rubric(self):
         assert [w for _, w in CRITERIA] == [22, 18, 12.5, 12.5, 10, 7.5, 7.5, 5, 5]
-
-
-class TestValidateRecord:
-    def test_valid_record_is_clean(self):
-        assert validate_record(make_record()) == []
-
-    def test_score_out_of_range(self):
-        violations = validate_record(make_record(score=150.0))
-        assert violations == ["score out of [0,100]"]
-
-    def test_tweet_cap(self):
-        tweet = Tweet(created_at=make_profile().created_at, text="hi")
-        record = make_record(tweets=(tweet,) * 3300)
-        assert "tweets exceed cap 3250" in validate_record(record)
-
-    def test_comment_cap(self):
-        record = make_record(comments=(Comment("x"),) * 801)
-        assert any("comments exceed cap 800" in v for v in validate_record(record))
-
-    def test_negative_count_named(self):
-        record = make_record(profile=make_profile(followers_count=-1))
-        assert validate_record(record) == ["profile.followers_count negative"]
-
-    def test_count_above_int64_named(self):
-        top = 2**63 - 1
-        tweet = Tweet(created_at=make_profile().created_at, text="hi", url_count=top)
-        assert validate_record(make_record(profile=make_profile(statuses_count=top),
-                                           tweets=(tweet,))) == []
-        record = make_record(profile=make_profile(followers_count=10**400),
-                             tweets=(tweet, Tweet(created_at=tweet.created_at, text="hi",
-                                                  retweet_count=top + 1)))
-        assert validate_record(record) == ["profile.followers_count exceeds 2**63 - 1",
-                                           "tweets[1].retweet_count exceeds 2**63 - 1"]
-
-    def test_idempotent_and_pure(self):
-        record = make_record(score=120.0)
-        first = validate_record(record)
-        second = validate_record(record)
-        assert first == second
-        assert record.score == 120.0
 
 
 class TestTimestamps:

@@ -26,6 +26,27 @@ def test_json_is_parsed_only_in_store():
     assert calls == []
 
 
+def test_every_imported_name_is_used():
+    """No module of the package imports a name it never uses; __init__.py,
+    which imports to re-export, is exempt."""
+    unused = []
+    for path in sorted(Path(multicred.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names
+                       if name not in used]
+    assert unused == []
+
+
 def field(doc, name, kind, **rules):
     return store.field(doc, name, kind, "doc", StateError, **rules)
 
@@ -78,6 +99,13 @@ class TestField:
         with pytest.raises(StateError, match=r"^doc field n is 0, expected an integer >= 1$"):
             field({"n": 0}, "n", int, **rules)
 
+    def test_long_value_shown_by_its_start(self):
+        with pytest.raises(StateError) as err:
+            field({"s": "x" * 100}, "s", str, valid=lambda s: len(s) < 10,
+                  requirement="of at most 9 characters")
+        assert str(err.value) == ('doc field s is "' + "x" * 59 + '... (102 characters of '
+                                  'JSON), expected a string of at most 9 characters')
+
     def test_prefix_and_error_class(self):
         with pytest.raises(DomainError, match=r"^f\.json field \[3\]\.text is null, "):
             store.field({"text": None}, "text", str, "f.json", DomainError, at="[3].")
@@ -106,6 +134,35 @@ class TestReadJson:
         with pytest.raises(error) as err:
             store.read_json(path, "test file", error)
         assert str(err.value).startswith(f"test file {path} {problem}")
+
+    @pytest.mark.parametrize("text, named", [
+        (r'{"a": "ab\ud800cd"}', r"\ud800"),
+        (r'{"a": ["x", "ab\uDC00"]}', r"\udc00"),
+        (r'{"ab\ude00\ud83d": 1}', r"\ude00"),
+    ], ids=["lone-high", "lone-low-in-array", "reversed-pair-in-key"])
+    def test_unpaired_surrogate_escape_named(self, tmp_path, text, named):
+        path = tmp_path / "f.json"
+        path.write_text(text, "ascii")
+        with pytest.raises(DomainError) as err:
+            store.read_json(path, "test file", DomainError)
+        assert str(err.value) == f"test file {path} holds {named}, an unpaired UTF-16 " \
+                                 f"surrogate escape"
+
+    def test_paired_surrogates_and_escaped_backslashes_load(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(r'{"a": "\ud83d\ude00", "b": "\\ud800", "c": "\\\ud83d\ude00"}',
+                        "ascii")
+        assert store.read_json(path, "f", DomainError) == {
+            "a": "\U0001f600", "b": "\\ud800", "c": "\\\U0001f600"}
+
+    @pytest.mark.parametrize("text", ['{"a": "b"}', r'{"a": "b\n\"c"}', r'{"a": "\u00e9"}'],
+                             ids=["no-backslash", "other-escapes", "no-surrogate-escape"])
+    def test_strings_not_searched_without_a_surrogate_escape(self, tmp_path, monkeypatch,
+                                                             text):
+        monkeypatch.setattr(store.json, "dumps", lambda *a, **k: pytest.fail("searched"))
+        path = tmp_path / "f.json"
+        path.write_text(text, "ascii")
+        assert store.read_json(path, "f", DomainError)["a"]
 
     def test_array_of_objects_shape(self, tmp_path):
         path = tmp_path / "f.json"
