@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -33,8 +32,10 @@ class AutoencoderSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise DomainError("epochs and batch_size must be positive")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise DomainError(f"autoencoder {name} must be >= {least}, got {value}")
 
 
 def _build_network() -> nn.NetworkSpec:
@@ -80,16 +81,14 @@ class Autoencoder:
         return x
 
 
-def train_autoencoder(
-    vectors: np.ndarray, spec: Optional[AutoencoderSpec] = None
-) -> tuple[Autoencoder, list[float]]:
+def train_autoencoder(vectors: np.ndarray, spec: AutoencoderSpec
+                      ) -> tuple[Autoencoder, list[float]]:
     """Fit an autoencoder to a corpus; returns it with the per-epoch losses.
 
-    Deterministic for a fixed spec (seed included): batches reshuffle
-    each epoch from one seeded generator, Adam steps at the shared
-    exponentially decaying rate.
+    Deterministic for a fixed spec (seed included): one seeded generator
+    initializes the network and drives every :func:`network.train_epoch`,
+    which reconstructs the corpus as its own target.
     """
-    spec = spec or AutoencoderSpec()
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or x.shape[1] != INPUT_DIM:
         raise nn.ShapeError(f"expected [n x {INPUT_DIM}] corpus, got {x.shape}")
@@ -101,21 +100,8 @@ def train_autoencoder(
     rng = np.random.default_rng(spec.seed)
     ae = Autoencoder(spec, nn.Model(_build_network(), rng=rng))
     state = nn.init_adam(ae.model)
-    n = x.shape[0]
-
-    history: list[float] = []
-    for epoch in range(spec.epochs):
-        lr = nn.lr_at(epoch)
-        order = rng.permutation(n)
-        epoch_losses = []
-        ae.model.train_mode()
-        for start in range(0, n, spec.batch_size):
-            batch = x[order[start:start + spec.batch_size]]
-            activations = nn.forward(ae.model, batch, rng=rng)
-            epoch_losses.append(nn.mean_squared_error(activations.outputs, batch))
-            nn.adam_step(ae.model, nn.backward(ae.model, activations, batch), state, lr)
-        history.append(float(np.mean(epoch_losses)))
-
+    history = [nn.train_epoch(ae.model, x, x, state, epoch, spec.batch_size, rng)
+               for epoch in range(spec.epochs)]
     ae.trained = True
     ae.model.inference_mode()
     return ae, history

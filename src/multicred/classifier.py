@@ -46,6 +46,8 @@ class TrainConfig:
             raise DomainError("batch_size must be >= 1")
         if not 1 <= self.patience <= self.max_epochs:
             raise DomainError("patience must lie in [1, max_epochs]")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -136,20 +138,15 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _val_accuracy(model: nn.Model, x: np.ndarray, y: np.ndarray) -> float:
-    model.inference_mode()
-    probs = nn.forward(model, x).outputs
-    return float(np.mean(probs.argmax(axis=1) == y))
-
-
 def train(
     model: nn.Model, splits: SplitDataset, config: TrainConfig
 ) -> tuple[nn.Model, TrainHistory]:
     """Run the full training protocol; the model comes back at its best epoch.
 
-    Mini-batches reshuffle each epoch from the seeded generator; after
-    each epoch validation accuracy is recorded and training stops once it
-    has not strictly improved for ``patience`` epochs (or at max_epochs).
+    Each epoch is one :func:`network.train_epoch` on the seeded
+    generator; after it validation accuracy is recorded, and training
+    stops once that has not strictly improved for ``patience`` epochs
+    (or at max_epochs).
     """
     if len(splits.train) == 0 or len(splits.validation) == 0:
         raise DomainError("train and validation splits must be non-empty")
@@ -159,11 +156,7 @@ def train(
             f"{config.num_classes}"
         )
 
-    x_train, y_train = splits.train.x, splits.train.y
-    x_val, y_val = splits.validation.x, splits.validation.y
-    targets = _one_hot(y_train, config.num_classes)
-    n = x_train.shape[0]
-
+    targets = _one_hot(splits.train.y, config.num_classes)
     rng = np.random.default_rng(config.seed)
     state = nn.init_adam(model)
 
@@ -176,26 +169,12 @@ def train(
     epochs_since_best = 0
 
     for epoch in range(config.max_epochs):
-        lr = nn.lr_at(epoch)
-        order = rng.permutation(n)
-        batch_losses = []
-        model.train_mode()
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            activations = nn.forward(model, x_train[idx], rng=rng)
-            try:
-                loss = nn.cross_entropy(activations.outputs, targets[idx])
-            except nn.NumericError as exc:
-                raise nn.NumericError(f"epoch {epoch}: {exc}") from None
-            if not np.isfinite(loss):
-                raise nn.NumericError(f"non-finite training loss at epoch {epoch}")
-            batch_losses.append(loss)
-            nn.adam_step(model, nn.backward(model, activations, targets[idx]), state, lr)
-
-        accuracy = _val_accuracy(model, x_val, y_val)
-        history.train_loss.append(float(np.mean(batch_losses)))
+        history.train_loss.append(nn.train_epoch(
+            model, splits.train.x, targets, state, epoch, config.batch_size, rng))
+        predicted = predict_batch(model, splits.validation.x).argmax(axis=1)
+        accuracy = float(np.mean(predicted == splits.validation.y))
         history.val_accuracy.append(accuracy)
-        history.learning_rate.append(lr)
+        history.learning_rate.append(nn.lr_at(epoch))
 
         if accuracy > best_accuracy:
             best_accuracy = accuracy

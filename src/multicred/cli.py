@@ -16,7 +16,6 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -49,86 +48,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged options for one command: config-file values under flags."""
+# Marks a flag that the config file or the command line must set.
+_REQUIRED = object()
 
-    command: str
-    values: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
-_DEFAULTS: dict[str, dict] = {
-    "generate": {
-        "users": 400, "classes": 4, "seed": 7, "tweets_per_user": 30,
-        "comments_per_user": 20, "separation": 1.0,
-    },
-    "prepare": {
-        "classes": 4, "seed": 7, "smote_k": 5, "embed_seed": 0,
-        "ae_epochs": 20, "ae_batch_size": 16, "ae_corpus_cap": 2000,
-    },
-    "train": {
-        "seed": 0, "max_epochs": 2000, "patience": 200, "batch_size": 16,
-    },
-    "evaluate": {"out": None},
-    "predict": {},
-}
-
-# Flags that must end up set after merging file values under CLI values.
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "generate": ("out",),
-    "prepare": ("data", "out"),
-    "train": ("prepared", "out"),
-    "evaluate": ("model", "prepared"),
-    "predict": ("model", "input", "out"),
-}
-
-
-# Each command's flags, dest -> (type, help); a config file may set exactly
-# these keys, with values of the flag's type.
-_FLAGS: dict[str, dict[str, tuple[type, str | None]]] = {
-    "generate": {
-        "out": (str, "dataset directory to create"),
-        "users": (int, None), "classes": (int, None), "seed": (int, None),
-        "tweets_per_user": (int, None), "comments_per_user": (int, None),
-        "separation": (float, None),
-    },
-    "prepare": {
-        "data": (str, "labeled dataset directory"),
-        "out": (str, "directory for prepared artifacts"),
-        "classes": (int, None), "seed": (int, None), "smote_k": (int, None),
-        "embed_seed": (int, None), "ae_epochs": (int, None),
-        "ae_batch_size": (int, None), "ae_corpus_cap": (int, None),
-    },
-    "train": {
-        "prepared": (str, "directory written by prepare"),
-        "out": (str, "path for the model bundle JSON"),
-        "seed": (int, None), "max_epochs": (int, None), "patience": (int, None),
-        "batch_size": (int, None),
-    },
-    "evaluate": {
-        "model": (str, "model bundle JSON"),
-        "prepared": (str, "directory written by prepare"),
-        "out": (str, "also write the report JSON here"),
-    },
-    "predict": {
-        "model": (str, "model bundle JSON"),
-        "input": (str, "dataset directory (labels optional)"),
-        "out": (str, "predictions CSV path"),
-    },
-}
-
-_COMMAND_HELP = {
-    "generate": "write a labeled synthetic dataset",
-    "prepare": "features, autoencoder, stats, and splits",
-    "train": "train the classifier on prepared splits",
-    "evaluate": "score a trained model on the test split",
-    "predict": "per-user class probabilities for a dataset",
+# Each command's help text and flags, dest -> (type, default, help); a
+# config file may set exactly these keys, with values of the flag's type.
+_COMMANDS: dict[str, tuple[str, dict[str, tuple[type, object, str | None]]]] = {
+    "generate": ("write a labeled synthetic dataset", {
+        "out": (str, _REQUIRED, "dataset directory to create"),
+        "users": (int, 400, None), "classes": (int, 4, None), "seed": (int, 7, None),
+        "tweets_per_user": (int, 30, None), "comments_per_user": (int, 20, None),
+        "separation": (float, 1.0, None),
+    }),
+    "prepare": ("features, autoencoder, stats, and splits", {
+        "data": (str, _REQUIRED, "labeled dataset directory"),
+        "out": (str, _REQUIRED, "directory for prepared artifacts"),
+        "classes": (int, 4, None), "seed": (int, 7, None), "smote_k": (int, 5, None),
+        "embed_seed": (int, 0, None), "ae_epochs": (int, 20, None),
+        "ae_batch_size": (int, 16, None), "ae_corpus_cap": (int, 2000, None),
+    }),
+    "train": ("train the classifier on prepared splits", {
+        "prepared": (str, _REQUIRED, "directory written by prepare"),
+        "out": (str, _REQUIRED, "path for the model bundle JSON"),
+        "seed": (int, 0, None), "max_epochs": (int, 2000, None),
+        "patience": (int, 200, None), "batch_size": (int, 16, None),
+    }),
+    "evaluate": ("score a trained model on the test split", {
+        "model": (str, _REQUIRED, "model bundle JSON"),
+        "prepared": (str, _REQUIRED, "directory written by prepare"),
+        "out": (str, None, "also write the report JSON here"),
+    }),
+    "predict": ("per-user class probabilities for a dataset", {
+        "model": (str, _REQUIRED, "model bundle JSON"),
+        "input": (str, _REQUIRED, "dataset directory (labels optional)"),
+        "out": (str, _REQUIRED, "predictions CSV path"),
+    }),
 }
 
 
@@ -136,14 +90,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="multicred", description=__doc__)
     parser.add_argument("--config", help="JSON file with option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _FLAGS.items():
-        sp = sub.add_parser(command, help=_COMMAND_HELP[command])
-        for dest, (kind, text) in flags.items():
+    for command, (summary, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for dest, (kind, _, text) in flags.items():
             sp.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind, help=text)
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's options: its defaults, under config-file values, under flags."""
     file_values: dict = {}
     if args.config:
         path = Path(args.config)
@@ -152,26 +107,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         file_values = read_json(path, "config file", StateError)
 
     command = args.command
-    merged = dict(_DEFAULTS.get(command, {}))
+    flags = _COMMANDS[command][1]
+    merged = {key: None if default is _REQUIRED else default
+              for key, (_, default, _) in flags.items()}
     for key in file_values:
-        if key not in _FLAGS[command]:
+        if key not in flags:
             raise UsageError(f"multicred {command}: config key {key!r} is not an option "
                              f"of this command")
-        merged[key] = field(file_values, key, _FLAGS[command][key][0], f"config file {path}",
-                            UsageError)
-    for key, value in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if value is not None:
-            merged[key] = value
-        elif key not in merged:
-            merged[key] = None
+        merged[key] = field(file_values, key, flags[key][0], f"config file {path}", UsageError)
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in flags and value is not None)
 
-    missing = [k for k in _REQUIRED[command] if merged.get(k) is None]
+    missing = [key for key, (_, default, _) in flags.items()
+               if default is _REQUIRED and merged[key] is None]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise UsageError(f"multicred {command}: missing required option(s): {flags}")
-    return RunConfig(command=command, values=merged)
+        names = ", ".join("--" + k.replace("_", "-") for k in missing)
+        raise UsageError(f"multicred {command}: missing required option(s): {names}")
+    return argparse.Namespace(command=command, **merged)
 
 
 def _require_file(path: str | Path, what: str) -> Path:
@@ -188,7 +140,7 @@ def _require_dir(path: str | Path, what: str) -> Path:
     return p
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
+def _cmd_generate(cfg: argparse.Namespace) -> int:
     config = SyntheticConfig(
         num_users=cfg.users,
         system=ClassificationSystem(cfg.classes),
@@ -208,9 +160,10 @@ def _cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _train_autoencoder(scan: feat_mod.UserScan, embedder: EmbedderSpec, cfg: RunConfig):
-    """The autoencoder and its loss history, trained on a seeded sample of
-    at most ``ae_corpus_cap`` of the scanned tweets.
+def _train_autoencoder(scan: feat_mod.UserScan, embedder: EmbedderSpec,
+                       spec: ae_mod.AutoencoderSpec, cap: int):
+    """The autoencoder and its loss history, trained on a sample of at most
+    ``cap`` of the scanned tweets, drawn with the spec's seed.
 
     Only the sampled tweets are re-read and embedded here; the corpus is
     freed when this returns.
@@ -218,30 +171,32 @@ def _train_autoencoder(scan: feat_mod.UserScan, embedder: EmbedderSpec, cfg: Run
     total = int(scan.tweet_counts.sum())
     if total < 2:
         raise DomainError("dataset has fewer than 2 tweets; cannot train the autoencoder")
-    if cfg.ae_corpus_cap < 2:
-        raise DomainError(f"ae_corpus_cap must be at least 2, got {cfg.ae_corpus_cap}")
     keep = np.arange(total)
-    if total > cfg.ae_corpus_cap:
-        picker = np.random.default_rng(cfg.seed)
-        keep = np.sort(picker.choice(total, size=cfg.ae_corpus_cap, replace=False))
+    if total > cap:
+        picker = np.random.default_rng(spec.seed)
+        keep = np.sort(picker.choice(total, size=cap, replace=False))
     corpus = embed_texts(embedder, [preprocess(t) for t in feat_mod.tweet_texts_at(scan, keep)])
     logger.info("training autoencoder on %d tweet embeddings", corpus.shape[0])
-    return ae_mod.train_autoencoder(corpus, ae_mod.AutoencoderSpec(
-        epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size, seed=cfg.seed,
-    ))
+    return ae_mod.train_autoencoder(corpus, spec)
 
 
-def _cmd_prepare(cfg: RunConfig) -> int:
+def _cmd_prepare(cfg: argparse.Namespace) -> int:
     data_dir = _require_dir(cfg.data, "dataset directory")
+    # Every option is checked before the dataset is read.
     system = ClassificationSystem(cfg.classes)
     embedder = EmbedderSpec(hash_seed=cfg.embed_seed)
+    ae_spec = ae_mod.AutoencoderSpec(
+        epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size, seed=cfg.seed)
+    if cfg.ae_corpus_cap < 2:
+        raise DomainError(f"ae_corpus_cap must be at least 2, got {cfg.ae_corpus_cap}")
+    feat_mod.check_smote_k(cfg.smote_k)
 
     scan = feat_mod.scan_dataset(data_dir)
     if not scan.manifest.labels_present:
         raise DomainError("prepare needs a labeled dataset (labels.csv)")
     logger.info("loaded %d users from %s", len(scan), data_dir)
 
-    ae, ae_history = _train_autoencoder(scan, embedder, cfg)
+    ae, ae_history = _train_autoencoder(scan, embedder, ae_spec, cfg.ae_corpus_cap)
     logger.info("autoencoder loss %.6f -> %.6f", ae_history[0], ae_history[-1])
 
     feat_mod.fill_latents(scan, embedder, ae)
@@ -293,28 +248,25 @@ def _read_object(path: Path, what: str) -> dict:
     return read_json(_require_file(path, what), what, StateError)
 
 
-def _load_prepared(prepared: Path):
+def _prepare_meta(prepared: Path) -> tuple[dict, int]:
+    """``prepare_meta.json`` of a prepared directory, and its checked ``num_classes``."""
     meta = _read_object(prepared / "prepare_meta.json", "prepare metadata")
-    num_classes = field(meta, "num_classes", int, "prepare metadata", StateError,
-                        valid=lambda n: n in ALLOWED_CLASS_COUNTS,
-                        requirement=f"in {ALLOWED_CLASS_COUNTS}")
-    splits = feat_mod.SplitDataset(
-        train=feat_mod.read_feature_csv(
-            _require_file(prepared / "train.csv", "train split"), num_classes),
-        test=feat_mod.read_feature_csv(
-            _require_file(prepared / "test.csv", "test split"), num_classes),
-        validation=feat_mod.read_feature_csv(
-            _require_file(prepared / "validation.csv", "validation split"), num_classes),
-    )
-    return meta, splits
+    return meta, field(meta, "num_classes", int, "prepare metadata", StateError,
+                       valid=lambda n: n in ALLOWED_CLASS_COUNTS,
+                       requirement=f"in {ALLOWED_CLASS_COUNTS}")
 
 
-def _cmd_train(cfg: RunConfig) -> int:
+def _read_splits(prepared: Path, num_classes: int) -> feat_mod.SplitDataset:
+    return feat_mod.SplitDataset(**{
+        part: feat_mod.read_feature_csv(
+            _require_file(prepared / f"{part}.csv", f"{part} split"), num_classes)
+        for part in ("train", "test", "validation")})
+
+
+def _cmd_train(cfg: argparse.Namespace) -> int:
     prepared = _require_dir(cfg.prepared, "prepared directory")
-    meta, splits = _load_prepared(prepared)
-    num_classes = meta["num_classes"]
+    meta, num_classes = _prepare_meta(prepared)
     embedder = _embedder(meta, "prepare metadata")
-
     config = clf_mod.TrainConfig(
         num_classes=num_classes,
         max_epochs=cfg.max_epochs,
@@ -322,6 +274,7 @@ def _cmd_train(cfg: RunConfig) -> int:
         batch_size=cfg.batch_size,
         seed=cfg.seed,
     )
+    splits = _read_splits(prepared, num_classes)
     # The autoencoder first: a prepared directory of an older format fails on its version.
     ae = ae_mod.load_autoencoder(_require_file(prepared / "autoencoder.json", "autoencoder"))
     stats = _normalization_stats(
@@ -412,11 +365,11 @@ def _normalization_stats(doc: dict, what: str, prefix: str) -> feat_mod.Normaliz
     return feat_mod.NormalizationStats(**bounds)
 
 
-def _cmd_evaluate(cfg: RunConfig) -> int:
+def _cmd_evaluate(cfg: argparse.Namespace) -> int:
     bundle_path = _require_file(cfg.model, "model bundle")
     prepared = _require_dir(cfg.prepared, "prepared directory")
     _, model, _, _, _ = _load_bundle(bundle_path)
-    _, splits = _load_prepared(prepared)
+    splits = _read_splits(prepared, _prepare_meta(prepared)[1])
 
     report = clf_mod.evaluate(model, splits.test)
     text = report.to_json()
@@ -428,7 +381,7 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_predict(cfg: RunConfig) -> int:
+def _cmd_predict(cfg: argparse.Namespace) -> int:
     bundle_path = _require_file(cfg.model, "model bundle")
     data_dir = _require_dir(cfg.input, "input dataset")
     num_classes, model, ae, stats, embedder = _load_bundle(bundle_path)

@@ -36,9 +36,6 @@ CRITERIA = (
     ("names_content_creators", 5.0),
 )
 
-CRITERION_WEIGHTS = tuple(weight for _, weight in CRITERIA)
-
-
 class DomainError(ValueError):
     """A value violates a domain contract (range, membership, shape)."""
 

@@ -436,6 +436,12 @@ def _neighbor_ids(points: np.ndarray, rows: np.ndarray, k_eff: int) -> np.ndarra
     return ids
 
 
+def check_smote_k(k: int) -> None:
+    """SMOTE's rule on its neighbour count: ``k`` is at least 1."""
+    if k < 1:
+        raise DomainError(f"smote k must be >= 1, got {k}")
+
+
 def smote_plan(
     train: LabeledDataset, k: int = 5, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -448,8 +454,7 @@ def smote_plan(
     rank and ``lam`` are drawn first; neighbours are then searched only for
     the distinct drawn bases (see :func:`_neighbor_ids`).
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    check_smote_k(k)
 
     counts = train.class_counts()
     present = [c for c, n in enumerate(counts) if n > 0]

@@ -1,11 +1,13 @@
 """From-scratch dense network machinery on numpy.
 
 Supported layer kinds: dense, batchnorm, dropout, relu, softmax. The
-loss is implied by the final layer: softmax ends a categorical
-cross-entropy classifier, anything else trains against mean squared
-error. All randomness (initialization, dropout masks) flows through
-explicitly passed numpy generators, so identical seeds give identical
-parameters.
+loss is implied by the final layer, and :func:`loss` states the rule:
+softmax ends a categorical cross-entropy classifier, anything else
+trains against mean squared error. :func:`train_epoch` is the one
+training pass, shared by the classifier and the autoencoder: a shuffled
+epoch of mini-batch Adam. All randomness (initialization, shuffles,
+dropout masks) flows through explicitly passed numpy generators, so
+identical seeds give identical parameters.
 
 Conventions fixed here:
  - inverted dropout: masks scale by 1/(1-rate) at train time, inference
@@ -344,6 +346,14 @@ def mean_squared_error(outputs: np.ndarray, targets: np.ndarray) -> float:
     return float(((o - t) ** 2).sum(axis=1).mean())
 
 
+def loss(model: Model, outputs: np.ndarray, targets: np.ndarray) -> float:
+    """The loss the final layer implies: :func:`cross_entropy` after a
+    softmax, :func:`mean_squared_error` otherwise."""
+    if model.spec.layers[-1].kind == "softmax":
+        return cross_entropy(outputs, targets)
+    return mean_squared_error(outputs, targets)
+
+
 def backward(model: Model, activations: ForwardPass, targets: np.ndarray) -> np.ndarray:
     """Backpropagate the implied loss; returns ``model.grad``, the gradient.
 
@@ -497,6 +507,35 @@ def lr_at(epoch: int) -> float:
     if epoch < 0:
         raise DomainError(f"epoch must be nonnegative, got {epoch}")
     return LR_INITIAL * LR_DECAY**epoch
+
+
+def train_epoch(model: Model, x: np.ndarray, targets: np.ndarray, state: AdamState,
+                epoch: int, batch_size: int, rng: np.random.Generator) -> float:
+    """One epoch of mini-batch Adam at ``lr_at(epoch)``; returns the mean batch loss.
+
+    The rows of ``x`` and ``targets`` are shuffled by ``rng.permutation``
+    and taken ``batch_size`` at a time; each batch runs a train-mode
+    :func:`forward` (dropout masks drawn from ``rng``), :func:`loss`, then
+    :func:`adam_step` on :func:`backward`'s gradient. A non-finite loss
+    raises a NumericError naming the epoch.
+    """
+    lr = lr_at(epoch)
+    order = rng.permutation(x.shape[0])
+    model.train_mode()
+    losses = []
+    for start in range(0, x.shape[0], batch_size):
+        idx = order[start:start + batch_size]
+        batch_targets = targets[idx]
+        activations = forward(model, x[idx], rng=rng)
+        try:
+            batch_loss = loss(model, activations.outputs, batch_targets)
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch}: {exc}") from None
+        if not math.isfinite(batch_loss):
+            raise NumericError(f"non-finite training loss at epoch {epoch}")
+        losses.append(batch_loss)
+        adam_step(model, backward(model, activations, batch_targets), state, lr)
+    return float(np.mean(losses))
 
 
 def spec_to_json(spec: NetworkSpec) -> list[dict]:

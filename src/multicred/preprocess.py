@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -19,17 +18,10 @@ class CleanText:
     """Cleaned, whitespace-tokenized text.
 
     Invariants: every token is lowercase, is not a URL, does not start
-    with '#' or '@', and is not a stopword; ``joined`` is the tokens
-    joined by single spaces.
+    with '#' or '@', and is not a stopword.
     """
 
     tokens: tuple[str, ...]
-    joined: str
-
-    @staticmethod
-    def from_tokens(tokens: Iterable[str]) -> "CleanText":
-        toks = tuple(tokens)
-        return CleanText(tokens=toks, joined=" ".join(toks))
 
 
 @lru_cache(maxsize=None)
@@ -47,17 +39,11 @@ def _is_punctuation_only(token: str) -> bool:
     return not (token.isalnum() or any(ch.isalnum() for ch in token))
 
 
-def preprocess(text: str | bytes) -> CleanText:
-    """Clean raw text into a :class:`CleanText`.
-
-    Empty input is fine and yields an empty token list. Byte input with
-    invalid UTF-8 is decoded with replacement rather than raising.
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
+def preprocess(text: str) -> CleanText:
+    """Clean raw text into a :class:`CleanText`; empty input yields no tokens."""
     stopwords = default_stopwords()
-    return CleanText.from_tokens([
+    return CleanText(tuple([
         token for token in text.lower().split()
         if not (token.startswith(_DROPPED_PREFIXES) or token in stopwords
                 or _is_punctuation_only(token))
-    ])
+    ]))

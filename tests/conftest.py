@@ -85,11 +85,8 @@ def grad_check(model: nn.Model, batch: tuple[np.ndarray, np.ndarray], eps: float
         # Only backward writes model.grad, so the forwards below leave it be.
         analytic = nn.backward(model, nn.forward(model, inputs), targets)
 
-        loss = (nn.cross_entropy if model.spec.layers[-1].kind == "softmax"
-                else nn.mean_squared_error)
-
         def loss_now() -> float:
-            return loss(nn.forward(model, inputs).outputs, targets)
+            return nn.loss(model, nn.forward(model, inputs).outputs, targets)
 
         worst = 0.0
         flat = model.flat

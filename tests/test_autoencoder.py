@@ -30,6 +30,15 @@ class TestSpec:
         with pytest.raises(DomainError):
             AutoencoderSpec(epochs=0)
 
+    @pytest.mark.parametrize("knobs, named", [
+        ({"epochs": 0}, "autoencoder epochs must be >= 1, got 0"),
+        ({"batch_size": -2}, "autoencoder batch_size must be >= 1, got -2"),
+        ({"seed": -1}, "autoencoder seed must be >= 0, got -1"),
+    ])
+    def test_each_knob_named(self, knobs, named):
+        with pytest.raises(DomainError, match=f"^{named}$"):
+            AutoencoderSpec(**knobs)
+
 
 class TestEncode:
     def test_latent_has_ten_components(self, trained):
@@ -78,6 +87,12 @@ class TestTraining:
         bad[1, 7] = np.nan
         with pytest.raises(nn.NumericError):
             train_autoencoder(bad, AutoencoderSpec(epochs=1))
+
+    def test_diverging_corpus_named_by_epoch(self):
+        corpus = np.full((8, 768), 1e200)
+        with np.errstate(over="ignore"), pytest.raises(
+                nn.NumericError, match="^non-finite training loss at epoch 0$"):
+            train_autoencoder(corpus, AutoencoderSpec(epochs=2, batch_size=4))
 
     def test_needs_two_vectors(self):
         with pytest.raises(DomainError):

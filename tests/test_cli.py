@@ -130,6 +130,24 @@ class TestPrepare:
         assert (f"user00041: profile file {big} field followers_count is 1{'0' * 59}... "
                 f"(401 characters of JSON), expected an integer in [0, 2**63 - 1]") in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--ae-epochs", "1", "--smote-k", "0"], "smote k must be >= 1, got 0"),
+        (["--ae-corpus-cap", "1"], "ae_corpus_cap must be at least 2, got 1"),
+        (["--ae-epochs", "0"], "autoencoder epochs must be >= 1, got 0"),
+        (["--ae-batch-size", "-3"], "autoencoder batch_size must be >= 1, got -3"),
+        (["--seed", "-1"], "autoencoder seed must be >= 0, got -1"),
+    ])
+    def test_bad_option_rejected_before_the_scan(self, tmp_path, pipeline, monkeypatch,
+                                                 capsys, flags, named):
+        monkeypatch.setattr(feat_mod, "scan_dataset",
+                            lambda *a, **k: pytest.fail("scanned before checking options"))
+        out = tmp_path / "p"
+        assert run(["prepare", "--data", str(pipeline / "data"), "--out", str(out)]
+                   + flags) == 1
+        err = capsys.readouterr().err
+        assert f"error: {named}\n" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_corpus_cap_below_two_is_validation_error(self, tmp_path, pipeline, capsys):
         code = run(["prepare", "--data", str(pipeline / "data"), "--out", str(tmp_path / "p"),
                     "--ae-corpus-cap", "0"])
@@ -550,6 +568,22 @@ class TestTrainEvaluate:
         parsed = json.loads(stdout)
         assert "f1" in parsed["macro"]
         assert json.loads(report_path.read_text("utf-8")) == parsed
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--batch-size", "0"], "batch_size must be >= 1"),
+        (["--max-epochs", "5", "--patience", "6"], "patience must lie in [1, max_epochs]"),
+    ])
+    def test_bad_option_rejected_before_reading_the_splits(self, pipeline, tmp_path,
+                                                           monkeypatch, capsys, flags, named):
+        monkeypatch.setattr(feat_mod, "read_feature_csv",
+                            lambda *a, **k: pytest.fail("read a split before checking options"))
+        out = tmp_path / "model.json"
+        assert run(["train", "--prepared", str(pipeline / "prep"), "--out", str(out)]
+                   + flags) == 1
+        err = capsys.readouterr().err
+        assert f"error: {named}\n" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_model_files_are_sorted_key_json_dumps(self, pipeline):
         for path in (pipeline / "model.json", pipeline / "prep" / "autoencoder.json"):

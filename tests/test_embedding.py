@@ -56,18 +56,18 @@ class TestHashEmbedder:
         pooled_parts = list(_hash_counts(cleans, 7))
         np.testing.assert_allclose(sum(pooled_parts), summed, atol=0)
         # Joining the texts adds exactly one bigram per boundary between them.
-        acc = lambda *tokens: _hash_counts([CleanText.from_tokens(tokens)], 7)[0]
+        acc = lambda *tokens: _hash_counts([CleanText(tokens)], 7)[0]
         bridges = sum(
             acc(a.tokens[-1], b.tokens[0]) - acc(a.tokens[-1]) - acc(b.tokens[0])
             for a, b in zip(cleans, cleans[1:])
         )
-        joined = CleanText.from_tokens(t for c in cleans for t in c.tokens)
+        joined = CleanText(tuple(t for c in cleans for t in c.tokens))
         np.testing.assert_array_equal(_hash_counts([joined], 7)[0], summed + bridges)
 
     def test_bigrams_contribute(self, hash_embedder):
         # Same unigram multiset, different order: bigrams must differ.
-        a = embed_one(hash_embedder, CleanText.from_tokens(["alpha", "beta", "gamma"]))
-        b = embed_one(hash_embedder, CleanText.from_tokens(["gamma", "beta", "alpha"]))
+        a = embed_one(hash_embedder, CleanText(("alpha", "beta", "gamma")))
+        b = embed_one(hash_embedder, CleanText(("gamma", "beta", "alpha")))
         assert not np.allclose(a, b)
 
     def test_spec_validation(self):
@@ -106,7 +106,7 @@ _TOKEN = st.one_of(
     st.sampled_from(["fox", "red", "fox red", "ünï", "42", "—"]),
     st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6),
 )
-_BATCH = st.lists(st.lists(_TOKEN, max_size=10).map(CleanText.from_tokens), max_size=6)
+_BATCH = st.lists(st.lists(_TOKEN, max_size=10).map(tuple).map(CleanText), max_size=6)
 _SEED = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
@@ -134,7 +134,7 @@ class TestBatchedOracle:
         cases = [
             [preprocess("")],
             [preprocess(""), preprocess("")],
-            [CleanText.from_tokens(["fox", "fox", "fox", "fox"])],  # repeats in one text
+            [CleanText(("fox", "fox", "fox", "fox"))],  # repeats in one text
             [preprocess("quick fox"), preprocess(""), preprocess("quick fox quick fox")],
         ]
         for cleans in cases:
@@ -166,7 +166,7 @@ class TestSentiment:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.text(min_size=1, max_size=12), max_size=30))
     def test_distribution_invariants(self, tokens):
-        dist = analyze_sentiment(CleanText.from_tokens(tokens))
+        dist = analyze_sentiment(CleanText(tuple(tokens)))
         assert dist.shape == (6,)
         assert np.all(dist >= 0)
         assert abs(float(dist.sum()) - 1.0) < 1e-9

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from multicred import network as nn
 from multicred import store
-from multicred.autoencoder import Autoencoder, AutoencoderSpec, autoencoder_document
+from multicred.autoencoder import (Autoencoder, AutoencoderSpec, _build_network,
+                                   autoencoder_document, train_autoencoder)
 from multicred.classifier import build_multicred
 from multicred.domain import DomainError
 
@@ -361,6 +362,80 @@ class TestAdam:
         model.views(grad)[0]["weight"][0, 0] = np.nan
         with pytest.raises(nn.NumericError, match="layer 0.*weight"):
             nn.adam_step(model, grad, state, lr=0.01)
+
+
+# The two training loops as they were written out before train_epoch, one
+# per network: the reference train_epoch must match bit for bit.
+
+def reference_classifier_epochs(model, x, targets, epochs, batch_size, seed):
+    rng = np.random.default_rng(seed)
+    state = nn.init_adam(model)
+    n = x.shape[0]
+    history = []
+    for epoch in range(epochs):
+        lr = nn.lr_at(epoch)
+        order = rng.permutation(n)
+        batch_losses = []
+        model.train_mode()
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            activations = nn.forward(model, x[idx], rng=rng)
+            batch_losses.append(nn.cross_entropy(activations.outputs, targets[idx]))
+            nn.adam_step(model, nn.backward(model, activations, targets[idx]), state, lr)
+        history.append(float(np.mean(batch_losses)))
+    return history
+
+
+def reference_autoencoder(x, spec):
+    rng = np.random.default_rng(spec.seed)
+    model = nn.Model(_build_network(), rng=rng)
+    state = nn.init_adam(model)
+    n = x.shape[0]
+    history = []
+    for epoch in range(spec.epochs):
+        lr = nn.lr_at(epoch)
+        order = rng.permutation(n)
+        epoch_losses = []
+        model.train_mode()
+        for start in range(0, n, spec.batch_size):
+            batch = x[order[start:start + spec.batch_size]]
+            activations = nn.forward(model, batch, rng=rng)
+            epoch_losses.append(nn.mean_squared_error(activations.outputs, batch))
+            nn.adam_step(model, nn.backward(model, activations, batch), state, lr)
+        history.append(float(np.mean(epoch_losses)))
+    return model, history
+
+
+class TestTrainEpoch:
+    def test_classifier_matches_reference_loop_bitwise(self):
+        # 40 rows at batch 16 leave a partial last batch; the network has
+        # dropout and batchnorm, so masks and running statistics are compared too.
+        data = np.random.default_rng(8)
+        x = data.normal(size=(40, 51))
+        targets = one_hot(data.integers(4, size=40), 4)
+        model, ref = build_multicred(4, seed=2), build_multicred(4, seed=2)
+        rng, state = np.random.default_rng(9), nn.init_adam(model)
+        history = [nn.train_epoch(model, x, targets, state, epoch, 16, rng)
+                   for epoch in range(4)]
+        assert history == reference_classifier_epochs(ref, x, targets, 4, 16, seed=9)
+        np.testing.assert_array_equal(model.flat, ref.flat)
+        np.testing.assert_array_equal(model.stats, ref.stats)
+        assert state.t == 4 * 3
+
+    def test_autoencoder_matches_reference_loop_bitwise(self):
+        x = np.random.default_rng(10).normal(size=(40, 768)) * 0.1
+        spec = AutoencoderSpec(epochs=3, batch_size=16, seed=4)
+        ae, history = train_autoencoder(x, spec)
+        ref, ref_history = reference_autoencoder(x, spec)
+        assert history == ref_history
+        np.testing.assert_array_equal(ae.model.flat, ref.flat)
+        np.testing.assert_array_equal(ae.model.stats, ref.stats)
+
+    def test_loss_follows_the_final_layer(self):
+        probs, y = np.array([[0.25, 0.75]]), np.array([[0.0, 1.0]])
+        assert nn.loss(softmax_ce_net(), probs, y) == nn.cross_entropy(probs, y)
+        linear = nn.Model(nn.NetworkSpec((nn.dense(2, 2),)))
+        assert nn.loss(linear, probs, y) == nn.mean_squared_error(probs, y)
 
 
 def reference_adam(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):

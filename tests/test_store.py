@@ -47,6 +47,35 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_every_defined_name_is_used():
+    """Every name a module of the package defines at top level is loaded
+    somewhere in the package, by name or as an attribute, or is exported
+    in multicred.__all__; dunder names are exempt."""
+    trees = {path.name: ast.parse(path.read_text("utf-8"))
+             for path in sorted(Path(multicred.__file__).parent.glob("*.py"))}
+    loaded = set(multicred.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}:{node.lineno} {name}" for name in names
+                       if name not in loaded and not (name.startswith("__")
+                                                      and name.endswith("__"))]
+    assert unused == []
+
+
 def field(doc, name, kind, **rules):
     return store.field(doc, name, kind, "doc", StateError, **rules)
 
