@@ -6,8 +6,10 @@ embeddings, comment sentiment), rebalance classes with SMOTE, train an
 MLP classifier, and report multiclass metrics.
 
 Main entry points:
-- domain: UserRecord and friends, score binning, criterion scoring
-- dataset: iter_records / write_dataset / generate_synthetic
+- domain: score binning, criterion scoring, ingest caps
+- dataset: one field table per record kind (profile, tweet), the
+  records the generator builds from them, write_dataset /
+  generate_synthetic
 - features: scan_dataset and fill_latents (a dataset directory's feature
   rows, in two passes), LabeledDataset (ids, an n x 51 matrix, labels),
   split, smote, normalization
@@ -17,12 +19,8 @@ Main entry points:
 
 from .domain import (
     ClassificationSystem,
-    Comment,
     CriteriaFlags,
     DomainError,
-    Tweet,
-    UserProfile,
-    UserRecord,
     bin_score,
     newsguard_score,
 )
@@ -30,8 +28,10 @@ from .dataset import (
     DatasetLoadError,
     DatasetManifest,
     SyntheticConfig,
+    Tweet,
+    UserProfile,
+    UserRecord,
     generate_synthetic,
-    iter_records,
     write_dataset,
 )
 from .preprocess import CleanText, preprocess
@@ -42,7 +42,6 @@ from .features import (
     NormalizationStats,
     SplitDataset,
     UserScan,
-    aggregate_mean,
     apply_minmax,
     fill_latents,
     fit_minmax,
@@ -63,16 +62,15 @@ from .classifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassificationSystem", "Comment", "CriteriaFlags", "DomainError",
-    "Tweet", "UserProfile", "UserRecord",
+    "ClassificationSystem", "CriteriaFlags", "DomainError",
     "bin_score", "newsguard_score",
     "DatasetLoadError", "DatasetManifest", "SyntheticConfig",
-    "generate_synthetic", "iter_records", "write_dataset",
+    "Tweet", "UserProfile", "UserRecord", "generate_synthetic", "write_dataset",
     "CleanText", "preprocess",
     "EmbedderSpec", "analyze_sentiment", "embed_texts",
     "Autoencoder", "AutoencoderSpec", "train_autoencoder",
     "LabeledDataset", "NormalizationStats", "SplitDataset", "UserScan",
-    "aggregate_mean", "apply_minmax", "fill_latents", "fit_minmax",
+    "apply_minmax", "fill_latents", "fit_minmax",
     "scan_dataset", "smote", "split",
     "MetricsReport", "TrainConfig", "TrainHistory",
     "build_multicred", "evaluate", "predict", "train",

@@ -256,11 +256,14 @@ def _prepare_meta(prepared: Path) -> tuple[dict, int]:
                        requirement=f"in {ALLOWED_CLASS_COUNTS}")
 
 
+def _read_split(prepared: Path, part: str, num_classes: int) -> feat_mod.LabeledDataset:
+    return feat_mod.read_feature_csv(
+        _require_file(prepared / f"{part}.csv", f"{part} split"), num_classes)
+
+
 def _read_splits(prepared: Path, num_classes: int) -> feat_mod.SplitDataset:
-    return feat_mod.SplitDataset(**{
-        part: feat_mod.read_feature_csv(
-            _require_file(prepared / f"{part}.csv", f"{part} split"), num_classes)
-        for part in ("train", "test", "validation")})
+    return feat_mod.SplitDataset(**{part: _read_split(prepared, part, num_classes)
+                                    for part in ("train", "test", "validation")})
 
 
 def _cmd_train(cfg: argparse.Namespace) -> int:
@@ -369,9 +372,9 @@ def _cmd_evaluate(cfg: argparse.Namespace) -> int:
     bundle_path = _require_file(cfg.model, "model bundle")
     prepared = _require_dir(cfg.prepared, "prepared directory")
     _, model, _, _, _ = _load_bundle(bundle_path)
-    splits = _read_splits(prepared, _prepare_meta(prepared)[1])
+    test = _read_split(prepared, "test", _prepare_meta(prepared)[1])
 
-    report = clf_mod.evaluate(model, splits.test)
+    report = clf_mod.evaluate(model, test)
     text = report.to_json()
     print(text)
     if cfg.out:

@@ -9,6 +9,14 @@ On-disk layout, one dataset per directory:
     <root>/labels.csv                 header "user_id,score"; absent for
                                       unlabeled prediction sets
 
+Each record kind, a profile or a tweet, is stated once as a table of
+:class:`Field` rows, :data:`PROFILE` and :data:`TWEET`: a row gives a
+field's JSON key, its type, the default an absent key takes, its range
+rule and the feature columns it fills. The reader
+(:meth:`RecordKind.read`), the writer (:meth:`RecordKind.to_json`), the
+generator's record classes (:class:`UserProfile`, :class:`Tweet`) and the
+feature layout names all come from those tables.
+
 Files are read strictly, through :mod:`multicred.store`: UTF-8 JSON with
 no repeated key and no ``NaN`` or ``Infinity``, and typed fields, none
 coerced. Booleans are ``true``/``false``; counts integers in
@@ -18,11 +26,10 @@ length; ``created_at`` and ``text`` strings, a tweet's text at most
 null. Absent fields take their defaults; any other value, or a labels
 score that is not a finite number or not in [0, 100], names the file.
 
-:func:`iter_records` reads one user at a time and reports every
-malformed file at once, when the last user has been read, instead of
-stopping at the first; tweet and comment lists are truncated at the
-ingest caps, after every entry has been checked. :func:`read_tweet_texts`
-re-reads one user's tweet texts only, for passes that need nothing else.
+:func:`~multicred.features.scan_dataset` is the one reader of a whole
+dataset: it opens it with :func:`open_dataset` and reads each user's
+files through the tables. :func:`read_tweet_texts` re-reads one user's
+tweet texts only, for passes that need nothing else.
 
 The synthetic generator plants one credibility class per user and draws
 trust-criteria flags whose summed weights land inside that class's score
@@ -37,26 +44,22 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Optional
 
 import numpy as np
 
 from .domain import (
     CRITERIA,
-    MAX_COMMENTS_PER_USER,
     MAX_COUNT,
     MAX_TWEET_TEXT_LEN,
     MAX_TWEETS_PER_USER,
+    MAX_COMMENTS_PER_USER,
     ClassificationSystem,
-    Comment,
     CriteriaFlags,
     DomainError,
-    Tweet,
-    UserProfile,
-    UserRecord,
     bin_score,
     format_timestamp,
     newsguard_score,
@@ -141,23 +144,106 @@ class DatasetLoadError(Exception):
         )
 
 
-# A profile's typed fields: JSON key (also the UserProfile field), type
-# and default. Optional texts are a string or null; every integer is a count.
+# The kind of an optional text, whose feature column is its presence.
 _TEXT_OR_NULL = (str, type(None))
-_PROFILE_FIELDS = (
-    ("name", str, ""), ("screen_name", str, ""), ("location", _TEXT_OR_NULL, None),
-    ("description", _TEXT_OR_NULL, None), ("url", _TEXT_OR_NULL, None),
-    ("protected", bool, False), ("followers_count", int, 0), ("friends_count", int, 0),
-    ("listed_count", int, 0), ("favourites_count", int, 0), ("geo_enabled", bool, False),
-    ("verified", bool, False), ("statuses_count", int, 0),
-    ("profile_use_background_image", bool, False),
-)
-# The counts under a tweet's "entities".
-_ENTITIES = ("hashtags", "user_mentions", "urls", "symbols", "polls")
-# The store.field rules on a count and on a tweet's text. An entity list
-# counts by its length, so it is always in range.
-_IN_RANGE = "in [0, 2**63 - 1]"
-_FITS = f"of at most {MAX_TWEET_TEXT_LEN} characters"
+
+
+@dataclass(frozen=True)
+class Field:
+    """One field of a record kind.
+
+    ``key`` is its JSON key, dotted under a nested object; the record
+    class's attribute is the key's last part. ``kind`` is what
+    :func:`~multicred.store.field` accepts there, except ``datetime``: a
+    required ISO-8601 string, read as aware UTC. ``default`` is what an
+    absent key gives, or a function of the values read before it.
+    ``valid`` and ``requirement`` are the store.field range rule and its
+    wording. ``columns`` names the feature columns the field fills: six
+    for a time (year to second), a 0/1 presence flag for a string or
+    null, else the value itself.
+    """
+
+    key: str
+    kind: type | tuple[type, ...]
+    default: object = None
+    columns: tuple[str, ...] = ()
+    valid: Optional[Callable] = None
+    requirement: str = ""
+
+    @property
+    def name(self) -> str:
+        return self.key.rpartition(".")[2]
+
+
+def _timestamp(doc: dict, key: str, what: str, at: str) -> datetime:
+    """``doc[key]``, a string, as aware UTC; a DomainError naming it if it
+    does not parse or leaves the datetime range in UTC."""
+    value = field(doc, key, str, what, DomainError, at=at)
+    try:
+        return parse_timestamp(value)
+    except (DomainError, OverflowError):
+        raise DomainError(f"{what} field {at}{key} is {json.dumps(value)}, expected "
+                          f"an ISO-8601 time within the datetime range in UTC") from None
+
+
+class RecordKind:
+    """A kind of input record, stated once as a table of fields in feature
+    column order: ``columns`` are the layout names, ``type`` the frozen
+    dataclass the generator builds, :meth:`read` the checked reader and
+    :meth:`to_json` the writer."""
+
+    def __init__(self, name: str, fields: tuple[Field, ...]):
+        self.fields = fields
+        self.columns = tuple(c for f in fields for c in f.columns)
+        self.type = make_dataclass(name, [f.name for f in fields], frozen=True)
+        starts = itertools.accumulate((len(f.columns) for f in fields), initial=0)
+        # Fields are checked as the readers before these tables checked them,
+        # so a record with two faults names the same one: a nested object's
+        # fields first, then the creation time, then the rest in table order.
+        # Each check holds the field, its first column, and where it sits: the
+        # key of its object ("" for the record itself) and its own key there.
+        self._checks = [(f, start, *f.key.rpartition(".")[::2]) for f, start in sorted(
+            zip(fields, starts), key=lambda pair: ("." not in pair[0].key,
+                                                   pair[0].kind is not datetime))]
+
+    def read(self, doc: dict, what: str, at: str = "") -> list:
+        """The feature columns of the record ``doc``, every field checked.
+
+        A field that breaks its rule raises a DomainError naming ``what``
+        and the field ``at + key``; only the first fault is named.
+        """
+        row: list = [0] * len(self.columns)
+        got = {}
+        objects = {"": (doc, at)}  # the objects fields sit in, each with its path
+        for f, start, outer, key in self._checks:
+            kind, default = f.kind, f.default
+            if kind is datetime:
+                t = _timestamp(doc, key, what, at)
+                row[start:start + 6] = t.year, t.month, t.day, t.hour, t.minute, t.second
+                continue
+            if outer not in objects:  # a nested object, read once; absent, it is empty
+                objects[outer] = (field(doc, outer, dict, what, DomainError, {}, at=at),
+                                  f"{at}{outer}.")
+            obj, where = objects[outer]
+            if callable(default):
+                default = default(got)
+            value = field(obj, key, kind, what, DomainError, default, f.valid, f.requirement, where)
+            if type(value) is list:  # raw API dumps list the entities, which count by length
+                value = len(value)
+            got[f.key] = value
+            if f.columns:
+                row[start] = bool(value) if kind is _TEXT_OR_NULL else value
+        return row
+
+    def to_json(self, record) -> dict:
+        """The JSON object of a record of :attr:`type`."""
+        doc: dict = {}
+        for f in self.fields:
+            value = getattr(record, f.name)
+            outer, _, key = f.key.rpartition(".")
+            (doc.setdefault(outer, {}) if outer else doc)[key] = (
+                format_timestamp(value) if f.kind is datetime else value)
+        return doc
 
 
 def _in_range(count) -> bool:
@@ -168,77 +254,72 @@ def _fits(text: str) -> bool:
     return len(text) <= MAX_TWEET_TEXT_LEN
 
 
-def _timestamp(data: dict, what: str, at: str) -> datetime:
-    """``data["created_at"]``, a string, as aware UTC; a DomainError naming
-    it if it does not parse or leaves the datetime range in UTC."""
-    value = field(data, "created_at", str, what, DomainError, at=at)
-    try:
-        return parse_timestamp(value)
-    except (DomainError, OverflowError):
-        raise DomainError(f"{what} field {at}created_at is {json.dumps(value)}, expected "
-                          f"an ISO-8601 time within the datetime range in UTC") from None
+def _time_columns(prefix: str) -> tuple[str, ...]:
+    return tuple(f"{prefix}_{part}" for part in
+                 ("year", "month", "day", "hour", "minute", "second"))
 
 
-def _profile_from_json(data: dict, what: str) -> UserProfile:
-    return UserProfile(created_at=_timestamp(data, what, ""), **{
-        key: field(data, key, kind, what, DomainError, default,
-                   valid=_in_range if kind is int else None, requirement=_IN_RANGE)
-        for key, kind, default in _PROFILE_FIELDS})
+# Every integer is a count: in range, or an entity list, counted by length.
+_COUNT = (_in_range, "in [0, 2**63 - 1]")
+_TEXT = Field("text", str, "", (), _fits, f"of at most {MAX_TWEET_TEXT_LEN} characters")
+
+PROFILE = RecordKind("UserProfile", (
+    Field("name", str, ""),
+    Field("screen_name", str, ""),
+    Field("location", _TEXT_OR_NULL, None, ("has_location",)),
+    Field("description", _TEXT_OR_NULL, None, ("has_description",)),
+    Field("url", _TEXT_OR_NULL, None, ("has_url",)),
+    Field("protected", bool, False, ("protected",)),
+    Field("followers_count", int, 0, ("followers_count",), *_COUNT),
+    Field("friends_count", int, 0, ("friends_count",), *_COUNT),
+    Field("listed_count", int, 0, ("listed_count",), *_COUNT),
+    Field("created_at", datetime, None, _time_columns("created")),
+    Field("favourites_count", int, 0, ("favourites_count",), *_COUNT),
+    Field("geo_enabled", bool, False, ("geo_enabled",)),
+    Field("verified", bool, False, ("verified",)),
+    Field("statuses_count", int, 0, ("statuses_count",), *_COUNT),
+    Field("profile_use_background_image", bool, False, ("profile_use_background_image",)),
+))
+
+TWEET = RecordKind("Tweet", (
+    Field("created_at", datetime, None, _time_columns("tweet")),
+    _TEXT,
+    Field("truncated", bool, False, ("tweet_truncated",)),
+    Field("retweet_count", int, 0, ("tweet_retweet_count",), *_COUNT),
+    Field("favorite_count", int, 0, ("tweet_favorite_count",), *_COUNT),
+    Field("favorited", bool, False, ("tweet_favorited",)),
+    Field("retweeted", bool, False, ("tweet_retweeted",)),
+    Field("is_quote_status", bool, False, ("tweet_is_quote_status",)),
+    Field("entities.hashtags", (int, list), 0, ("tweet_hashtag_count",), *_COUNT),
+    Field("entities.user_mentions", (int, list), 0, ("tweet_mention_count",), *_COUNT),
+    Field("entities.urls", (int, list), 0, ("tweet_url_count",), *_COUNT),
+    Field("entities.symbols", (int, list), 0, ("tweet_symbol_count",), *_COUNT),
+    Field("entities.polls", (int, list), 0, (), *_COUNT),
+    Field("has_poll", bool, lambda got: got["entities.polls"] > 0, ("tweet_has_poll",)),
+))
+
+# The generator's records: one attribute per table row.
+UserProfile = PROFILE.type
+Tweet = TWEET.type
 
 
-def _tweet_text(data: dict, what: str, at: str) -> str:
-    return field(data, "text", str, what, DomainError, "", at=at, valid=_fits,
-                 requirement=_FITS)
+@dataclass(frozen=True)
+class UserRecord:
+    """One generated account: profile, recent tweets, the texts of recent
+    comments, optional label."""
 
+    user_id: str
+    profile: UserProfile
+    tweets: tuple[Tweet, ...] = ()
+    comments: tuple[str, ...] = ()
+    score: Optional[float] = None
 
-def _tweet_from_json(data: dict, what: str, at: str) -> Tweet:
-    entities = field(data, "entities", dict, what, DomainError, {}, at=at)
-    counts, in_entities = [], at + "entities."
-    for key in _ENTITIES:
-        count = field(entities, key, (int, list), what, DomainError, 0, at=in_entities,
-                      valid=_in_range, requirement=_IN_RANGE)
-        # Raw API dumps list the entities themselves, which count by length.
-        counts.append(len(count) if type(count) is list else count)
-    hashtags, mentions, urls, symbols, polls = counts
-    return Tweet(
-        created_at=_timestamp(data, what, at),
-        text=_tweet_text(data, what, at),
-        truncated=field(data, "truncated", bool, what, DomainError, False, at=at),
-        retweet_count=field(data, "retweet_count", int, what, DomainError, 0, at=at,
-                            valid=_in_range, requirement=_IN_RANGE),
-        favorite_count=field(data, "favorite_count", int, what, DomainError, 0, at=at,
-                             valid=_in_range, requirement=_IN_RANGE),
-        favorited=field(data, "favorited", bool, what, DomainError, False, at=at),
-        retweeted=field(data, "retweeted", bool, what, DomainError, False, at=at),
-        is_quote_status=field(data, "is_quote_status", bool, what, DomainError, False, at=at),
-        hashtag_count=hashtags, mention_count=mentions, url_count=urls, symbol_count=symbols,
-        has_poll=field(data, "has_poll", bool, what, DomainError, polls > 0, at=at),
-    )
-
-
-def _profile_to_json(p: UserProfile) -> dict:
-    return dict(vars(p), created_at=format_timestamp(p.created_at))
-
-
-def _tweet_to_json(t: Tweet) -> dict:
-    return {
-        "created_at": format_timestamp(t.created_at),
-        "text": t.text,
-        "truncated": t.truncated,
-        "retweet_count": t.retweet_count,
-        "favorite_count": t.favorite_count,
-        "favorited": t.favorited,
-        "retweeted": t.retweeted,
-        "is_quote_status": t.is_quote_status,
-        "has_poll": t.has_poll,
-        "entities": {
-            "hashtags": t.hashtag_count,
-            "user_mentions": t.mention_count,
-            "urls": t.url_count,
-            "symbols": t.symbol_count,
-            "polls": int(t.has_poll),
-        },
-    }
+    def __post_init__(self):
+        # Accept lists on construction but store immutable tuples.
+        if not isinstance(self.tweets, tuple):
+            object.__setattr__(self, "tweets", tuple(self.tweets))
+        if not isinstance(self.comments, tuple):
+            object.__setattr__(self, "comments", tuple(self.comments))
 
 
 def _read_labels(path: Path) -> dict[str, float]:
@@ -264,58 +345,13 @@ def _read_labels(path: Path) -> dict[str, float]:
     return labels
 
 
-def _read_record(root: Path, user_id: str, labels: dict[str, float] | None) -> UserRecord:
-    """One user's files as a record, every field checked, truncated at the
-    caps; its score comes from ``labels``, None for an unlabeled dataset."""
-    path = root / "profiles" / f"{user_id}.json"
-    profile = _profile_from_json(read_json(path, "profile file", DomainError),
-                                 f"profile file {path}")
+def open_dataset(root: str | Path) -> tuple[DatasetManifest, Optional[dict[str, float]]]:
+    """A dataset directory's manifest, and its labels by user id (None for
+    an unlabeled dataset).
 
-    tweets: list[Tweet] = []
-    path = root / "tweets" / f"{user_id}.json"
-    if path.is_file():
-        what = f"tweets file {path}"
-        tweets = [_tweet_from_json(t, what, f"[{i}].")
-                  for i, t in enumerate(read_json(path, "tweets file", DomainError, list))]
-
-    comments: list[Comment] = []
-    path = root / "comments" / f"{user_id}.json"
-    if path.is_file():
-        what = f"comments file {path}"
-        comments = [Comment(text=field(c, "text", str, what, DomainError, at=f"[{i}]."))
-                    for i, c in enumerate(read_json(path, "comments file", DomainError, list))]
-
-    score = None
-    if labels is not None:
-        if user_id not in labels:
-            raise DomainError(f"user {user_id} missing from labels.csv")
-        score = labels[user_id]
-        if not 0.0 <= score <= 100.0:
-            raise DomainError(f"labels file {root / 'labels.csv'} gives user {user_id!r} "
-                              f"the score {score!r}, expected a number in [0, 100]")
-
-    return UserRecord(
-        user_id=user_id,
-        profile=profile,
-        tweets=tuple(tweets[:MAX_TWEETS_PER_USER]),
-        comments=tuple(comments[:MAX_COMMENTS_PER_USER]),
-        score=score,
-    )
-
-
-def iter_records(root: str | Path) -> tuple[DatasetManifest, Iterator[UserRecord]]:
-    """A dataset directory's manifest, and its records one at a time, by user_id.
-
-    The manifest (the user ids and whether labels are present) is read
-    at once; a missing profiles/ directory or a bad labels.csv raises
-    here. Each record is read, checked field by field and truncated at the
-    ingest caps only when the iterator reaches it, and only one is held
-    at a time. Missing tweet or comment files mean empty lists. Every
-    malformed or missing file, every invalid field or score, and every
-    labeled user without a profile is collected and raised together
-    as one :class:`DatasetLoadError` once the last user has been read,
-    rather than dropping records silently; the records yielded before
-    are then not a dataset.
+    A missing profiles/ directory or a bad labels.csv raises a
+    :class:`DatasetLoadError`; the user ids are the profile files' names,
+    sorted.
     """
     root = Path(root)
     profiles_dir = root / "profiles"
@@ -323,43 +359,22 @@ def iter_records(root: str | Path) -> tuple[DatasetManifest, Iterator[UserRecord
         raise DatasetLoadError([(str(root), "no profiles/ directory")])
 
     labels_path = root / "labels.csv"
-    labels: dict[str, float] | None = None
+    labels: Optional[dict[str, float]] = None
     if labels_path.is_file():
         try:
             labels = _read_labels(labels_path)
         except DomainError as exc:
             raise DatasetLoadError([(str(labels_path), str(exc))]) from None
 
-    user_ids = sorted(p.stem for p in profiles_dir.glob("*.json"))
-    manifest = DatasetManifest(
-        root=root, user_ids=tuple(user_ids), labels_present=labels is not None
-    )
-
-    def records() -> Iterator[UserRecord]:
-        failures: list[tuple[str, str]] = []
-        for user_id in user_ids:
-            try:
-                record = _read_record(root, user_id, labels)
-            except DomainError as exc:
-                failures.append((user_id, str(exc)))
-                continue
-            yield record
-
-        known_ids = set(user_ids)
-        for labeled_id in labels or ():
-            if labeled_id not in known_ids:
-                failures.append((labeled_id, "appears in labels.csv but has no profile file"))
-        if failures:
-            raise DatasetLoadError(failures)
-
-    return manifest, records()
+    user_ids = tuple(sorted(p.stem for p in profiles_dir.glob("*.json")))
+    return DatasetManifest(root=root, user_ids=user_ids, labels_present=labels is not None), labels
 
 
 def read_tweet_texts(root: str | Path, user_id: str, count: int) -> list[str]:
     """The texts of one user's tweets, read again for a later pass.
 
-    The file goes through the same parse and text extraction as
-    :func:`iter_records`, with the tweet cap applied, and must still hold
+    The file goes through the same parse and the same check of the text
+    field as the scan, with the tweet cap applied, and must still hold
     the ``count`` tweets that pass counted; a file that fails to parse, or
     changed its count since, raises a :class:`DatasetLoadError` naming
     the user and the file.
@@ -368,7 +383,8 @@ def read_tweet_texts(root: str | Path, user_id: str, count: int) -> list[str]:
     what = f"tweets file {path}"
     try:
         tweets = read_json(path, "tweets file", DomainError, list)[:MAX_TWEETS_PER_USER]
-        texts = [_tweet_text(t, what, f"[{i}].") for i, t in enumerate(tweets)]
+        texts = [field(t, _TEXT.key, _TEXT.kind, what, DomainError, _TEXT.default, _TEXT.valid,
+                       _TEXT.requirement, f"[{i}].") for i, t in enumerate(tweets)]
     except (DomainError, OSError) as exc:
         raise DatasetLoadError([(user_id, f"re-reading {path}: {exc}")]) from None
     if len(texts) != count:
@@ -379,7 +395,8 @@ def read_tweet_texts(root: str | Path, user_id: str, count: int) -> list[str]:
 
 
 def write_dataset(records: list[UserRecord], root: str | Path) -> DatasetManifest:
-    """Write records in the documented layout; inverse of :func:`iter_records`.
+    """Write records in the documented layout, each profile and tweet as
+    its table gives it.
 
     Records must be all labeled or all unlabeled; labels.csv is written
     only in the first case. Output is deterministic: users sorted by id,
@@ -398,11 +415,11 @@ def write_dataset(records: list[UserRecord], root: str | Path) -> DatasetManifes
     ordered = sorted(records, key=lambda r: r.user_id)
     for record in ordered:
         _dump_json(root / "profiles" / f"{record.user_id}.json",
-                   _profile_to_json(record.profile))
+                   PROFILE.to_json(record.profile))
         _dump_json(root / "tweets" / f"{record.user_id}.json",
-                   [_tweet_to_json(t) for t in record.tweets])
+                   [TWEET.to_json(t) for t in record.tweets])
         _dump_json(root / "comments" / f"{record.user_id}.json",
-                   [{"text": c.text} for c in record.comments])
+                   [{"text": text} for text in record.comments])
 
     if labels_present:
         with atomic_write(root / "labels.csv", newline="") as fh:
@@ -529,11 +546,12 @@ def generate_synthetic(config: SyntheticConfig) -> list[UserRecord]:
                 favorited=bool(rng.random() < 0.1),
                 retweeted=bool(rng.random() < 0.1),
                 is_quote_status=bool(rng.random() < 0.15),
-                hashtag_count=hashtags,
-                mention_count=mentions,
-                url_count=urls,
-                symbol_count=int(rng.poisson(0.1 + 1.0 * (1.0 - cred))),
-                has_poll=bool(rng.random() < 0.05),
+                hashtags=hashtags,
+                user_mentions=mentions,
+                urls=urls,
+                symbols=int(rng.poisson(0.1 + 1.0 * (1.0 - cred))),
+                has_poll=(has_poll := bool(rng.random() < 0.05)),
+                polls=int(has_poll),
             ))
 
         angry = 0.1 + 0.75 * (1.0 - cred)
@@ -546,7 +564,7 @@ def generate_synthetic(config: SyntheticConfig) -> list[UserRecord]:
                  else _pick_word(rng, _NEUTRAL_COMMENT_WORDS))
                 for _ in range(n_words)
             ]
-            comments.append(Comment(text=" ".join(words)))
+            comments.append(" ".join(words))
 
         records.append(UserRecord(
             user_id=f"user{i:05d}",

@@ -1,4 +1,4 @@
-"""Core domain types: account records, credibility scores, and class binning.
+"""Core domain types: credibility scores, class binning, ingest caps and times.
 
 Credibility scores live on a 0-100 scale (0 = least credible). A
 :class:`ClassificationSystem` partitions that scale into equal-width bins;
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
 
 MAX_TWEETS_PER_USER = 3250
 MAX_COMMENTS_PER_USER = 800
@@ -42,75 +41,6 @@ class DomainError(ValueError):
 
 class StateError(RuntimeError):
     """An operation ran against stale or inconsistent model state."""
-
-
-@dataclass(frozen=True)
-class UserProfile:
-    """Static account fields consumed by the feature pipeline.
-
-    Extra fields returned by real API dumps are accepted upstream and
-    simply never reach this type.
-    """
-
-    name: str
-    screen_name: str
-    created_at: datetime
-    location: Optional[str] = None
-    description: Optional[str] = None
-    url: Optional[str] = None
-    protected: bool = False
-    followers_count: int = 0
-    friends_count: int = 0
-    listed_count: int = 0
-    favourites_count: int = 0
-    geo_enabled: bool = False
-    verified: bool = False
-    statuses_count: int = 0
-    profile_use_background_image: bool = False
-
-
-@dataclass(frozen=True)
-class Tweet:
-    """One tweet with the scalar attributes used as features."""
-
-    created_at: datetime
-    text: str
-    truncated: bool = False
-    retweet_count: int = 0
-    favorite_count: int = 0
-    favorited: bool = False
-    retweeted: bool = False
-    is_quote_status: bool = False
-    hashtag_count: int = 0
-    mention_count: int = 0
-    url_count: int = 0
-    symbol_count: int = 0
-    has_poll: bool = False
-
-
-@dataclass(frozen=True)
-class Comment:
-    """A comment other users left about an account; only the text is kept."""
-
-    text: str
-
-
-@dataclass(frozen=True)
-class UserRecord:
-    """One account: profile, recent tweets, recent comments, optional label."""
-
-    user_id: str
-    profile: UserProfile
-    tweets: tuple[Tweet, ...] = ()
-    comments: tuple[Comment, ...] = ()
-    score: Optional[float] = None
-
-    def __post_init__(self):
-        # Accept lists on construction but store immutable tuples.
-        if not isinstance(self.tweets, tuple):
-            object.__setattr__(self, "tweets", tuple(self.tweets))
-        if not isinstance(self.comments, tuple):
-            object.__setattr__(self, "comments", tuple(self.comments))
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@ labeled datasets: min-max normalization, stratified splitting, and SMOTE
 oversampling.
 
 Feature rows are built in two passes over a dataset directory, so memory
-grows with the number of users, not of tweets. :func:`scan_dataset`
-reads and validates every user once, through
-:func:`~multicred.dataset.iter_records`, and keeps per user only its id,
-score, tweet count and the 41 components that need no autoencoder.
-:func:`fill_latents` then re-reads each user's tweet texts alone and
-writes the 10 latent components. :func:`tweet_texts_at` re-reads the
-texts of chosen tweets, such as the autoencoder's training sample.
+grows with the number of users, not of tweets. :func:`scan_dataset`, the
+one reader of a dataset, reads and validates every user once, each
+profile and tweet field through the tables of :mod:`multicred.dataset`,
+and keeps per user only its id, score, tweet count and the 41 components
+that need no autoencoder. :func:`fill_latents` then re-reads each user's
+tweet texts alone and writes the 10 latent components.
+:func:`tweet_texts_at` re-reads the texts of chosen tweets, such as the
+autoencoder's training sample.
 
 A :class:`LabeledDataset` holds its users as arrays: a tuple of user ids,
 an [n x 51] float64 matrix with one row per user, and an [n] label
@@ -24,8 +25,10 @@ square. :func:`smote_plan` gives each synthetic row's provenance as
 indices into the training split.
 
 Vector layout (stable, exported via :func:`feature_layout`):
-  [ 0..17]  18 profile scalars (booleans as 0/1, creation time decomposed)
-  [18..34]  17 tweet scalars, averaged over the user's tweets
+  [ 0..17]  18 profile scalars (booleans as 0/1, creation time decomposed),
+            named by :data:`~multicred.dataset.PROFILE`
+  [18..34]  17 tweet scalars, averaged over the user's tweets, named by
+            :data:`~multicred.dataset.TWEET`
   [35..44]  10 latent components: mean encoded tweet-text embedding
   [45..50]   6 sentiment components: mean comment emotion distribution
 
@@ -42,37 +45,23 @@ import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .autoencoder import Autoencoder
-from .dataset import DatasetManifest, iter_records, read_tweet_texts
-from .domain import DomainError, StateError, Tweet, UserProfile
+from .dataset import (PROFILE, TWEET, DatasetLoadError, DatasetManifest, open_dataset,
+                      read_tweet_texts)
+from .domain import MAX_COMMENTS_PER_USER, MAX_TWEETS_PER_USER, DomainError, StateError
 from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_texts
 from .network import ShapeError
 from .preprocess import preprocess
-from .store import atomic_write, read_csv
+from .store import atomic_write, field, read_csv, read_json
 
 LAYOUT_VERSION = 1
 
-PROFILE_FEATURES = (
-    "has_location", "has_description", "has_url", "protected",
-    "followers_count", "friends_count", "listed_count",
-    "created_year", "created_month", "created_day",
-    "created_hour", "created_minute", "created_second",
-    "favourites_count", "geo_enabled", "verified", "statuses_count",
-    "profile_use_background_image",
-)
-
-TWEET_FEATURES = (
-    "tweet_year", "tweet_month", "tweet_day",
-    "tweet_hour", "tweet_minute", "tweet_second",
-    "tweet_truncated", "tweet_retweet_count", "tweet_favorite_count",
-    "tweet_favorited", "tweet_retweeted", "tweet_is_quote_status",
-    "tweet_hashtag_count", "tweet_mention_count", "tweet_url_count",
-    "tweet_symbol_count", "tweet_has_poll",
-)
+PROFILE_FEATURES = PROFILE.columns
+TWEET_FEATURES = TWEET.columns
 
 LATENT_FEATURES = tuple(f"tweet_latent_{i:02d}" for i in range(10))
 SENTIMENT_FEATURES = tuple(f"sentiment_{e}" for e in EMOTIONS)
@@ -196,64 +185,6 @@ def apply_minmax(stats: NormalizationStats, x: np.ndarray) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def aggregate_mean(vectors: Sequence[np.ndarray], dim: Optional[int] = None) -> np.ndarray:
-    """Component-wise mean; an empty list yields zeros and a warning.
-
-    ``dim`` is required to size the zero vector when the list may be empty.
-    """
-    if len(vectors) == 0:
-        if dim is None:
-            raise ShapeError("cannot infer dimension of an empty aggregation")
-        warnings.warn("aggregating an empty vector list; yielding zeros", stacklevel=2)
-        return np.zeros(dim)
-    first = np.asarray(vectors[0], dtype=float)
-    for v in vectors[1:]:
-        if np.asarray(v).shape != first.shape:
-            raise ShapeError("aggregate_mean requires vectors of one dimension")
-    return np.mean(np.asarray(vectors, dtype=float), axis=0)
-
-
-def profile_scalars(profile: UserProfile) -> np.ndarray:
-    """The 18 profile-block scalars, in layout order."""
-    c = profile.created_at
-    return np.array([
-        float(bool(profile.location)),
-        float(bool(profile.description)),
-        float(bool(profile.url)),
-        float(profile.protected),
-        float(profile.followers_count),
-        float(profile.friends_count),
-        float(profile.listed_count),
-        float(c.year), float(c.month), float(c.day),
-        float(c.hour), float(c.minute), float(c.second),
-        float(profile.favourites_count),
-        float(profile.geo_enabled),
-        float(profile.verified),
-        float(profile.statuses_count),
-        float(profile.profile_use_background_image),
-    ])
-
-
-def tweet_scalars(tweet: Tweet) -> np.ndarray:
-    """The 17 per-tweet scalars, in layout order."""
-    c = tweet.created_at
-    return np.array([
-        float(c.year), float(c.month), float(c.day),
-        float(c.hour), float(c.minute), float(c.second),
-        float(tweet.truncated),
-        float(tweet.retweet_count),
-        float(tweet.favorite_count),
-        float(tweet.favorited),
-        float(tweet.retweeted),
-        float(tweet.is_quote_status),
-        float(tweet.hashtag_count),
-        float(tweet.mention_count),
-        float(tweet.url_count),
-        float(tweet.symbol_count),
-        float(tweet.has_poll),
-    ])
-
-
 @dataclass(frozen=True)
 class UserScan:
     """What :func:`scan_dataset` keeps of a dataset: row ``i`` of each array
@@ -277,35 +208,83 @@ class UserScan:
 def scan_dataset(root: str | Path) -> UserScan:
     """Read and validate a dataset directory once, one user at a time.
 
-    Every failure is raised together, as one
-    :class:`~multicred.dataset.DatasetLoadError`, before anything is
-    embedded. Each user's row gets its profile scalars, the mean of its
-    tweet scalars and the mean emotion distribution of its comments; users
-    without tweets get a zero tweet-scalar block, users without comments a
-    zero sentiment block (no opinions is not the same as neutral opinions).
-    The scalar block is left raw: ``prepare`` and ``predict`` rescale it
-    with :func:`apply_minmax`.
+    Each user's profile, tweets and comments files are read through the
+    tables of :mod:`multicred.dataset` and its row built from them: the
+    profile's columns, the mean of its tweets' columns and the mean
+    emotion distribution of its comments. Users without tweets get a zero
+    tweet block (and a warning), users without comments a zero sentiment
+    block (no opinions is not the same as neutral opinions); a missing
+    tweets or comments file means none. Tweet and comment lists are
+    truncated at the ingest caps after every entry has been checked. The
+    scalar block is left raw: ``prepare`` and ``predict`` rescale it with
+    :func:`apply_minmax`.
+
+    Every malformed or missing file, every invalid field or score (the
+    first of each user), and every labeled user without a profile is
+    collected and raised together, as one
+    :class:`~multicred.dataset.DatasetLoadError`, after the last user has
+    been read and before anything is embedded.
     """
-    manifest, records = iter_records(root)
+    manifest, labels = open_dataset(root)
+    root = manifest.root
     n = len(manifest.user_ids)
     x = np.zeros((n, NUM_FEATURES))
     tweet_counts = np.zeros(n, dtype=np.intp)
-    scores = np.zeros(n) if manifest.labels_present else None
-    # Rows stay in step with the manifest: a user that fails to load makes
-    # the iterator raise once it is exhausted.
-    for i, record in enumerate(records):
-        x[i, _PROFILE] = profile_scalars(record.profile)
-        x[i, _TWEET] = aggregate_mean(
-            [tweet_scalars(t) for t in record.tweets], dim=len(TWEET_FEATURES)
-        )
-        if record.comments:
-            x[i, _SENTIMENT] = np.mean(
-                [analyze_sentiment(preprocess(c.text)) for c in record.comments], axis=0
-            )
-        tweet_counts[i] = len(record.tweets)
-        if scores is not None:
-            scores[i] = record.score
+    scores = None if labels is None else np.zeros(n)
+    failures: list[tuple[str, str]] = []
+    for i, user_id in enumerate(manifest.user_ids):
+        try:
+            tweet_counts[i] = _scan_user(root, user_id, x[i])
+            if labels is not None:
+                if user_id not in labels:
+                    raise DomainError(f"user {user_id} missing from labels.csv")
+                score = labels[user_id]
+                if not 0.0 <= score <= 100.0:
+                    raise DomainError(f"labels file {root / 'labels.csv'} gives user "
+                                      f"{user_id!r} the score {score!r}, "
+                                      f"expected a number in [0, 100]")
+                scores[i] = score
+        except DomainError as exc:
+            failures.append((user_id, str(exc)))
+
+    known_ids = set(manifest.user_ids)
+    failures += [(labeled_id, "appears in labels.csv but has no profile file")
+                 for labeled_id in labels or () if labeled_id not in known_ids]
+    if failures:
+        raise DatasetLoadError(failures)
     return UserScan(manifest, x, tweet_counts, scores)
+
+
+def _scan_user(root: Path, user_id: str, row: np.ndarray) -> int:
+    """Fill ``row`` from one user's files; the number of tweets it has
+    after the cap. A fault raises a DomainError naming the file."""
+    path = root / "profiles" / f"{user_id}.json"
+    row[_PROFILE] = PROFILE.read(read_json(path, "profile file", DomainError),
+                                 f"profile file {path}")
+
+    tweets: list[list] = []
+    path = root / "tweets" / f"{user_id}.json"
+    if path.is_file():
+        what = f"tweets file {path}"
+        tweets = [TWEET.read(t, what, f"[{i}].")
+                  for i, t in enumerate(read_json(path, "tweets file", DomainError, list))]
+        del tweets[MAX_TWEETS_PER_USER:]
+
+    comments: list[str] = []
+    path = root / "comments" / f"{user_id}.json"
+    if path.is_file():
+        what = f"comments file {path}"
+        comments = [field(c, "text", str, what, DomainError, at=f"[{i}].")
+                    for i, c in enumerate(read_json(path, "comments file", DomainError, list))]
+        del comments[MAX_COMMENTS_PER_USER:]
+
+    if tweets:
+        row[_TWEET] = np.array(tweets, dtype=np.float64).mean(axis=0)
+    else:
+        warnings.warn("aggregating an empty vector list; yielding zeros", stacklevel=2)
+    if comments:
+        row[_SENTIMENT] = np.mean([analyze_sentiment(preprocess(c)) for c in comments], axis=0)
+    return len(tweets)
 
 
 def fill_latents(scan: UserScan, embedder: EmbedderSpec, ae: Autoencoder) -> None:

@@ -160,6 +160,13 @@ def _param_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
     return {}
 
 
+def _stat_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
+    """Running-statistic shapes of one layer, in buffer order."""
+    if layer.kind == "batchnorm":
+        return {"mean": (layer.output_dim,), "var": (layer.output_dim,)}
+    return {}
+
+
 def _size(layout: list[dict[str, tuple[int, ...]]]) -> int:
     return sum(math.prod(shape) for shapes in layout for shape in shapes.values())
 
@@ -187,8 +194,7 @@ class Model:
         self._shapes = [_param_shapes(layer) for layer in spec.layers]
         self.flat = np.zeros(_size(self._shapes))
         self.params: list[dict[str, np.ndarray]] = self.views(self.flat)
-        stat_shapes = [{"mean": (layer.output_dim,), "var": (layer.output_dim,)}
-                       if layer.kind == "batchnorm" else {} for layer in spec.layers]
+        stat_shapes = [_stat_shapes(layer) for layer in spec.layers]
         self.stats = np.zeros(_size(stat_shapes))
         self.running: list[Optional[dict[str, np.ndarray]]] = [
             stats or None for stats in _carve(self.stats, stat_shapes)]
@@ -598,6 +604,9 @@ def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:
 
     A missing, mistyped or mis-sized field raises a StateError naming it,
     such as ``layers``, ``parameters[1].weight`` or ``running_stats[3].mean``.
+    Every stored array is decoded and sized against the layers before the
+    model is allocated, so layers wider than the stored arrays are named,
+    whatever memory they would take.
     """
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -609,24 +618,28 @@ def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:
         raise StateError(f"artifact kind {kind!r} where {expected_kind!r} was expected")
 
     spec = spec_from_json(_model_field(data, "layers", list))
-    model = Model(spec, rng=_LOADED)
     parameters = _model_field(data, "parameters", list)
     if len(parameters) != len(spec.layers):
         raise StateError(f"{_STORED} field parameters has {len(parameters)} "
                          f"entries for {len(spec.layers)} layers")
 
-    def fill(arrays: dict[str, np.ndarray], container, at: str) -> None:
-        for key, arr in arrays.items():
-            stored = _model_field(container, key, object, at=at)
-            arr[...] = store.decode_array(stored, arr.size, f"{_STORED} field {at}{key}"
-                                          ).reshape(arr.shape)
+    def decode(shapes: dict[str, tuple[int, ...]], container, at: str) -> list[np.ndarray]:
+        return [store.decode_array(_model_field(container, key, object, at=at),
+                                   math.prod(shape), f"{_STORED} field {at}{key}")
+                for key, shape in shapes.items()]
 
-    for i, (params, running) in enumerate(zip(model.params, model.running)):
-        fill(params, parameters[i], f"parameters[{i}].")
-        if running is not None:
-            stats = _model_field(data, "running_stats", list)
-            if i >= len(stats):
+    flat, stats = [], []
+    for i, layer in enumerate(spec.layers):
+        flat += decode(_param_shapes(layer), parameters[i], f"parameters[{i}].")
+        if layer.kind == "batchnorm":
+            running = _model_field(data, "running_stats", list)
+            if i >= len(running):
                 raise StateError(f"{_STORED} has no field running_stats[{i}]")
-            fill(running, stats[i], f"running_stats[{i}].")
+            stats += decode(_stat_shapes(layer), running[i], f"running_stats[{i}].")
+    model = Model(spec, rng=_LOADED)
+    # Each buffer holds its arrays in this order: by layer, then by shape.
+    for buffer, arrays in ((model.flat, flat), (model.stats, stats)):
+        if arrays:
+            np.concatenate(arrays, out=buffer)
     model.inference_mode()
     return model

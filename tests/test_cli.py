@@ -15,7 +15,6 @@ from multicred import cli
 from multicred import features as feat_mod
 from multicred import network as nn
 from multicred.cli import run
-from multicred.dataset import iter_records
 from multicred.autoencoder import load_autoencoder
 from multicred.embedding import EmbedderSpec, embed_texts
 from multicred.preprocess import preprocess
@@ -184,9 +183,10 @@ class TestPrepare:
         with pytest.raises(Captured) as got:
             run(args)
 
-        _, records = iter_records(pipeline / "data")
+        texts = [t["text"] for path in sorted((pipeline / "data" / "tweets").glob("*.json"))
+                 for t in json.loads(path.read_text("utf-8"))]
         spec = EmbedderSpec(hash_seed=0)
-        full = embed_texts(spec, [preprocess(t.text) for r in records for t in r.tweets])
+        full = embed_texts(spec, [preprocess(t) for t in texts])
         if cap < full.shape[0]:
             keep = np.random.default_rng(7).choice(full.shape[0], size=cap, replace=False)
             full = full[np.sort(keep)]
@@ -280,6 +280,31 @@ class TestBundleCrossCheck:
         assert code == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not (tmp_path / "preds.csv").exists()
+
+    @pytest.mark.parametrize("width", [2**33, 2**64])
+    def test_oversized_spec_named_before_allocation(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch, width):
+        bundle = json.loads((pipeline / "model.json").read_text("utf-8"))
+        layers = bundle["autoencoder"]["layers"]
+        layers[0]["output_dim"] = layers[1]["input_dim"] = layers[1]["output_dim"] = width
+        layers[2]["input_dim"] = width
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(bundle), "utf-8")
+        real = nn.Model
+
+        def sized(spec, rng=None):
+            if max(layer.output_dim for layer in spec.layers) > 10**6:
+                pytest.fail("allocated a model from an oversized spec")
+            return real(spec, rng)
+
+        monkeypatch.setattr(nn, "Model", sized)
+        code = run(["predict", "--model", str(model), "--input", str(pipeline / "data"),
+                    "--out", str(tmp_path / "preds.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (f"serialized network field parameters[0].weight has shape (98304,), "
+                f"expected ({768 * width},)") in err and "Traceback" not in err
         assert not (tmp_path / "preds.csv").exists()
 
     @pytest.mark.parametrize("tamper, named", [
@@ -568,6 +593,18 @@ class TestTrainEvaluate:
         parsed = json.loads(stdout)
         assert "f1" in parsed["macro"]
         assert json.loads(report_path.read_text("utf-8")) == parsed
+
+    def test_evaluate_reads_only_the_test_split(self, pipeline, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        intact = run(["evaluate", "--model", str(pipeline / "model.json"),
+                      "--prepared", str(prep)])
+        report = capsys.readouterr().out
+        (prep / "train.csv").write_bytes(b"")
+        (prep / "validation.csv").unlink()
+        assert intact == 0 and run(["evaluate", "--model", str(pipeline / "model.json"),
+                                    "--prepared", str(prep)]) == 0
+        assert capsys.readouterr().out == report
 
     @pytest.mark.parametrize("flags, named", [
         (["--seed", "-1"], "seed must be >= 0, got -1"),

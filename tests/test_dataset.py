@@ -12,11 +12,15 @@ from multicred.dataset import (
     DatasetLoadError,
     SyntheticConfig,
     generate_synthetic,
-    iter_records,
+    read_tweet_texts,
     write_dataset,
 )
 from multicred.domain import ClassificationSystem, DomainError, bin_score
-from multicred.embedding import default_lexicon
+from multicred.embedding import analyze_sentiment, default_lexicon
+from multicred.features import FEATURE_NAMES, scan_dataset
+from multicred.preprocess import preprocess
+
+from test_features import profile_scalars, tweet_scalars
 
 
 PROFILE = {
@@ -53,9 +57,17 @@ def write_fixture(root: Path, user_ids=("u1", "u2", "u3"), with_labels=True):
 
 
 def read_all(root: Path):
-    """The manifest and every record of ``root``, through iter_records."""
-    manifest, records = iter_records(root)
-    return manifest, list(records)
+    """Every user of ``root``, read through scan_dataset."""
+    return scan_dataset(root)
+
+
+def column(name: str) -> int:
+    return FEATURE_NAMES.index(name)
+
+
+def sentiment(*texts: str) -> np.ndarray:
+    """The sentiment block of a user with these comments."""
+    return np.mean([analyze_sentiment(preprocess(t)) for t in texts], axis=0)
 
 
 def tree_digest(root: Path) -> str:
@@ -70,19 +82,19 @@ def tree_digest(root: Path) -> str:
 class TestLoad:
     def test_three_user_fixture(self, tmp_path):
         write_fixture(tmp_path)
-        manifest, records = read_all(tmp_path)
-        assert len(records) == 3
-        assert manifest.labels_present
-        assert all(r.score == 62.5 for r in records)
-        assert records[0].profile.followers_count == 1200
-        assert records[0].tweets[0].hashtag_count == 2
-        assert records[0].comments[0].text == "nice story"
+        scan = read_all(tmp_path)
+        assert len(scan) == 3
+        assert scan.manifest.labels_present
+        assert scan.scores.tolist() == [62.5] * 3
+        assert scan.x[0, column("followers_count")] == 1200
+        assert scan.x[0, column("tweet_hashtag_count")] == 2
+        assert scan.x[0, -6:].tobytes() == sentiment("nice story").tobytes()
 
     def test_absent_comments_file_means_empty(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1",))
         (tmp_path / "comments" / "u1.json").unlink()
-        _, records = read_all(tmp_path)
-        assert records[0].comments == ()
+        scan = read_all(tmp_path)
+        assert not scan.x[0, -6:].any()
 
     def test_truncated_json_names_file_and_offset(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1", "u2"))
@@ -178,11 +190,15 @@ class TestLoad:
                      entities={"hashtags": top, "user_mentions": 0, "polls": top})
         (tmp_path / "tweets" / "u1.json").write_text(json.dumps([tweet]), "utf-8")
         (tmp_path / "labels.csv").write_text("user_id,score\nu1,0\nu2,100\n", "utf-8")
-        _, (u1, u2) = read_all(tmp_path)
-        assert u1.profile.followers_count == top and u1.score == 0.0 and u2.score == 100.0
-        [got] = u1.tweets
-        assert len(got.text) == 4000 and got.retweet_count == top
-        assert got.hashtag_count == top and got.has_poll
+        scan = read_all(tmp_path)
+        u1 = scan.x[0]
+        assert u1[column("followers_count")] == float(top)
+        assert scan.scores.tolist() == [0.0, 100.0]
+        assert u1[column("tweet_retweet_count")] == float(top)
+        assert u1[column("tweet_hashtag_count")] == float(top)
+        assert u1[column("tweet_has_poll")] == 1.0
+        [text] = read_tweet_texts(tmp_path, "u1", 1)
+        assert len(text) == 4000
 
     def test_range_fault_past_the_cap_named(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1",))
@@ -247,7 +263,12 @@ class TestLoad:
          "expected a string of at most 4000 characters"),
         ("comments", r'[{"text": "a\ud800"}]',
          r"holds \ud800, an unpaired UTF-16 surrogate escape"),
-    ], ids=["negative-count", "negative-polls", "count-2**63", "text-4001", "lone-surrogate"])
+        ("profiles", '{"created_at": "2014-02-03T04:05:06Z", "verified": "yes"}',
+         'field verified is "yes", expected true or false'),
+        ("profiles", '{"created_at": "2014-02-03T04:05:06Z", "location": 3}',
+         "field location is 3, expected a string or null"),
+    ], ids=["negative-count", "negative-polls", "count-2**63", "text-4001", "lone-surrogate",
+            "flag-string", "location-number"])
     def test_value_out_of_range_named(self, tmp_path, sub, content, named):
         write_fixture(tmp_path, user_ids=("u1", "u2"))
         path = tmp_path / sub / "u1.json"
@@ -256,6 +277,25 @@ class TestLoad:
             read_all(tmp_path)
         what = "profile" if sub == "profiles" else sub
         assert err.value.failures == [("u1", f"{what} file {path} {named}")]
+
+    @pytest.mark.parametrize("sub, record, named", [
+        ("tweets", dict(TWEET, created_at=5, entities={"urls": -1}), "[0].entities.urls is -1"),
+        ("tweets", dict(TWEET, created_at=5, truncated=1), "[0].created_at is 5"),
+        ("tweets", dict(TWEET, text=5, favorited=1), "[0].text is 5"),
+        ("tweets", dict(TWEET, has_poll=1, retweet_count=-1), "[0].retweet_count is -1"),
+        ("profiles", dict(PROFILE, name=5, created_at=5), "created_at is 5"),
+        ("profiles", dict(PROFILE, verified=1, location=5), "location is 5"),
+    ], ids=["entities-first", "then-created_at", "then-text", "has_poll-last",
+            "profile-created_at-first", "profile-table-order"])
+    def test_first_fault_of_a_record_named_in_check_order(self, tmp_path, sub, record, named):
+        write_fixture(tmp_path, user_ids=("u1",))
+        path = tmp_path / sub / "u1.json"
+        path.write_text(json.dumps(record if sub == "profiles" else [record]), "utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            read_all(tmp_path)
+        [(_, reason)] = err.value.failures
+        what = "profile" if sub == "profiles" else sub
+        assert reason.startswith(f"{what} file {path} field {named}"), reason
 
     @pytest.mark.parametrize("sub, fields", [
         ("profiles", [(key,) for key in PROFILE]),
@@ -284,58 +324,61 @@ class TestLoad:
                 except Exception as exc:
                     pytest.fail(f"{sub} {'.'.join(path)} = {raw}: {exc!r}")
 
-    def test_records_are_read_one_at_a_time(self, tmp_path):
-        write_fixture(tmp_path, user_ids=("u1", "u2"))
-        manifest, records = iter_records(tmp_path)
-        assert manifest.user_ids == ("u1", "u2")
-        assert next(records).user_id == "u1"
-        (tmp_path / "profiles" / "u2.json").write_text("{broken", "utf-8")
-        with pytest.raises(DatasetLoadError, match="u2"):
-            next(records)
-
     def test_unlabeled_dataset_loads(self, tmp_path):
         write_fixture(tmp_path, with_labels=False)
-        manifest, records = read_all(tmp_path)
-        assert not manifest.labels_present
-        assert all(r.score is None for r in records)
+        scan = read_all(tmp_path)
+        assert not scan.manifest.labels_present
+        assert scan.scores is None and len(scan) == 3
 
     def test_tweet_cap_enforced_on_ingest(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1",))
         (tmp_path / "tweets" / "u1.json").write_text(json.dumps([TWEET] * 3300), "utf-8")
-        _, records = read_all(tmp_path)
-        assert len(records[0].tweets) == 3250
+        scan = read_all(tmp_path)
+        assert scan.tweet_counts.tolist() == [3250]
 
     def test_comment_cap_enforced_on_ingest(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1",))
+        angry = " ".join(sorted(default_lexicon()["anger"])[:3])
         (tmp_path / "comments" / "u1.json").write_text(
-            json.dumps([{"text": "nice story"}] * 801), "utf-8")
-        _, records = read_all(tmp_path)
-        assert len(records[0].comments) == 800
+            json.dumps([{"text": "nice story"}] * 800 + [{"text": angry}]), "utf-8")
+        scan = read_all(tmp_path)
+        assert scan.x[0, -6:].tobytes() == sentiment(*["nice story"] * 800).tobytes()
+        assert scan.x[0, -6:].tobytes() != sentiment(*["nice story"] * 800, angry).tobytes()
 
     def test_entity_lists_tolerated(self, tmp_path):
         write_fixture(tmp_path, user_ids=("u1",))
         tweet = dict(TWEET, entities={"hashtags": ["a", "b", "c"], "urls": []})
         (tmp_path / "tweets" / "u1.json").write_text(json.dumps([tweet]), "utf-8")
-        _, records = read_all(tmp_path)
-        assert records[0].tweets[0].hashtag_count == 3
-        assert records[0].tweets[0].url_count == 0
+        scan = read_all(tmp_path)
+        assert scan.x[0, column("tweet_hashtag_count")] == 3
+        assert scan.x[0, column("tweet_url_count")] == 0
 
 
 class TestWrite:
     def test_roundtrip_identity(self, tmp_path):
         cfg = SyntheticConfig(num_users=12, system=ClassificationSystem(4),
                               tweets_per_user=4, comments_per_user=3, seed=1)
-        records = generate_synthetic(cfg)
-        write_dataset(records, tmp_path / "ds")
-        _, loaded = read_all(tmp_path / "ds")
-        assert loaded == sorted(records, key=lambda r: r.user_id)
+        records = sorted(generate_synthetic(cfg), key=lambda r: r.user_id)
+        root = tmp_path / "ds"
+        write_dataset(records, root)
+        scan = read_all(root)
+        assert scan.manifest.user_ids == tuple(r.user_id for r in records)
+        assert scan.scores.tolist() == [r.score for r in records]
+        for row, r in zip(scan.x, records):
+            assert row[:18].tobytes() == profile_scalars(r.profile).tobytes()
+            assert row[18:35].tobytes() == np.mean(
+                [tweet_scalars(t) for t in r.tweets], axis=0).tobytes()
+            assert row[45:].tobytes() == sentiment(*r.comments).tobytes()
+            assert read_tweet_texts(root, r.user_id, len(r.tweets)) == [t.text for t in r.tweets]
+            profile = json.loads((root / "profiles" / f"{r.user_id}.json").read_text("utf-8"))
+            assert (profile["name"], profile["screen_name"], profile["location"]) == (
+                r.profile.name, r.profile.screen_name, r.profile.location)
 
     def test_empty_record_list(self, tmp_path):
         manifest = write_dataset([], tmp_path / "empty")
         assert manifest.user_ids == ()
         assert not manifest.labels_present
-        _, loaded = read_all(tmp_path / "empty")
-        assert loaded == []
+        assert len(read_all(tmp_path / "empty")) == 0
 
     def test_unwritable_path_raises_os_error(self, tmp_path):
         # A file where the layout needs a directory.
@@ -418,7 +461,7 @@ class TestGenerator:
         by_class = {c: [r for i, r in enumerate(records) if i % 4 == c] for c in (0, 3)}
 
         def mean_hashtags(rs):
-            return np.mean([t.hashtag_count for r in rs for t in r.tweets])
+            return np.mean([t.hashtags for r in rs for t in r.tweets])
 
         def mean_age_days(rs):
             return np.mean([
@@ -427,7 +470,7 @@ class TestGenerator:
             ])
 
         def anger_fraction(rs):
-            words = [w for r in rs for c in r.comments for w in c.text.split()]
+            words = [w for r in rs for c in r.comments for w in c.split()]
             return np.mean([w in anger for w in words])
 
         assert mean_hashtags(by_class[0]) > 2.0 * mean_hashtags(by_class[3])
@@ -446,12 +489,12 @@ class TestGenerator:
 
         def user_row(r):
             age = (REFERENCE_INSTANT - r.profile.created_at).total_seconds() / 86400
-            words = [w for c in r.comments for w in c.text.split()]
+            words = [w for c in r.comments for w in c.split()]
             return [
                 r.profile.followers_count, r.profile.friends_count,
                 r.profile.statuses_count, age,
-                np.mean([t.hashtag_count for t in r.tweets]),
-                np.mean([t.url_count for t in r.tweets]),
+                np.mean([t.hashtags for t in r.tweets]),
+                np.mean([t.urls for t in r.tweets]),
                 np.mean([w in anger for w in words]),
             ]
 

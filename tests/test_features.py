@@ -1,6 +1,5 @@
 import tracemalloc
 import json
-from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -14,17 +13,9 @@ from multicred.dataset import (
     DatasetLoadError,
     SyntheticConfig,
     generate_synthetic,
-    iter_records,
     write_dataset,
 )
-from multicred.domain import (
-    ClassificationSystem,
-    Comment,
-    DomainError,
-    Tweet,
-    UserProfile,
-    UserRecord,
-)
+from multicred.domain import ClassificationSystem, DomainError
 from multicred.embedding import analyze_sentiment, embed_texts
 from multicred.preprocess import preprocess
 from multicred.features import (
@@ -33,7 +24,6 @@ from multicred.features import (
     NUM_SCALAR_FEATURES,
     LabeledDataset,
     NormalizationStats,
-    aggregate_mean,
     apply_minmax,
     feature_layout,
     fill_latents,
@@ -52,23 +42,53 @@ from conftest import feature_rows, untrained_autoencoder_model
 
 
 def make_record(user_id="u1", n_tweets=3, n_comments=2, score=50.0):
-    created = datetime(2016, 5, 4, 3, 2, 1, tzinfo=timezone.utc)
-    tweets = tuple(
-        Tweet(
-            created_at=created, text=f"breaking story number {i}",
-            retweet_count=i, favorite_count=2 * i, hashtag_count=1,
-            mention_count=0, url_count=1, symbol_count=0,
-        )
-        for i in range(n_tweets)
-    )
-    comments = tuple(Comment(text="happy wonderful news") for _ in range(n_comments))
-    profile = UserProfile(
-        name="N", screen_name="n", created_at=created, location="X",
-        followers_count=120, friends_count=80, listed_count=3,
-        favourites_count=10, statuses_count=400, verified=True,
-    )
-    return UserRecord(user_id=user_id, profile=profile, tweets=tweets,
-                      comments=comments, score=score)
+    [record] = synthetic_records(1, max(n_tweets, 1), max(n_comments, 1))
+    return replace(record, user_id=user_id, tweets=record.tweets[:n_tweets],
+                   comments=record.comments[:n_comments], score=score)
+
+
+# The profile and tweet feature columns, written out here independently of
+# the field tables in dataset.py that the scan reads them through.
+
+def profile_scalars(profile) -> np.ndarray:
+    """The 18 profile-block scalars, in layout order."""
+    c = profile.created_at
+    return np.array([
+        float(bool(profile.location)),
+        float(bool(profile.description)),
+        float(bool(profile.url)),
+        float(profile.protected),
+        float(profile.followers_count),
+        float(profile.friends_count),
+        float(profile.listed_count),
+        float(c.year), float(c.month), float(c.day),
+        float(c.hour), float(c.minute), float(c.second),
+        float(profile.favourites_count),
+        float(profile.geo_enabled),
+        float(profile.verified),
+        float(profile.statuses_count),
+        float(profile.profile_use_background_image),
+    ])
+
+
+def tweet_scalars(tweet) -> np.ndarray:
+    """The 17 per-tweet scalars, in layout order."""
+    c = tweet.created_at
+    return np.array([
+        float(c.year), float(c.month), float(c.day),
+        float(c.hour), float(c.minute), float(c.second),
+        float(tweet.truncated),
+        float(tweet.retweet_count),
+        float(tweet.favorite_count),
+        float(tweet.favorited),
+        float(tweet.retweeted),
+        float(tweet.is_quote_status),
+        float(tweet.hashtags),
+        float(tweet.user_mentions),
+        float(tweet.urls),
+        float(tweet.symbols),
+        float(tweet.has_poll),
+    ])
 
 
 class TestMinMax:
@@ -115,26 +135,31 @@ class TestMinMax:
 
 
 class TestAggregateMean:
-    def test_mean_of_duplicates(self):
-        v = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(aggregate_mean([v, v]), v)
+    """A user's tweet block is the component-wise mean of its tweets' columns."""
 
-    def test_mean_of_opposites_is_zero(self):
-        v = np.array([1.0, -3.0])
-        np.testing.assert_array_equal(aggregate_mean([v, -v]), np.zeros(2))
+    @staticmethod
+    def tweet_block(root, tweets) -> np.ndarray:
+        [record] = synthetic_records(1, 1)
+        write_dataset([replace(record, tweets=tweets)], root)
+        return scan_dataset(root).x[0, 18:35]
 
-    def test_mean_of_basis_vectors(self):
-        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        np.testing.assert_array_equal(aggregate_mean([e1, e2]), np.array([0.5, 0.5]))
+    def test_mean_of_duplicates(self, tmp_path):
+        [tweet] = synthetic_records(1, 1)[0].tweets
+        block = self.tweet_block(tmp_path, (tweet, tweet))
+        np.testing.assert_array_equal(block, tweet_scalars(tweet))
 
-    def test_empty_list_warns_and_zeroes(self):
+    def test_mean_of_basis_vectors(self, tmp_path):
+        [tweet] = synthetic_records(1, 1)[0].tweets
+        block = self.tweet_block(tmp_path, (replace(tweet, truncated=True, favorited=False),
+                                            replace(tweet, truncated=False, favorited=True)))
+        truncated = FEATURE_NAMES.index("tweet_truncated") - 18
+        favorited = FEATURE_NAMES.index("tweet_favorited") - 18
+        assert block[truncated] == block[favorited] == 0.5
+
+    def test_empty_list_warns_and_zeroes(self, tmp_path):
         with pytest.warns(UserWarning, match="empty"):
-            out = aggregate_mean([], dim=4)
-        np.testing.assert_array_equal(out, np.zeros(4))
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ShapeError):
-            aggregate_mean([np.zeros(2), np.zeros(3)])
+            block = self.tweet_block(tmp_path, ())
+        np.testing.assert_array_equal(block, np.zeros(17))
 
 
 class TestBuildUserVector:
@@ -205,15 +230,15 @@ def dataset_from_counts(counts, num_classes=None, spread=3.0, seed=0):
 
 def oracle_vector(record, embedder, ae) -> np.ndarray:
     """One user's raw 51-component vector from the whole record in memory."""
-    tweet_block = (np.mean([feat_mod.tweet_scalars(t) for t in record.tweets], axis=0)
+    tweet_block = (np.mean([tweet_scalars(t) for t in record.tweets], axis=0)
                    if record.tweets else np.zeros(17))
     latent_block = (ae.encode_batch(embed_texts(
         embedder, [preprocess(t.text) for t in record.tweets])).mean(axis=0)
         if record.tweets else np.zeros(10))
-    sentiment_block = (np.mean([analyze_sentiment(preprocess(c.text))
+    sentiment_block = (np.mean([analyze_sentiment(preprocess(c))
                                 for c in record.comments], axis=0)
                        if record.comments else np.zeros(6))
-    return np.concatenate([feat_mod.profile_scalars(record.profile), tweet_block,
+    return np.concatenate([profile_scalars(record.profile), tweet_block,
                            latent_block, sentiment_block])
 
 
@@ -232,8 +257,8 @@ class TestScan:
         records[2] = replace(records[2], tweets=(), comments=())
         write_dataset(records, tmp_path)
         (tmp_path / "tweets" / f"{records[3].user_id}.json").unlink()  # absent: no tweets
-        _, loaded = iter_records(tmp_path)
-        loaded = list(loaded)
+        records[3] = replace(records[3], tweets=())
+        loaded = sorted(records, key=lambda r: r.user_id)
         expected = np.array([oracle_vector(r, hash_embedder, tiny_autoencoder)
                              for r in loaded])
 
