@@ -197,11 +197,11 @@ class RecordKind:
         self.columns = tuple(c for f in fields for c in f.columns)
         self.type = make_dataclass(name, [f.name for f in fields], frozen=True)
         starts = itertools.accumulate((len(f.columns) for f in fields), initial=0)
-        # Fields are checked as the readers before these tables checked them,
-        # so a record with two faults names the same one: a nested object's
-        # fields first, then the creation time, then the rest in table order.
-        # Each check holds the field, its first column, and where it sits: the
-        # key of its object ("" for the record itself) and its own key there.
+        # The check order decides which fault a record with several is named
+        # by, and is kept stable: a nested object's fields first, then the
+        # creation time, then the rest in table order. Each check holds the
+        # field, its first column, and where it sits: the key of its object
+        # ("" for the record itself) and its own key there.
         self._checks = [(f, start, *f.key.rpartition(".")[::2]) for f, start in sorted(
             zip(fields, starts), key=lambda pair: ("." not in pair[0].key,
                                                    pair[0].kind is not datetime))]
@@ -367,7 +367,8 @@ def open_dataset(root: str | Path) -> tuple[DatasetManifest, Optional[dict[str, 
             raise DatasetLoadError([(str(labels_path), str(exc))]) from None
 
     user_ids = tuple(sorted(p.stem for p in profiles_dir.glob("*.json")))
-    return DatasetManifest(root=root, user_ids=user_ids, labels_present=labels is not None), labels
+    manifest = DatasetManifest(root=root, user_ids=user_ids, labels_present=labels is not None)
+    return manifest, labels
 
 
 def read_tweet_texts(root: str | Path, user_id: str, count: int) -> list[str]:
