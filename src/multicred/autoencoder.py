@@ -4,6 +4,10 @@ A symmetric dense autoencoder (768 -> 128 -> 10 -> 128 -> 768, ReLU on
 the hidden layers, linear elsewhere) trained unsupervised to minimize
 mean squared reconstruction error. After training only the encoder half
 is used by the feature pipeline, through :meth:`Autoencoder.encode_batch`.
+
+The layers are :func:`_build_network`'s and nothing else states them: an
+:class:`Autoencoder` exists only once trained, and a stored one loads only
+if its layers equal these (:func:`autoencoder_from_dict`).
 """
 
 from __future__ import annotations
@@ -51,16 +55,14 @@ def _build_network() -> nn.NetworkSpec:
 
 # Output of layers[ENCODER_END - 1] is the latent code.
 _ENCODER_END = 3
-_ENCODER_KINDS = ("dense", "relu", "dense")
 
 
+@dataclass(frozen=True)
 class Autoencoder:
-    """A (possibly trained) encoder/decoder pair."""
+    """A trained encoder/decoder pair and the spec it was trained with."""
 
-    def __init__(self, spec: AutoencoderSpec, model: nn.Model, trained: bool = False):
-        self.spec = spec
-        self.model = model
-        self.trained = trained
+    spec: AutoencoderSpec
+    model: nn.Model
 
     def encode_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Map an [n x 768] matrix to its [n x 10] latent codes.
@@ -68,8 +70,6 @@ class Autoencoder:
         Runs the encoder layers only, with the arithmetic of
         :func:`network.forward`, so the codes equal its layer-2 outputs.
         """
-        if not self.trained:
-            raise StateError("autoencoder is untrained; train it before encoding")
         x = np.asarray(vectors, dtype=float)
         if x.ndim != 2 or x.shape[1] != INPUT_DIM:
             raise nn.ShapeError(f"expected [n x {INPUT_DIM}] input, got {x.shape}")
@@ -98,13 +98,11 @@ def train_autoencoder(vectors: np.ndarray, spec: AutoencoderSpec
         raise nn.NumericError("training corpus contains non-finite values")
 
     rng = np.random.default_rng(spec.seed)
-    ae = Autoencoder(spec, nn.Model(_build_network(), rng=rng))
-    state = nn.init_adam(ae.model)
-    history = [nn.train_epoch(ae.model, x, x, state, epoch, spec.batch_size, rng)
+    model = nn.Model(_build_network(), rng=rng)
+    state = nn.init_adam(model)
+    history = [nn.train_epoch(model, x, x, state, epoch, spec.batch_size, rng)
                for epoch in range(spec.epochs)]
-    ae.trained = True
-    ae.model.inference_mode()
-    return ae, history
+    return Autoencoder(spec, model.inference_mode()), history
 
 
 def save_autoencoder(ae: Autoencoder, path: str | Path) -> None:
@@ -113,24 +111,18 @@ def save_autoencoder(ae: Autoencoder, path: str | Path) -> None:
 
 
 def load_autoencoder(path: str | Path) -> Autoencoder:
-    return autoencoder_from_dict(store.read_json(path, "autoencoder", StateError))
+    return autoencoder_from_dict(store.read_json(path, "autoencoder file", StateError),
+                                 f"autoencoder file {path}")
 
 
-def autoencoder_from_dict(doc: dict) -> Autoencoder:
-    model = nn.model_from_dict(doc, expected_kind="autoencoder")
-    layers = model.spec.layers
-    if model.spec.input_dim != INPUT_DIM:
-        raise StateError(
-            f"autoencoder input width is {model.spec.input_dim}, expected {INPUT_DIM}"
-        )
-    if tuple(layer.kind for layer in layers[:_ENCODER_END]) != _ENCODER_KINDS:
-        raise StateError(f"autoencoder encoder layers are not {', '.join(_ENCODER_KINDS)}")
-    if layers[_ENCODER_END - 1].output_dim != LATENT_DIM:
-        raise StateError(f"autoencoder latent width is not {LATENT_DIM}")
-    if layers[0].output_dim != HIDDEN_DIM:
-        raise StateError(
-            f"autoencoder hidden width is {layers[0].output_dim}, expected {HIDDEN_DIM}")
-    get = partial(store.field, doc, what="serialized autoencoder", error=StateError)
+def autoencoder_from_dict(doc: dict, what: str) -> Autoencoder:
+    """The autoencoder :func:`autoencoder_document` stored in ``doc``, the
+    parsed JSON of a file ``what`` names. Its network must have the layers
+    of :func:`_build_network` (see :func:`network.model_from_dict`), and
+    its ``autoencoder.trained`` must be true; a StateError beginning with
+    ``what`` names a field that breaks this."""
+    model = nn.model_from_dict(doc, _build_network(), "autoencoder", what)
+    get = partial(store.field, doc, what=what, error=StateError)
     default = AutoencoderSpec()
     spec = AutoencoderSpec(
         epochs=get("autoencoder.epochs", int, default=default.epochs,
@@ -140,7 +132,9 @@ def autoencoder_from_dict(doc: dict) -> Autoencoder:
         seed=get("autoencoder.seed", int, default=default.seed,
                  valid=lambda v: v >= 0, requirement=">= 0"),
     )
-    return Autoencoder(spec, model, trained=get("autoencoder.trained", bool, default=True))
+    get("autoencoder.trained", bool, default=True, valid=lambda trained: trained,
+        requirement="equal to true")
+    return Autoencoder(spec, model)
 
 
 def autoencoder_document(ae: Autoencoder) -> dict:
@@ -151,6 +145,6 @@ def autoencoder_document(ae: Autoencoder) -> dict:
         "epochs": ae.spec.epochs,
         "batch_size": ae.spec.batch_size,
         "seed": ae.spec.seed,
-        "trained": ae.trained,
+        "trained": True,
     }
     return doc

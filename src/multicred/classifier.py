@@ -108,13 +108,14 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def build_multicred(num_classes: int, seed: int = 0) -> nn.Model:
-    """Build the classifier network with seeded initialization."""
+def classifier_spec(num_classes: int) -> nn.NetworkSpec:
+    """The classifier's layers for ``num_classes`` classes, one of
+    ALLOWED_CLASS_COUNTS."""
     if num_classes not in ALLOWED_CLASS_COUNTS:
         raise DomainError(
             f"num_classes must be one of {ALLOWED_CLASS_COUNTS}, got {num_classes}"
         )
-    spec = nn.NetworkSpec((
+    return nn.NetworkSpec((
         nn.dropout(INPUT_DIM, DROPOUT_RATE),
         nn.dense(INPUT_DIM, HIDDEN_WIDE),
         nn.relu(HIDDEN_WIDE),
@@ -129,7 +130,11 @@ def build_multicred(num_classes: int, seed: int = 0) -> nn.Model:
         nn.dense(HIDDEN_NARROW, num_classes),
         nn.softmax(num_classes),
     ))
-    return nn.Model(spec, rng=np.random.default_rng(seed))
+
+
+def build_multicred(num_classes: int, seed: int = 0) -> nn.Model:
+    """Build the classifier network with seeded initialization."""
+    return nn.Model(classifier_spec(num_classes), rng=np.random.default_rng(seed))
 
 
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -180,6 +180,15 @@ def _train_autoencoder(scan: feat_mod.UserScan, embedder: EmbedderSpec,
     return ae_mod.train_autoencoder(corpus, spec)
 
 
+def _log_tweetless(scan: feat_mod.UserScan) -> None:
+    """Log how many scanned users have no tweets, and the first of them."""
+    tweetless = np.flatnonzero(scan.tweet_counts == 0)
+    if tweetless.size:
+        logger.warning("%d of %d users have no tweets (first: %s); their tweet and latent "
+                       "components are zero", tweetless.size, len(scan),
+                       scan.manifest.user_ids[tweetless[0]])
+
+
 def _cmd_prepare(cfg: argparse.Namespace) -> int:
     data_dir = _require_dir(cfg.data, "dataset directory")
     # Every option is checked before the dataset is read.
@@ -195,6 +204,7 @@ def _cmd_prepare(cfg: argparse.Namespace) -> int:
     if not scan.manifest.labels_present:
         raise DomainError("prepare needs a labeled dataset (labels.csv)")
     logger.info("loaded %d users from %s", len(scan), data_dir)
+    _log_tweetless(scan)
 
     ae, ae_history = _train_autoencoder(scan, embedder, ae_spec, cfg.ae_corpus_cap)
     logger.info("autoencoder loss %.6f -> %.6f", ae_history[0], ae_history[-1])
@@ -248,12 +258,18 @@ def _read_object(path: Path, what: str) -> dict:
     return read_json(_require_file(path, what), what, StateError)
 
 
+def _num_classes(doc: dict, what: str) -> int:
+    """``doc["num_classes"]``, one of ALLOWED_CLASS_COUNTS; a StateError
+    names the field otherwise."""
+    return field(doc, "num_classes", int, what, StateError,
+                 valid=lambda n: n in ALLOWED_CLASS_COUNTS,
+                 requirement=f"in {ALLOWED_CLASS_COUNTS}")
+
+
 def _prepare_meta(prepared: Path) -> tuple[dict, int]:
     """``prepare_meta.json`` of a prepared directory, and its checked ``num_classes``."""
     meta = _read_object(prepared / "prepare_meta.json", "prepare metadata")
-    return meta, field(meta, "num_classes", int, "prepare metadata", StateError,
-                       valid=lambda n: n in ALLOWED_CLASS_COUNTS,
-                       requirement=f"in {ALLOWED_CLASS_COUNTS}")
+    return meta, _num_classes(meta, "prepare metadata")
 
 
 def _read_split(prepared: Path, part: str, num_classes: int) -> feat_mod.LabeledDataset:
@@ -319,24 +335,21 @@ def _cmd_train(cfg: argparse.Namespace) -> int:
 
 def _load_bundle(path: Path):
     doc = _read_object(path, "model bundle")
-    get = partial(field, doc, what="model bundle", error=StateError)
+    what = f"model bundle {path}"
+    get = partial(field, doc, what=what, error=StateError)
     if doc.get("format_version") != BUNDLE_VERSION:
         raise StateError(
-            f"unsupported bundle version {doc.get('format_version')!r}, "
+            f"{what} has unsupported bundle version {doc.get('format_version')!r}, "
             f"expected {BUNDLE_VERSION}"
         )
     if doc.get("artifact_kind") != BUNDLE_KIND:
-        raise StateError(f"not a pipeline bundle: {doc.get('artifact_kind')!r}")
-    embedder = _embedder(doc, "model bundle")
-    model = nn.model_from_dict(get("classifier", dict), expected_kind="classifier")
-    num_classes = get("num_classes", int)
-    if num_classes != model.spec.output_dim:
-        raise StateError(
-            f"bundle num_classes {num_classes!r} does not match the "
-            f"classifier's output width {model.spec.output_dim}"
-        )
-    ae = ae_mod.autoencoder_from_dict(get("autoencoder", dict))
-    stats = _normalization_stats(doc, "model bundle", "normalization.")
+        raise StateError(f"{what} is not a pipeline bundle: {doc.get('artifact_kind')!r}")
+    num_classes = _num_classes(doc, what)
+    embedder = _embedder(doc, what)
+    model = nn.model_from_dict(get("classifier", dict), clf_mod.classifier_spec(num_classes),
+                               "classifier", f"{what} classifier (num_classes {num_classes})")
+    ae = ae_mod.autoencoder_from_dict(get("autoencoder", dict), f"{what} autoencoder")
+    stats = _normalization_stats(doc, what, "normalization.")
     return num_classes, model, ae, stats, embedder
 
 
@@ -390,6 +403,7 @@ def _cmd_predict(cfg: argparse.Namespace) -> int:
     num_classes, model, ae, stats, embedder = _load_bundle(bundle_path)
 
     scan = feat_mod.scan_dataset(data_dir)
+    _log_tweetless(scan)
     feat_mod.fill_latents(scan, embedder, ae)
     x = scan.x
     scalars = slice(0, feat_mod.NUM_SCALAR_FEATURES)

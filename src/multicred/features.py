@@ -42,7 +42,6 @@ import csv
 import itertools
 import json
 import operator
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -52,7 +51,7 @@ import numpy as np
 from .autoencoder import Autoencoder
 from .dataset import (PROFILE, TWEET, DatasetLoadError, DatasetManifest, open_dataset,
                       read_tweet_texts)
-from .domain import MAX_COMMENTS_PER_USER, MAX_TWEETS_PER_USER, DomainError, StateError
+from .domain import MAX_COMMENTS_PER_USER, MAX_TWEETS_PER_USER, DomainError
 from .embedding import EMOTIONS, EmbedderSpec, analyze_sentiment, embed_texts
 from .network import ShapeError
 from .preprocess import preprocess
@@ -212,12 +211,12 @@ def scan_dataset(root: str | Path) -> UserScan:
     tables of :mod:`multicred.dataset` and its row built from them: the
     profile's columns, the mean of its tweets' columns and the mean
     emotion distribution of its comments. Users without tweets get a zero
-    tweet block (and a warning), users without comments a zero sentiment
-    block (no opinions is not the same as neutral opinions); a missing
-    tweets or comments file means none. Tweet and comment lists are
-    truncated at the ingest caps after every entry has been checked. The
-    scalar block is left raw: ``prepare`` and ``predict`` rescale it with
-    :func:`apply_minmax`.
+    tweet block (their ``tweet_counts`` is 0), users without comments a
+    zero sentiment block (no opinions is not the same as neutral
+    opinions); a missing tweets or comments file means none. Tweet and
+    comment lists are truncated at the ingest caps after every entry has
+    been checked. The scalar block is left raw: ``prepare`` and
+    ``predict`` rescale it with :func:`apply_minmax`.
 
     Every malformed or missing file, every invalid field or score (the
     first of each user), and every labeled user without a profile is
@@ -280,8 +279,6 @@ def _scan_user(root: Path, user_id: str, row: np.ndarray) -> int:
 
     if tweets:
         row[_TWEET] = np.array(tweets, dtype=np.float64).mean(axis=0)
-    else:
-        warnings.warn("aggregating an empty vector list; yielding zeros", stacklevel=2)
     if comments:
         row[_SENTIMENT] = np.mean([analyze_sentiment(preprocess(c)) for c in comments], axis=0)
     return len(tweets)
@@ -296,8 +293,6 @@ def fill_latents(scan: UserScan, embedder: EmbedderSpec, ae: Autoencoder) -> Non
     :class:`~multicred.dataset.DatasetLoadError` naming the user; a
     non-finite row raises a DomainError naming the first such user.
     """
-    if not ae.trained:
-        raise StateError("autoencoder is untrained; train it before building features")
     root, user_ids = scan.manifest.root, scan.manifest.user_ids
     for row, user_id, count in zip(scan.x, user_ids, scan.tweet_counts.tolist()):
         if count:

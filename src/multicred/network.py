@@ -35,15 +35,18 @@ Conventions fixed here:
  - code that changes a parameter writes into its view (``p[...] = x``);
    rebinding a dict entry would detach it from the buffer;
  - a model's stored form is :func:`model_document`; :mod:`multicred.store`
-   writes and reads the files.
+   writes and reads the files. A network's layers are fixed in code, by
+   its caller's spec: :func:`model_from_dict` loads a stored model into
+   that spec and requires the stored ``layers`` to equal it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -558,29 +561,6 @@ def spec_to_json(spec: NetworkSpec) -> list[dict]:
     return out
 
 
-# What a fault in a stored model names, and how it reads one field of it.
-_STORED = "serialized network"
-_model_field = partial(store.field, what=_STORED, error=StateError)
-
-
-def spec_from_json(data: Sequence[dict]) -> NetworkSpec:
-    layers = []
-    for i, entry in enumerate(data):
-        get = partial(_model_field, entry, at=f"layers[{i}].")
-        layers.append(LayerSpec(
-            kind=get("kind", str),
-            input_dim=get("input_dim", int),
-            output_dim=get("output_dim", int),
-            dropout_rate=get("dropout_rate", float, default=0.0,
-                             valid=lambda v: 0.0 <= v < 1.0, requirement="in [0, 1)"),
-            momentum=get("momentum", float, default=0.99,
-                         valid=lambda v: 0.0 <= v <= 1.0, requirement="in [0, 1]"),
-            epsilon=get("epsilon", float, default=1e-3,
-                        valid=lambda v: v > 0.0, requirement="> 0"),
-        ))
-    return NetworkSpec(tuple(layers))
-
-
 def model_document(model: Model, artifact_kind: str) -> dict:
     """The versioned JSON document of a model, with its arrays as numpy views.
 
@@ -599,47 +579,56 @@ def model_document(model: Model, artifact_kind: str) -> dict:
     }
 
 
-def model_from_dict(data: dict, expected_kind: Optional[str] = None) -> Model:
-    """Rebuild a model from the parsed JSON of :func:`model_document`.
+def model_from_dict(doc: dict, spec: NetworkSpec, kind: str, what: str) -> Model:
+    """The model of ``spec`` whose values :func:`model_document` stored in
+    ``doc``, the parsed JSON of a file ``what`` names, in inference mode.
 
-    A missing, mistyped or mis-sized field raises a StateError naming it,
-    such as ``layers``, ``parameters[1].weight`` or ``running_stats[3].mean``.
-    Every stored array is decoded and sized against the layers before the
-    model is allocated, so layers wider than the stored arrays are named,
-    whatever memory they would take.
+    The document's ``format_version`` must be :data:`FORMAT_VERSION`, its
+    ``artifact_kind`` must be ``kind``, and its ``layers`` must equal
+    ``spec_to_json(spec)``, entry by entry and key by key: the layers are
+    the architecture fixed in code, stored so a file says what it holds.
+    Each stored array is then decoded into the model's own views. A fault
+    raises a StateError that begins with ``what`` and names the field, such
+    as ``layers[3].epsilon``, ``parameters[1].weight`` or
+    ``running_stats[3].mean``.
     """
-    version = data.get("format_version")
+    version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise StateError(
-            f"unsupported model format version {version!r}, expected {FORMAT_VERSION}"
-        )
-    kind = data.get("artifact_kind")
-    if expected_kind is not None and kind != expected_kind:
-        raise StateError(f"artifact kind {kind!r} where {expected_kind!r} was expected")
+        raise StateError(f"{what} has unsupported model format version {version!r}, "
+                         f"expected {FORMAT_VERSION}")
+    found = doc.get("artifact_kind")
+    if found != kind:
+        raise StateError(f"{what} has artifact kind {found!r} where {kind!r} was expected")
+    get = partial(store.field, what=what, error=StateError)
 
-    spec = spec_from_json(_model_field(data, "layers", list))
-    parameters = _model_field(data, "parameters", list)
+    layers, expected = get(doc, "layers", list), spec_to_json(spec)
+    if len(layers) != len(expected):
+        raise StateError(f"{what} field layers has {len(layers)} entries, "
+                         f"expected {len(expected)}")
+    for i, (entry, want) in enumerate(zip(layers, expected)):
+        for key, value in want.items():
+            get(entry, key, type(value), valid=lambda v: v == value,
+                requirement=f"equal to {json.dumps(value)}", at=f"layers[{i}].")
+        extra = next((key for key in entry if key not in want), None)
+        if extra is not None:
+            raise StateError(f"{what} has the unexpected field layers[{i}].{extra}")
+
+    parameters = get(doc, "parameters", list)
     if len(parameters) != len(spec.layers):
-        raise StateError(f"{_STORED} field parameters has {len(parameters)} "
+        raise StateError(f"{what} field parameters has {len(parameters)} "
                          f"entries for {len(spec.layers)} layers")
-
-    def decode(shapes: dict[str, tuple[int, ...]], container, at: str) -> list[np.ndarray]:
-        return [store.decode_array(_model_field(container, key, object, at=at),
-                                   math.prod(shape), f"{_STORED} field {at}{key}")
-                for key, shape in shapes.items()]
-
-    flat, stats = [], []
-    for i, layer in enumerate(spec.layers):
-        flat += decode(_param_shapes(layer), parameters[i], f"parameters[{i}].")
-        if layer.kind == "batchnorm":
-            running = _model_field(data, "running_stats", list)
-            if i >= len(running):
-                raise StateError(f"{_STORED} has no field running_stats[{i}]")
-            stats += decode(_stat_shapes(layer), running[i], f"running_stats[{i}].")
     model = Model(spec, rng=_LOADED)
-    # Each buffer holds its arrays in this order: by layer, then by shape.
-    for buffer, arrays in ((model.flat, flat), (model.stats, stats)):
-        if arrays:
-            np.concatenate(arrays, out=buffer)
-    model.inference_mode()
-    return model
+
+    def decode(views: dict[str, np.ndarray], container, at: str) -> None:
+        for key, view in views.items():
+            view[...] = store.decode_array(get(container, key, object, at=at), view.size,
+                                           f"{what} field {at}{key}").reshape(view.shape)
+
+    for i, layer in enumerate(spec.layers):
+        decode(model.params[i], parameters[i], f"parameters[{i}].")
+        if layer.kind == "batchnorm":
+            running = get(doc, "running_stats", list)
+            if i >= len(running):
+                raise StateError(f"{what} has no field running_stats[{i}]")
+            decode(model.running[i], running[i], f"running_stats[{i}].")
+    return model.inference_mode()

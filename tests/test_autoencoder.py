@@ -3,7 +3,6 @@ import pytest
 
 from multicred import network as nn
 from multicred.autoencoder import (
-    Autoencoder,
     AutoencoderSpec,
     autoencoder_from_dict,
     load_autoencoder,
@@ -60,12 +59,6 @@ class TestEncode:
         ae, _ = trained
         with pytest.raises(nn.ShapeError):
             ae.encode_batch(np.ones((1, 767)))
-
-    def test_untrained_refuses_to_encode(self):
-        spec = AutoencoderSpec()
-        ae = Autoencoder(spec, untrained_autoencoder_model(spec))
-        with pytest.raises(nn.StateError, match="untrained"):
-            ae.encode_batch(np.ones((1, 768)))
 
     def test_decode_restores_dimension(self, trained, small_corpus):
         ae, _ = trained
@@ -138,7 +131,7 @@ class TestSerialization:
         path = tmp_path / "ae.json"
         save_autoencoder(ae, path)
         loaded = load_autoencoder(path)
-        assert loaded.trained
+        assert loaded.spec == ae.spec
         np.testing.assert_array_equal(
             loaded.encode_batch(small_corpus[:4]), ae.encode_batch(small_corpus[:4])
         )
@@ -149,11 +142,33 @@ class TestSerialization:
             nn.dense(10, 128), nn.relu(128), nn.dense(128, 768),
         ))
         doc = model_dict(nn.Model(net), artifact_kind="autoencoder")
-        with pytest.raises(nn.StateError, match="encoder layers"):
-            autoencoder_from_dict(doc)
+        named = r'layers\[1\]\.kind is "batchnorm", expected a string equal to "relu"$'
+        with pytest.raises(nn.StateError, match="^autoencoder file x field " + named):
+            autoencoder_from_dict(doc, "autoencoder file x")
+
+    def test_other_decoder_rejected(self):
+        net = nn.NetworkSpec((
+            nn.dense(768, 128), nn.relu(128), nn.dense(128, 10),
+            nn.dense(10, 3), nn.relu(3), nn.dense(3, 768),
+        ))
+        doc = model_dict(nn.Model(net), artifact_kind="autoencoder")
+        named = r"layers\[3\]\.output_dim is 3, expected an integer equal to 128$"
+        with pytest.raises(nn.StateError, match="^autoencoder file x field " + named):
+            autoencoder_from_dict(doc, "autoencoder file x")
+
+    @pytest.mark.parametrize("flag, named", [
+        (False, "autoencoder.trained is false, expected true or false equal to true$"),
+        (1, "autoencoder.trained is 1,"),
+    ], ids=["false", "one"])
+    def test_trained_must_be_true(self, trained, flag, named):
+        ae, _ = trained
+        doc = model_dict(ae.model, artifact_kind="autoencoder")
+        doc["autoencoder"] = {"trained": flag}
+        with pytest.raises(nn.StateError, match=f"^autoencoder file x field {named}"):
+            autoencoder_from_dict(doc, "autoencoder file x")
 
     def test_kind_tag_prevents_cross_loading(self, trained):
         ae, _ = trained
         doc = model_dict(ae.model, artifact_kind="classifier")
         with pytest.raises(nn.StateError):
-            autoencoder_from_dict(doc)
+            autoencoder_from_dict(doc, "autoencoder file x")

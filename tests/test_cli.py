@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -209,12 +210,17 @@ class TestPrepare:
         assert test.x.tobytes() == expected.tobytes()
 
 
-def _autoencoder_doc(input_dim, latent_dim, meta, hidden=128):
-    net = nn.NetworkSpec((
+def _network_doc(kind, *layers):
+    """The stored document of a seeded network of ``layers``."""
+    return model_dict(nn.Model(nn.NetworkSpec(layers), rng=np.random.default_rng(0)), kind)
+
+
+def _autoencoder_doc(input_dim, latent_dim, meta, hidden=128, decoder_hidden=128):
+    doc = _network_doc(
+        "autoencoder",
         nn.dense(input_dim, hidden), nn.relu(hidden), nn.dense(hidden, latent_dim),
-        nn.dense(latent_dim, hidden), nn.relu(hidden), nn.dense(hidden, input_dim),
-    ))
-    doc = model_dict(nn.Model(net, rng=np.random.default_rng(0)), "autoencoder")
+        nn.dense(latent_dim, decoder_hidden), nn.relu(decoder_hidden),
+        nn.dense(decoder_hidden, input_dim))
     doc["autoencoder"] = meta
     return doc
 
@@ -222,6 +228,19 @@ def _autoencoder_doc(input_dim, latent_dim, meta, hidden=128):
 class TestBundleCrossCheck:
     @pytest.mark.parametrize("tamper, named", [
         (lambda b: b.update(num_classes=6), "num_classes"),
+        (lambda b: b.update(num_classes=6),
+         "classifier (num_classes 6) field layers[11].output_dim is 4, expected an integer "
+         "equal to 6"),
+        (lambda b: b.update(num_classes=5), "field num_classes is 5, expected an integer in"),
+        (lambda b: b.update(classifier=_network_doc("classifier", nn.dense(51, 4),
+                                                    nn.softmax(4))),
+         "classifier (num_classes 4) field layers has 2 entries, expected 13"),
+        (lambda b: b["classifier"]["layers"][3].update(epsilon=0.5),
+         "classifier (num_classes 4) field layers[3].epsilon is 0.5, expected a finite number "
+         "equal to 0.001"),
+        (lambda b: b.update(autoencoder=_autoencoder_doc(768, 10, b["autoencoder"]["autoencoder"],
+                                                         decoder_hidden=3)),
+         "autoencoder field layers[3].output_dim is 3, expected an integer equal to 128"),
         (lambda b: b.update(num_classes=4.0), "field num_classes is 4.0, expected an integer"),
         (lambda b: retouch(b["normalization"], "minimum", lambda a: a.__setitem__(0, np.nan)),
          "normalization.minimum holds non-finite values"),
@@ -239,10 +258,10 @@ class TestBundleCrossCheck:
          "normalization.maximum"),
         (lambda b: b.update(
             autoencoder=_autoencoder_doc(700, 10, b["autoencoder"]["autoencoder"])),
-         "autoencoder input width"),
+         "autoencoder field layers[0].input_dim is 700, expected an integer equal to 768"),
         (lambda b: b.update(
             autoencoder=_autoencoder_doc(768, 12, b["autoencoder"]["autoencoder"])),
-         "autoencoder latent width"),
+         "autoencoder field layers[2].output_dim is 12, expected an integer equal to 10"),
         (lambda b: b["embedder"].update(kind="remote"), "embedder.kind"),
         (lambda b: b["embedder"].pop("hash_seed"), "no field embedder.hash_seed"),
         (lambda b: b.pop("num_classes"), "no field num_classes"),
@@ -264,7 +283,7 @@ class TestBundleCrossCheck:
         (lambda b: b["autoencoder"]["autoencoder"].update(trained=1), "autoencoder.trained is 1"),
         (lambda b: b.update(autoencoder=_autoencoder_doc(768, 10, b["autoencoder"]["autoencoder"],
                                                          hidden=7)),
-         "autoencoder hidden width is 7, expected 128"),
+         "autoencoder field layers[0].output_dim is 7, expected an integer equal to 128"),
         (lambda b: b.update(format_version=1), "unsupported bundle version 1, expected 2"),
         (lambda b: b["classifier"].update(format_version=1),
          "unsupported model format version 1, expected 2"),
@@ -279,8 +298,23 @@ class TestBundleCrossCheck:
                     "--out", str(tmp_path / "preds.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        assert f"model bundle {model} " in err and named in err and "Traceback" not in err
         assert not (tmp_path / "preds.csv").exists()
+
+    def test_train_rejects_an_autoencoder_of_another_architecture(self, pipeline, tmp_path,
+                                                                  capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        path = prep / "autoencoder.json"
+        meta = json.loads(path.read_text("utf-8"))["autoencoder"]
+        path.write_text(json.dumps(_autoencoder_doc(768, 10, meta, decoder_hidden=3)), "utf-8")
+        code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "model.json")]
+                   + FAST_TRAIN)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (f"autoencoder file {path} field layers[3].output_dim is 3, "
+                f"expected an integer equal to 128") in err and "Traceback" not in err
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("width", [2**33, 2**64])
     def test_oversized_spec_named_before_allocation(self, pipeline, tmp_path, capsys,
@@ -303,8 +337,8 @@ class TestBundleCrossCheck:
                     "--out", str(tmp_path / "preds.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert (f"serialized network field parameters[0].weight has shape (98304,), "
-                f"expected ({768 * width},)") in err and "Traceback" not in err
+        assert (f"model bundle {model} autoencoder field layers[0].output_dim is {width}, "
+                f"expected an integer equal to 128") in err and "Traceback" not in err
         assert not (tmp_path / "preds.csv").exists()
 
     @pytest.mark.parametrize("tamper, named", [
@@ -646,6 +680,24 @@ class TestPredict:
             probs = [float(x) for x in row[1:-1]]
             assert abs(sum(probs) - 1.0) < 1e-9
             assert int(row[-1]) == max(range(4), key=lambda i: probs[i])
+
+    def test_users_without_tweets_counted_in_one_line(self, pipeline, tmp_path, capsys,
+                                                      caplog):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        for user_id in ("user00007", "user00003"):
+            (data / "tweets" / f"{user_id}.json").unlink()
+        line = ("2 of 60 users have no tweets (first: user00003); their tweet and latent "
+                "components are zero")
+        caplog.set_level(logging.INFO, logger="multicred")
+        for argv in (["prepare", "--data", str(data), "--out", str(tmp_path / "prep")]
+                     + FAST_PREPARE,
+                     ["predict", "--model", str(pipeline / "model.json"), "--input", str(data),
+                      "--out", str(tmp_path / "preds.csv")]):
+            caplog.clear()
+            assert run(argv) == 0
+            assert [r.getMessage() for r in caplog.records].count(line) == 1
+            assert "no tweets" not in capsys.readouterr().out
 
 
 class TestAtomicWrites:

@@ -35,10 +35,9 @@ from multicred.features import (
     split,
     write_feature_csv,
 )
-from multicred.network import ShapeError, StateError
-from multicred.autoencoder import Autoencoder, AutoencoderSpec
+from multicred.network import ShapeError
 
-from conftest import feature_rows, untrained_autoencoder_model
+from conftest import feature_rows
 
 
 def make_record(user_id="u1", n_tweets=3, n_comments=2, score=50.0):
@@ -156,9 +155,8 @@ class TestAggregateMean:
         favorited = FEATURE_NAMES.index("tweet_favorited") - 18
         assert block[truncated] == block[favorited] == 0.5
 
-    def test_empty_list_warns_and_zeroes(self, tmp_path):
-        with pytest.warns(UserWarning, match="empty"):
-            block = self.tweet_block(tmp_path, ())
+    def test_empty_list_zeroes(self, tmp_path):
+        block = self.tweet_block(tmp_path, ())
         np.testing.assert_array_equal(block, np.zeros(17))
 
 
@@ -176,8 +174,7 @@ class TestBuildUserVector:
 
     def test_no_tweets_zeroes_blocks_and_flags(self, hash_embedder, tiny_autoencoder, tmp_path):
         record = make_record(n_tweets=0)
-        with pytest.warns(UserWarning):
-            vec = feature_rows([record], tmp_path, hash_embedder, tiny_autoencoder)[0]
+        vec = feature_rows([record], tmp_path, hash_embedder, tiny_autoencoder)[0]
         np.testing.assert_array_equal(vec[18:35], 0.0)  # tweet scalars
         np.testing.assert_array_equal(vec[35:45], 0.0)  # latent
 
@@ -186,14 +183,6 @@ class TestBuildUserVector:
         vec = feature_rows([make_record(n_comments=0)], tmp_path, hash_embedder,
                            tiny_autoencoder)[0]
         np.testing.assert_array_equal(vec[45:], 0.0)
-
-    def test_untrained_autoencoder_is_state_error(self, hash_embedder, tmp_path):
-        spec = AutoencoderSpec()
-        ae = Autoencoder(spec, untrained_autoencoder_model(spec))
-        write_dataset([make_record()], tmp_path)
-        scan = scan_dataset(tmp_path)
-        with pytest.raises(StateError):
-            fill_latents(scan, hash_embedder, ae)
 
     def test_stats_normalize_scalar_block_only(self, hash_embedder, tiny_autoencoder, tmp_path):
         records = [make_record(user_id=f"u{i}", n_tweets=2 + i) for i in range(4)]
@@ -262,9 +251,10 @@ class TestScan:
         expected = np.array([oracle_vector(r, hash_embedder, tiny_autoencoder)
                              for r in loaded])
 
-        with pytest.warns(UserWarning):  # the users without tweets
-            scan = scan_dataset(tmp_path)
+        scan = scan_dataset(tmp_path)
+        assert not scan.x[[0, 2, 3], 18:35].any()  # the users without tweets
         fill_latents(scan, hash_embedder, tiny_autoencoder)
+        assert not scan.x[[0, 2, 3], 35:45].any()
         assert scan.manifest.user_ids == tuple(r.user_id for r in loaded)
         assert scan.x.tobytes() == expected.tobytes()
         assert scan.tweet_counts.tolist() == [len(r.tweets) for r in loaded]
@@ -281,8 +271,8 @@ class TestScan:
         records[1] = replace(records[1], tweets=())
         write_dataset(records, tmp_path)
         every = [t.text for r in records for t in r.tweets]
-        with pytest.warns(UserWarning):  # the user without tweets
-            scan = scan_dataset(tmp_path)
+        scan = scan_dataset(tmp_path)
+        assert not scan.x[1, 18:35].any()  # the user without tweets
         positions = np.array([0, 2, 3, 4, 7, len(every) - 1])
         assert feat_mod.tweet_texts_at(scan, positions) == [every[i] for i in positions]
         assert feat_mod.tweet_texts_at(scan, np.arange(len(every))) == every

@@ -13,7 +13,7 @@ from multicred import network as nn
 from multicred import store
 from multicred.autoencoder import (Autoencoder, AutoencoderSpec, _build_network,
                                    autoencoder_document, train_autoencoder)
-from multicred.classifier import build_multicred
+from multicred.classifier import build_multicred, classifier_spec
 from multicred.domain import DomainError
 
 from conftest import (count_params, grad_check, model_dict, retouch, stored,
@@ -553,7 +553,7 @@ class TestFlatBuffer:
 
     def test_inference_allocates_no_gradient_buffer(self):
         doc = model_dict(classifier_net(), artifact_kind="classifier")
-        model = nn.model_from_dict(doc, expected_kind="classifier")
+        model = nn.model_from_dict(doc, classifier_spec(4), "classifier", "classifier file")
         nn.forward(model, np.zeros((3, model.spec.input_dim)))
         assert model.grad is None
 
@@ -677,7 +677,7 @@ class TestWriteJson:
 
     def test_autoencoder_bytes_equal_json_dumps(self):
         spec = AutoencoderSpec(seed=5)
-        ae = Autoencoder(spec, untrained_autoencoder_model(spec), trained=True)
+        ae = Autoencoder(spec, untrained_autoencoder_model(spec))
         assert ae.model.params[0]["weight"].size > store.WRITE_BLOCK
         expected = dict(with_stored_arrays(nn.model_document(ae.model, "autoencoder")),
                         autoencoder={"epochs": 200, "batch_size": 16, "seed": 5, "trained": True})
@@ -719,7 +719,7 @@ class TestSerialization:
         x = np.random.default_rng(12).normal(size=(5, 51))
         expected = nn.forward(model, x).outputs
         loaded = nn.model_from_dict(model_dict(model, artifact_kind="classifier"),
-                                    expected_kind="classifier")
+                                    model.spec, "classifier", "classifier file")
         np.testing.assert_array_equal(nn.forward(loaded, x).outputs, expected)
 
     @pytest.mark.parametrize("net", [
@@ -738,7 +738,7 @@ class TestSerialization:
 
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed=None: NoNormalDraws(np.random.PCG64(seed)))
-        loaded = nn.model_from_dict(doc, expected_kind="any")
+        loaded = nn.model_from_dict(doc, model.spec, "any", "model file")
         assert loaded.flat.tobytes() == model.flat.tobytes()
         assert loaded.stats.tobytes() == model.stats.tobytes()
         assert loaded.mode == nn.INFERENCE
@@ -748,19 +748,21 @@ class TestSerialization:
         doc = model_dict(model, artifact_kind="classifier")
         doc["format_version"] = 99
         with pytest.raises(nn.StateError, match="version"):
-            nn.model_from_dict(doc)
+            nn.model_from_dict(doc, model.spec, "classifier", "classifier file")
 
     def test_version_1_document_rejected_by_name(self):
-        doc = model_dict(softmax_ce_net(), artifact_kind="classifier")
+        model = softmax_ce_net()
+        doc = model_dict(model, artifact_kind="classifier")
         doc["format_version"] = 1
-        with pytest.raises(nn.StateError, match="unsupported model format version 1, expected 2"):
-            nn.model_from_dict(doc, expected_kind="classifier")
+        with pytest.raises(nn.StateError, match="^classifier file has unsupported model "
+                                                "format version 1, expected 2$"):
+            nn.model_from_dict(doc, model.spec, "classifier", "classifier file")
 
     def test_kind_mismatch_fails(self):
         model = softmax_ce_net()
         doc = model_dict(model, artifact_kind="autoencoder")
         with pytest.raises(nn.StateError, match="classifier"):
-            nn.model_from_dict(doc, expected_kind="classifier")
+            nn.model_from_dict(doc, model.spec, "classifier", "classifier file")
 
     @pytest.mark.parametrize("tamper, named", [
         (lambda d: d.pop("layers"), "no field layers"),
@@ -780,22 +782,38 @@ class TestSerialization:
         (lambda d: d["layers"][2].update(epsilon=0), r"layers\[2\]\.epsilon is 0,"),
         (lambda d: d["layers"][2].update(epsilon=10**400), r"layers\[2\]\.epsilon"),
         (lambda d: d["layers"][2].update(momentum="a"),
-         r'layers\[2\]\.momentum is "a", expected a finite number in \[0, 1\]'),
+         r'layers\[2\]\.momentum is "a", expected a finite number equal to 0\.99$'),
         (lambda d: d["layers"][2].update(momentum=True), r"layers\[2\]\.momentum is true,"),
         (lambda d: d["layers"][2].update(momentum=1.01), r"layers\[2\]\.momentum"),
         (lambda d: d["layers"][1].update(dropout_rate="x"), r"layers\[1\]\.dropout_rate"),
         (lambda d: d["layers"][1].update(dropout_rate=1.0), r"layers\[1\]\.dropout_rate"),
         (lambda d: d["layers"][1].update(dropout_rate=None), r"layers\[1\]\.dropout_rate"),
+        (lambda d: d["layers"].append(d["layers"][1]), "field layers has 6 entries, expected 5$"),
+        (lambda d: d["layers"].pop(), "field layers has 4 entries, expected 5$"),
+        (lambda d: d["layers"][1].update(kind="x"),
+         r'layers\[1\]\.kind is "x", expected a string equal to "relu"$'),
+        (lambda d: d["layers"][3].update(output_dim=3),
+         r"layers\[3\]\.output_dim is 3, expected an integer equal to 2$"),
+        (lambda d: d["layers"][2].update(epsilon=0.5),
+         r"layers\[2\]\.epsilon is 0\.5, expected a finite number equal to 0\.001$"),
+        (lambda d: d["layers"][0].update(momentum=0.99),
+         r"has the unexpected field layers\[0\]\.momentum$"),
+        (lambda d: d["layers"].__setitem__(2, 3),
+         r"field layers\[2\] is 3, expected a JSON object$"),
+        (lambda d: d.pop("artifact_kind"), "artifact kind None where 'classifier' was expected$"),
     ], ids=["no-layers", "no-input-dim", "truncated-parameters", "short-weight",
             "nan-bias", "running-stats-none", "one-element-mean", "listed-bias", "no-bias",
             "negative-epsilon",
             "zero-epsilon", "huge-int-epsilon", "string-momentum", "bool-momentum",
             "momentum-above-one", "string-dropout-rate", "dropout-rate-one",
-            "null-dropout-rate"])
+            "null-dropout-rate", "extra-layer", "missing-layer", "other-kind",
+            "other-width", "other-epsilon", "unexpected-key", "non-object-layer",
+            "no-artifact-kind"])
     def test_malformed_document_rejected_by_name(self, tamper, named):
         spec = nn.NetworkSpec((nn.dense(3, 4), nn.relu(4), nn.batchnorm(4),
                                nn.dense(4, 2), nn.softmax(2)))
         doc = model_dict(nn.Model(spec), "classifier")
         tamper(doc)
-        with pytest.raises(nn.StateError, match=named):
-            nn.model_from_dict(doc, expected_kind="classifier")
+        with pytest.raises(nn.StateError, match=named) as caught:
+            nn.model_from_dict(doc, spec, "classifier", "classifier file")
+        assert str(caught.value).startswith("classifier file ")
