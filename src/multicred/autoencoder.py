@@ -102,7 +102,7 @@ def train_autoencoder(vectors: np.ndarray, spec: AutoencoderSpec
     state = nn.init_adam(model)
     history = [nn.train_epoch(model, x, x, state, epoch, spec.batch_size, rng)
                for epoch in range(spec.epochs)]
-    return Autoencoder(spec, model.inference_mode()), history
+    return Autoencoder(spec, model), history
 
 
 def save_autoencoder(ae: Autoencoder, path: str | Path) -> None:
@@ -119,21 +119,18 @@ def autoencoder_from_dict(doc: dict, what: str) -> Autoencoder:
     """The autoencoder :func:`autoencoder_document` stored in ``doc``, the
     parsed JSON of a file ``what`` names. Its network must have the layers
     of :func:`_build_network` (see :func:`network.model_from_dict`), and
-    its ``autoencoder.trained`` must be true; a StateError beginning with
-    ``what`` names a field that breaks this."""
+    its ``autoencoder`` entry must hold ``epochs``, ``batch_size``, ``seed``
+    and a ``trained`` that is true; a StateError beginning with ``what``
+    names a field that breaks this."""
     model = nn.model_from_dict(doc, _build_network(), "autoencoder", what)
     get = partial(store.field, doc, what=what, error=StateError)
-    default = AutoencoderSpec()
     spec = AutoencoderSpec(
-        epochs=get("autoencoder.epochs", int, default=default.epochs,
-                   valid=lambda v: v >= 1, requirement=">= 1"),
-        batch_size=get("autoencoder.batch_size", int, default=default.batch_size,
-                       valid=lambda v: v >= 1, requirement=">= 1"),
-        seed=get("autoencoder.seed", int, default=default.seed,
-                 valid=lambda v: v >= 0, requirement=">= 0"),
+        epochs=get("autoencoder.epochs", int, valid=lambda v: v >= 1, requirement=">= 1"),
+        batch_size=get("autoencoder.batch_size", int, valid=lambda v: v >= 1,
+                       requirement=">= 1"),
+        seed=get("autoencoder.seed", int, valid=lambda v: v >= 0, requirement=">= 0"),
     )
-    get("autoencoder.trained", bool, default=True, valid=lambda trained: trained,
-        requirement="equal to true")
+    get("autoencoder.trained", bool, valid=lambda trained: trained, requirement="equal to true")
     return Autoencoder(spec, model)
 
 

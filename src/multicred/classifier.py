@@ -28,7 +28,6 @@ from .store import atomic_write
 INPUT_DIM = NUM_FEATURES
 HIDDEN_WIDE = 256
 HIDDEN_NARROW = 64
-DROPOUT_RATE = 0.3
 
 
 @dataclass(frozen=True)
@@ -116,15 +115,15 @@ def classifier_spec(num_classes: int) -> nn.NetworkSpec:
             f"num_classes must be one of {ALLOWED_CLASS_COUNTS}, got {num_classes}"
         )
     return nn.NetworkSpec((
-        nn.dropout(INPUT_DIM, DROPOUT_RATE),
+        nn.dropout(INPUT_DIM),
         nn.dense(INPUT_DIM, HIDDEN_WIDE),
         nn.relu(HIDDEN_WIDE),
         nn.batchnorm(HIDDEN_WIDE),
-        nn.dropout(HIDDEN_WIDE, DROPOUT_RATE),
+        nn.dropout(HIDDEN_WIDE),
         nn.dense(HIDDEN_WIDE, HIDDEN_WIDE),
         nn.relu(HIDDEN_WIDE),
         nn.batchnorm(HIDDEN_WIDE),
-        nn.dropout(HIDDEN_WIDE, DROPOUT_RATE),
+        nn.dropout(HIDDEN_WIDE),
         nn.dense(HIDDEN_WIDE, HIDDEN_NARROW),
         nn.relu(HIDDEN_NARROW),
         nn.dense(HIDDEN_NARROW, num_classes),
@@ -193,7 +192,6 @@ def train(
                 break
 
     model.restore(best)
-    model.inference_mode()
     return model, history
 
 
@@ -203,7 +201,6 @@ def predict(model: nn.Model, vector: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(model: nn.Model, matrix: np.ndarray) -> np.ndarray:
-    model.inference_mode()
     return nn.forward(model, matrix).outputs
 
 

@@ -266,10 +266,10 @@ def _num_classes(doc: dict, what: str) -> int:
                  requirement=f"in {ALLOWED_CLASS_COUNTS}")
 
 
-def _prepare_meta(prepared: Path) -> tuple[dict, int]:
-    """``prepare_meta.json`` of a prepared directory, and its checked ``num_classes``."""
-    meta = _read_object(prepared / "prepare_meta.json", "prepare metadata")
-    return meta, _num_classes(meta, "prepare metadata")
+def _prepare_meta(prepared: Path) -> tuple[dict, str]:
+    """``prepare_meta.json`` of a prepared directory, and the name its faults give."""
+    path = prepared / "prepare_meta.json"
+    return _read_object(path, "prepare metadata"), f"prepare metadata {path}"
 
 
 def _read_split(prepared: Path, part: str, num_classes: int) -> feat_mod.LabeledDataset:
@@ -284,8 +284,9 @@ def _read_splits(prepared: Path, num_classes: int) -> feat_mod.SplitDataset:
 
 def _cmd_train(cfg: argparse.Namespace) -> int:
     prepared = _require_dir(cfg.prepared, "prepared directory")
-    meta, num_classes = _prepare_meta(prepared)
-    embedder = _embedder(meta, "prepare metadata")
+    meta, meta_name = _prepare_meta(prepared)
+    num_classes = _num_classes(meta, meta_name)
+    embedder = _embedder(meta, meta_name)
     config = clf_mod.TrainConfig(
         num_classes=num_classes,
         max_epochs=cfg.max_epochs,
@@ -296,9 +297,9 @@ def _cmd_train(cfg: argparse.Namespace) -> int:
     splits = _read_splits(prepared, num_classes)
     # The autoencoder first: a prepared directory of an older format fails on its version.
     ae = ae_mod.load_autoencoder(_require_file(prepared / "autoencoder.json", "autoencoder"))
-    stats = _normalization_stats(
-        _read_object(prepared / "norm_stats.json", "normalization stats"),
-        "normalization stats", "")
+    stats_path = prepared / "norm_stats.json"
+    stats = _normalization_stats(_read_object(stats_path, "normalization stats"),
+                                 f"normalization stats {stats_path}", "")
 
     model = clf_mod.build_multicred(num_classes, seed=cfg.seed)
     logger.info("training classifier (%d classes, %d train samples)",
@@ -385,7 +386,7 @@ def _cmd_evaluate(cfg: argparse.Namespace) -> int:
     bundle_path = _require_file(cfg.model, "model bundle")
     prepared = _require_dir(cfg.prepared, "prepared directory")
     _, model, _, _, _ = _load_bundle(bundle_path)
-    test = _read_split(prepared, "test", _prepare_meta(prepared)[1])
+    test = _read_split(prepared, "test", _num_classes(*_prepare_meta(prepared)))
 
     report = clf_mod.evaluate(model, test)
     text = report.to_json()

@@ -438,7 +438,7 @@ def write_dataset(records: list[UserRecord], root: str | Path) -> DatasetManifes
 
 def _dump_json(path: Path, obj) -> None:
     with atomic_write(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
+        fh.write(json.dumps(obj, sort_keys=True))
 
 
 def _in_bin_flag_sets(system: ClassificationSystem) -> dict[int, list[tuple[bool, ...]]]:

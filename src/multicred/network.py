@@ -10,11 +10,16 @@ dropout masks) flows through explicitly passed numpy generators, so
 identical seeds give identical parameters.
 
 Conventions fixed here:
- - inverted dropout: masks scale by 1/(1-rate) at train time, inference
-   is the identity;
- - batchnorm normalizes with biased batch statistics in train mode and
-   running statistics in inference mode; running statistics are
-   non-trainable and receive no gradient;
+ - :func:`forward` is a training pass exactly when it is given an rng,
+   and an inference pass otherwise; the model holds no mode;
+ - inverted dropout at rate ``DROPOUT_RATE``: a training pass draws masks
+   from its rng and scales them by 1/(1 - DROPOUT_RATE), an inference
+   pass is the identity;
+ - batchnorm normalizes with biased batch statistics in a training pass,
+   which also moves the running statistics by momentum
+   ``BATCHNORM_MOMENTUM``, and with the running statistics in an
+   inference pass; both add ``BATCHNORM_EPSILON`` to the variance.
+   Running statistics are non-trainable and receive no gradient;
  - dense weights initialize from N(0, 2/fan_in), biases at zero;
  - every trainable parameter of a model lives in one contiguous float64
    buffer, ``Model.flat``, in layer order (dense: weight then bias,
@@ -55,9 +60,6 @@ from . import store
 
 FORMAT_VERSION = 2
 
-TRAIN = "train"
-INFERENCE = "inference"
-
 _LOG_CLAMP = 1e-12  # floors probabilities inside log so a confident miss stays finite
 
 # Elements per Adam block: 256 KiB per float64 array, so the five arrays a
@@ -71,6 +73,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LR_INITIAL = 0.01
 LR_DECAY = 0.9
+
+# The one setting of every dropout and batchnorm layer; spec_to_json
+# stores them in each layer's entry.
+DROPOUT_RATE = 0.3
+BATCHNORM_MOMENTUM = 0.99
+BATCHNORM_EPSILON = 1e-3
 
 _KINDS = ("dense", "batchnorm", "dropout", "relu", "softmax")
 
@@ -91,9 +99,6 @@ class LayerSpec:
     kind: str
     input_dim: int
     output_dim: int
-    dropout_rate: float = 0.0
-    momentum: float = 0.99
-    epsilon: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -102,24 +107,18 @@ class LayerSpec:
             raise DomainError(f"{self.kind} dimensions must be >= 1")
         if self.kind != "dense" and self.input_dim != self.output_dim:
             raise DomainError(f"{self.kind} cannot change dimension")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise DomainError("dropout_rate must lie in [0, 1)")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise DomainError("momentum must lie in [0, 1]")
-        if not 0.0 < self.epsilon < math.inf:
-            raise DomainError("epsilon must be finite and > 0")
 
 
 def dense(input_dim: int, output_dim: int) -> LayerSpec:
     return LayerSpec("dense", input_dim, output_dim)
 
 
-def batchnorm(dim: int, momentum: float = 0.99, epsilon: float = 1e-3) -> LayerSpec:
-    return LayerSpec("batchnorm", dim, dim, momentum=momentum, epsilon=epsilon)
+def batchnorm(dim: int) -> LayerSpec:
+    return LayerSpec("batchnorm", dim, dim)
 
 
-def dropout(dim: int, rate: float = 0.3) -> LayerSpec:
-    return LayerSpec("dropout", dim, dim, dropout_rate=rate)
+def dropout(dim: int) -> LayerSpec:
+    return LayerSpec("dropout", dim, dim)
 
 
 def relu(dim: int) -> LayerSpec:
@@ -189,11 +188,10 @@ def _carve(buffer: np.ndarray, layout: list[dict[str, tuple[int, ...]]]
 
 
 class Model:
-    """A layer graph plus its parameters, running statistics, and mode."""
+    """A layer graph plus its parameters and running statistics."""
 
     def __init__(self, spec: NetworkSpec, rng: Optional[np.random.Generator] = None):
         self.spec = spec
-        self.mode = TRAIN
         self._shapes = [_param_shapes(layer) for layer in spec.layers]
         self.flat = np.zeros(_size(self._shapes))
         self.params: list[dict[str, np.ndarray]] = self.views(self.flat)
@@ -221,14 +219,6 @@ class Model:
             raise ShapeError(f"buffer has shape {buffer.shape}, parameters {self.flat.shape}")
         return _carve(buffer, self._shapes)
 
-    def train_mode(self) -> "Model":
-        self.mode = TRAIN
-        return self
-
-    def inference_mode(self) -> "Model":
-        self.mode = INFERENCE
-        return self
-
     def snapshot(self) -> np.ndarray:
         """One copy of ``flat`` followed by ``stats``, for :meth:`restore`."""
         return np.concatenate((self.flat, self.stats))
@@ -242,17 +232,14 @@ class Model:
 
 @dataclass
 class ForwardPass:
-    """Per-layer activations and caches from one forward call."""
+    """The outputs of one forward call, and the per-layer caches a
+    training pass keeps for :func:`backward`."""
 
     model: Model
-    mode: str
+    train: bool
     version: int
-    layer_outputs: list[np.ndarray]
+    outputs: np.ndarray
     caches: list[dict]
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.layer_outputs[-1]
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -264,11 +251,13 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 def forward(
     model: Model, inputs: np.ndarray, rng: Optional[np.random.Generator] = None
 ) -> ForwardPass:
-    """Run the network, caching what backward needs.
+    """Run the network: a training pass if ``rng`` is given, an inference
+    pass otherwise.
 
-    Train mode draws fresh dropout masks from ``rng`` and normalizes with
-    batch statistics (updating the running ones); inference mode is
-    deterministic and ignores ``rng``.
+    A training pass draws fresh dropout masks from ``rng``, normalizes with
+    batch statistics (updating the running ones) and caches what
+    :func:`backward` needs. An inference pass is deterministic and caches
+    nothing.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim == 1:
@@ -278,13 +267,9 @@ def forward(
             f"layer 0 expects width {model.spec.input_dim}, got {x.shape[1]}"
         )
 
-    train = model.mode == TRAIN
-    outputs: list[np.ndarray] = []
+    train = rng is not None
     caches: list[dict] = []
-    for i, layer in enumerate(model.spec.layers):
-        if x.shape[1] != layer.input_dim:
-            raise ShapeError(f"layer {i} expects width {layer.input_dim}, got {x.shape[1]}")
-        params = model.params[i]
+    for layer, params, stats in zip(model.spec.layers, model.params, model.running):
         cache: dict = {}
         if layer.kind == "dense":
             cache["x"] = x
@@ -296,16 +281,13 @@ def forward(
             x = _softmax_rows(x)
             cache["probs"] = x
         elif layer.kind == "dropout":
-            if train and layer.dropout_rate > 0.0:
-                if rng is None:
-                    raise StateError(f"layer {i}: dropout in train mode needs an rng")
-                keep = 1.0 - layer.dropout_rate
+            if train:
+                keep = 1.0 - DROPOUT_RATE
                 mask = (rng.random(x.shape) < keep) / keep
                 cache["mask"] = mask
                 x = x * mask
-            # inference (or rate 0): identity, inverted scaling already paid at train time
+            # inference: identity, inverted scaling already paid at train time
         elif layer.kind == "batchnorm":
-            stats = model.running[i]
             if train:
                 # x.mean(axis=0) and x.var(axis=0), bit for bit, with the
                 # centered batch computed once and kept for backward.
@@ -313,20 +295,20 @@ def forward(
                 mu = np.add.reduce(x, 0) / n
                 xc = x - mu
                 var = np.add.reduce(xc * xc, 0) / n
-                inv_std = 1.0 / np.sqrt(var + layer.epsilon)
+                inv_std = 1.0 / np.sqrt(var + BATCHNORM_EPSILON)
                 x_hat = xc * inv_std
                 cache.update(xc=xc, inv_std=inv_std, x_hat=x_hat)
-                m = layer.momentum
+                m = BATCHNORM_MOMENTUM
                 stats["mean"][...] = m * stats["mean"] + (1.0 - m) * mu
                 stats["var"][...] = m * stats["var"] + (1.0 - m) * var
             else:
-                x_hat = (x - stats["mean"]) / np.sqrt(stats["var"] + layer.epsilon)
+                x_hat = (x - stats["mean"]) / np.sqrt(stats["var"] + BATCHNORM_EPSILON)
             x = params["scale"] * x_hat + params["shift"]
-        outputs.append(x)
-        caches.append(cache)
+        if train:
+            caches.append(cache)
 
-    return ForwardPass(model=model, mode=model.mode, version=model._version,
-                       layer_outputs=outputs, caches=caches)
+    return ForwardPass(model=model, train=train, version=model._version,
+                       outputs=x, caches=caches)
 
 
 def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
@@ -366,16 +348,17 @@ def loss(model: Model, outputs: np.ndarray, targets: np.ndarray) -> float:
 def backward(model: Model, activations: ForwardPass, targets: np.ndarray) -> np.ndarray:
     """Backpropagate the implied loss; returns ``model.grad``, the gradient.
 
-    Requires activations from a train-mode forward on this exact model
-    state; running statistics receive no gradient. ``model.grad`` is laid
-    out like ``model.flat`` (``model.views`` splits it by layer) and is
-    the model's own buffer: the next ``backward`` on this model
-    overwrites it. Copy it to keep it longer.
+    Requires activations from a training pass of :func:`forward` on this
+    exact model state; running statistics receive no gradient.
+    ``model.grad`` is laid out like ``model.flat`` (``model.views`` splits
+    it by layer) and is the model's own buffer: the next ``backward`` on
+    this model overwrites it. Copy it to keep it longer.
     """
     if activations.model is not model:
         raise StateError("activations came from a different model")
-    if activations.mode != TRAIN:
-        raise StateError("backward needs activations from a train-mode forward")
+    if not activations.train:
+        raise StateError("backward needs activations from a training pass "
+                         "(a forward given an rng)")
     if activations.version != model._version:
         raise StateError("activations are stale: parameters changed since forward")
     y = np.asarray(targets, dtype=float)
@@ -417,8 +400,7 @@ def backward(model: Model, activations: ForwardPass, targets: np.ndarray) -> np.
         elif layer.kind == "relu":
             delta = delta * (cache["z"] > 0.0)
         elif layer.kind == "dropout":
-            if "mask" in cache:
-                delta = delta * cache["mask"]
+            delta = delta * cache["mask"]
         elif layer.kind == "batchnorm":
             x_hat, inv_std, xc = cache["x_hat"], cache["inv_std"], cache["xc"]
             n = xc.shape[0]
@@ -523,14 +505,13 @@ def train_epoch(model: Model, x: np.ndarray, targets: np.ndarray, state: AdamSta
     """One epoch of mini-batch Adam at ``lr_at(epoch)``; returns the mean batch loss.
 
     The rows of ``x`` and ``targets`` are shuffled by ``rng.permutation``
-    and taken ``batch_size`` at a time; each batch runs a train-mode
+    and taken ``batch_size`` at a time; each batch runs a training pass of
     :func:`forward` (dropout masks drawn from ``rng``), :func:`loss`, then
     :func:`adam_step` on :func:`backward`'s gradient. A non-finite loss
     raises a NumericError naming the epoch.
     """
     lr = lr_at(epoch)
     order = rng.permutation(x.shape[0])
-    model.train_mode()
     losses = []
     for start in range(0, x.shape[0], batch_size):
         idx = order[start:start + batch_size]
@@ -553,10 +534,10 @@ def spec_to_json(spec: NetworkSpec) -> list[dict]:
         entry = {"kind": layer.kind, "input_dim": layer.input_dim,
                  "output_dim": layer.output_dim}
         if layer.kind == "dropout":
-            entry["dropout_rate"] = layer.dropout_rate
+            entry["dropout_rate"] = DROPOUT_RATE
         if layer.kind == "batchnorm":
-            entry["momentum"] = layer.momentum
-            entry["epsilon"] = layer.epsilon
+            entry["momentum"] = BATCHNORM_MOMENTUM
+            entry["epsilon"] = BATCHNORM_EPSILON
         out.append(entry)
     return out
 
@@ -581,16 +562,19 @@ def model_document(model: Model, artifact_kind: str) -> dict:
 
 def model_from_dict(doc: dict, spec: NetworkSpec, kind: str, what: str) -> Model:
     """The model of ``spec`` whose values :func:`model_document` stored in
-    ``doc``, the parsed JSON of a file ``what`` names, in inference mode.
+    ``doc``, the parsed JSON of a file ``what`` names.
 
     The document's ``format_version`` must be :data:`FORMAT_VERSION`, its
     ``artifact_kind`` must be ``kind``, and its ``layers`` must equal
     ``spec_to_json(spec)``, entry by entry and key by key: the layers are
     the architecture fixed in code, stored so a file says what it holds.
-    Each stored array is then decoded into the model's own views. A fault
-    raises a StateError that begins with ``what`` and names the field, such
-    as ``layers[3].epsilon``, ``parameters[1].weight`` or
-    ``running_stats[3].mean``.
+    ``parameters`` and ``running_stats`` must hold one entry per layer, as
+    the writer writes them: an object of exactly the layer's arrays, which
+    is ``{}`` for a layer without parameters, and ``null`` for a layer
+    without running statistics. Each stored array is decoded into the
+    model's own views. A fault raises a StateError that begins with
+    ``what`` and names the field, such as ``layers[3].epsilon``,
+    ``parameters[1].weight`` or ``running_stats[0]``.
     """
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -601,6 +585,11 @@ def model_from_dict(doc: dict, spec: NetworkSpec, kind: str, what: str) -> Model
         raise StateError(f"{what} has artifact kind {found!r} where {kind!r} was expected")
     get = partial(store.field, what=what, error=StateError)
 
+    def only(entry: dict, keys, at: str) -> None:
+        extra = next((key for key in entry if key not in keys), None)
+        if extra is not None:
+            raise StateError(f"{what} has the unexpected field {at}.{extra}")
+
     layers, expected = get(doc, "layers", list), spec_to_json(spec)
     if len(layers) != len(expected):
         raise StateError(f"{what} field layers has {len(layers)} entries, "
@@ -609,26 +598,22 @@ def model_from_dict(doc: dict, spec: NetworkSpec, kind: str, what: str) -> Model
         for key, value in want.items():
             get(entry, key, type(value), valid=lambda v: v == value,
                 requirement=f"equal to {json.dumps(value)}", at=f"layers[{i}].")
-        extra = next((key for key in entry if key not in want), None)
-        if extra is not None:
-            raise StateError(f"{what} has the unexpected field layers[{i}].{extra}")
+        only(entry, want, f"layers[{i}]")
 
-    parameters = get(doc, "parameters", list)
-    if len(parameters) != len(spec.layers):
-        raise StateError(f"{what} field parameters has {len(parameters)} "
-                         f"entries for {len(spec.layers)} layers")
     model = Model(spec, rng=_LOADED)
-
-    def decode(views: dict[str, np.ndarray], container, at: str) -> None:
-        for key, view in views.items():
-            view[...] = store.decode_array(get(container, key, object, at=at), view.size,
-                                           f"{what} field {at}{key}").reshape(view.shape)
-
-    for i, layer in enumerate(spec.layers):
-        decode(model.params[i], parameters[i], f"parameters[{i}].")
-        if layer.kind == "batchnorm":
-            running = get(doc, "running_stats", list)
-            if i >= len(running):
-                raise StateError(f"{what} has no field running_stats[{i}]")
-            decode(model.running[i], running[i], f"running_stats[{i}].")
-    return model.inference_mode()
+    for name, per_layer in (("parameters", model.params), ("running_stats", model.running)):
+        entries = get(doc, name, list)
+        if len(entries) != len(spec.layers):
+            raise StateError(f"{what} field {name} has {len(entries)} "
+                             f"entries for {len(spec.layers)} layers")
+        for i, (entry, views) in enumerate(zip(entries, per_layer)):
+            at = f"{name}[{i}]"
+            # store.field names a value by its key, so the entry goes under its own name.
+            get({at: entry}, at, type(None) if views is None else dict)
+            if views is None:
+                continue
+            only(entry, views, at)
+            for key, view in views.items():
+                view[...] = store.decode_array(get(entry, key, object, at=at + "."), view.size,
+                                               f"{what} field {at}.{key}").reshape(view.shape)
+    return model

@@ -34,7 +34,7 @@ def untrained_autoencoder_model(spec: AutoencoderSpec) -> nn.Model:
 
 def reconstruction_mse(model: nn.Model, x: np.ndarray) -> float:
     """Mean over rows of the squared Euclidean reconstruction distance."""
-    return nn.mean_squared_error(nn.forward(model.inference_mode(), x).outputs, x)
+    return nn.mean_squared_error(nn.forward(model, x).outputs, x)
 
 
 def model_dict(model: nn.Model, artifact_kind: str) -> dict:
@@ -67,26 +67,27 @@ def grad_check(model: nn.Model, batch: tuple[np.ndarray, np.ndarray], eps: float
 
     A verification oracle for small networks: perturbs every parameter by
     +/- eps and compares (L(t+eps)-L(t-eps))/(2 eps) against backward's
-    output. Dropout must be disabled and eps must lie in [1e-6, 1e-4].
+    output, every loss from a training pass. The model must have no
+    dropout layer, whose masks would differ between passes, and eps must
+    lie in [1e-6, 1e-4].
     """
     if not 1e-6 <= eps <= 1e-4:
         raise DomainError(f"eps must lie in [1e-6, 1e-4], got {eps}")
     total, _ = count_params(model.spec)
     if total > 10_000:
         raise DomainError(f"model too large for finite differences: {total} parameters")
-    if any(l.kind == "dropout" and l.dropout_rate > 0.0 for l in model.spec.layers):
-        raise DomainError("disable dropout before gradient checking")
+    if any(layer.kind == "dropout" for layer in model.spec.layers):
+        raise DomainError("cannot gradient-check through a dropout layer")
 
     inputs, targets = batch
-    saved_mode = model.mode
+    rng = np.random.default_rng(0)  # draws nothing without dropout
     saved = model.snapshot()
-    model.train_mode()
     try:
         # Only backward writes model.grad, so the forwards below leave it be.
-        analytic = nn.backward(model, nn.forward(model, inputs), targets)
+        analytic = nn.backward(model, nn.forward(model, inputs, rng), targets)
 
         def loss_now() -> float:
-            return nn.loss(model, nn.forward(model, inputs).outputs, targets)
+            return nn.loss(model, nn.forward(model, inputs, rng).outputs, targets)
 
         worst = 0.0
         flat = model.flat
@@ -103,7 +104,6 @@ def grad_check(model: nn.Model, batch: tuple[np.ndarray, np.ndarray], eps: float
         return worst
     finally:
         model.restore(saved)
-        model.mode = saved_mode
 
 
 # The stored array format, written out here independently of the codec in

@@ -52,8 +52,11 @@ class TestEncode:
 
     def test_codes_equal_full_forward_latent_layer(self, trained, small_corpus):
         ae, _ = trained
-        full = nn.forward(ae.model.inference_mode(), small_corpus)
-        np.testing.assert_array_equal(ae.encode_batch(small_corpus), full.layer_outputs[2])
+        # The encoder's parameters come first in the flat buffer, in layer order.
+        encoder = nn.Model(nn.NetworkSpec(ae.model.spec.layers[:3]))
+        encoder.flat[...] = ae.model.flat[:encoder.flat.size]
+        np.testing.assert_array_equal(ae.encode_batch(small_corpus),
+                                      nn.forward(encoder, small_corpus).outputs)
 
     def test_wrong_width_is_shape_error(self, trained):
         ae, _ = trained
@@ -163,8 +166,18 @@ class TestSerialization:
     def test_trained_must_be_true(self, trained, flag, named):
         ae, _ = trained
         doc = model_dict(ae.model, artifact_kind="autoencoder")
-        doc["autoencoder"] = {"trained": flag}
+        doc["autoencoder"] = {"epochs": 2, "batch_size": 4, "seed": 0, "trained": flag}
         with pytest.raises(nn.StateError, match=f"^autoencoder file x field {named}"):
+            autoencoder_from_dict(doc, "autoencoder file x")
+
+    @pytest.mark.parametrize("key", ["epochs", "batch_size", "seed", "trained"])
+    def test_every_spec_field_is_required(self, trained, key):
+        ae, _ = trained
+        doc = model_dict(ae.model, artifact_kind="autoencoder")
+        doc["autoencoder"] = {"epochs": 2, "batch_size": 4, "seed": 0, "trained": True}
+        del doc["autoencoder"][key]
+        with pytest.raises(nn.StateError, match=f"^autoencoder file x has no field "
+                                                f"autoencoder.{key}$"):
             autoencoder_from_dict(doc, "autoencoder file x")
 
     def test_kind_tag_prevents_cross_loading(self, trained):

@@ -263,7 +263,7 @@ class TestEvaluate:
     def test_permutation_invariance(self):
         splits = separable_splits(n_per_class=15)
         spec = nn.NetworkSpec((nn.dense(NUM_FEATURES, 2), nn.softmax(2)))
-        model = nn.Model(spec, rng=np.random.default_rng(5)).inference_mode()
+        model = nn.Model(spec, rng=np.random.default_rng(5))
         report_a = evaluate(model, splits.test)
         shuffled = subset(splits.test,
                           np.random.default_rng(6).permutation(len(splits.test)))

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import multicred
 from multicred import cli
@@ -20,7 +22,7 @@ from multicred.autoencoder import load_autoencoder
 from multicred.embedding import EmbedderSpec, embed_texts
 from multicred.preprocess import preprocess
 
-from conftest import model_dict, retouch, stored_values
+from conftest import model_dict, retouch, stored, stored_values
 
 
 def tree_digest(root: Path) -> str:
@@ -363,7 +365,8 @@ class TestBundleCrossCheck:
                    + FAST_TRAIN)
         assert code == 1
         err = capsys.readouterr().err
-        assert "normalization stats" in err and named in err and "Traceback" not in err
+        assert f"normalization stats {prep / 'norm_stats.json'} " in err and named in err
+        assert "Traceback" not in err
         assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("embedder, named", [
@@ -381,7 +384,8 @@ class TestBundleCrossCheck:
                    + FAST_TRAIN)
         assert code == 1
         err = capsys.readouterr().err
-        assert f"prepare metadata {named}" in err and "Traceback" not in err
+        assert f"prepare metadata {prep / 'prepare_meta.json'} {named}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("field", ["num_classes", "embedder"])
@@ -395,7 +399,8 @@ class TestBundleCrossCheck:
         code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "model.json")]
                    + FAST_TRAIN)
         assert code == 1
-        assert f"no field {field}" in capsys.readouterr().err
+        assert (f"prepare metadata {prep / 'prepare_meta.json'} has no field {field}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("value", ["4", True, 5, None], ids=["str", "bool", "5", "null"])
@@ -410,7 +415,8 @@ class TestBundleCrossCheck:
                    + FAST_TRAIN)
         assert code == 1
         err = capsys.readouterr().err
-        assert "prepare metadata field num_classes" in err and json.dumps(value) in err
+        assert f"prepare metadata {prep / 'prepare_meta.json'} field num_classes" in err
+        assert json.dumps(value) in err
         assert "Traceback" not in err
         assert not (tmp_path / "model.json").exists()
 
@@ -578,6 +584,187 @@ class TestInputFaultGate:
                 wrong.append(f"{label}: exit {got}, stderr {err!r}")
             shutil.rmtree(root)
         assert wrong == []
+
+
+# Single mutations of the state files, for TestStateFileFuzz.
+
+_OTHER_TYPES = (None, True, 1, "x", [], {})
+# Numbers outside the range of most integer fields, and one beyond every float.
+_OUT_OF_RANGE = (-1, 0, 3, 5, 2**63, 2**64, -2**63 - 1, 10**400)
+# The keys under which a state file stores a float array.
+_ARRAY_KEYS = {"weight", "bias", "scale", "shift", "mean", "var", "minimum", "maximum"}
+
+
+def _json_kind(value) -> type:
+    """The JSON type of a parsed value, with every number as one type."""
+    return float if type(value) in (int, float) else type(value)
+
+
+def _json_paths(doc, at=()):
+    """The path of every value inside the parsed JSON ``doc``, in document order."""
+    for key, value in (doc.items() if type(doc) is dict else enumerate(doc)):
+        yield at + (key,)
+        if type(value) in (dict, list):
+            yield from _json_paths(value, at + (key,))
+
+
+def _raw_fault(raw: bytes, pick: int, choice: int) -> bytes:
+    """One of six byte-level faults of a file, ``choice`` selecting it."""
+    cut = pick % len(raw)
+    return (
+        b"",
+        b"\xef\xbb\xbf" + raw,  # a byte-order mark
+        raw[:cut],  # truncated
+        raw[:cut] + b"\xff" + raw[cut:],  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested beyond the parser's depth
+        b'{"a": "\\ud800"}',  # an unpaired surrogate escape
+    )[choice % 6]
+
+
+def _value_at(doc, path: tuple):
+    """The value at ``path``, a tuple of keys and indices, in the parsed JSON ``doc``."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _json_fault(raw: bytes, kind: str, pick: int, choice: int) -> tuple[bytes, tuple]:
+    """The JSON file ``raw`` with one value retyped, set out of range or
+    deleted, and the path of that value."""
+    doc = json.loads(raw)
+    paths = list(_json_paths(doc))
+    if kind == "range":
+        paths = [p for p in paths if p[-1] in _ARRAY_KEYS or type(_value_at(doc, p)) is int]
+    path = paths[pick % len(paths)]
+    parent, key = _value_at(doc, path[:-1]), path[-1]
+    value = parent[key]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "retype":
+        others = [v for v in _OTHER_TYPES if _json_kind(v) is not _json_kind(value)]
+        parent[key] = others[choice % len(others)]
+    elif type(value) is int:
+        parent[key] = _OUT_OF_RANGE[choice % len(_OUT_OF_RANGE)]
+    else:  # a stored float array, one of its values made non-finite
+        values = stored_values(value)
+        values[choice % values.size] = (np.nan, np.inf, -np.inf)[choice % 3]
+        parent[key] = stored(values)
+    return json.dumps(doc).encode(), path
+
+
+def _csv_fault(raw: bytes, kind: str, pick: int, choice: int) -> bytes:
+    """The split CSV ``raw`` with one cell made text, set out of range or deleted."""
+    lines = raw.split(b"\r\n")  # csv.writer ends every row with CRLF
+    row = pick % (len(lines) - 1)
+    cells = lines[row].split(b",")
+    column = choice % len(cells)
+    if kind == "delete":
+        del cells[column]
+    elif kind == "retype":
+        cells[column] = b"x"
+    elif column == len(cells) - 1:  # the class index
+        cells[column] = (b"-1", b"4", b"99999999999999999999")[choice // len(cells) % 3]
+    else:
+        cells[column] = (b"nan", b"inf", b"-inf", b"1e400")[choice // len(cells) % 4]
+    lines[row] = b",".join(cells)
+    return b"\r\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(pipeline, tmp_path_factory):
+    """A copy of the pipeline's prepared directory and bundle, with a config
+    file for a small generate run."""
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(pipeline / "prep", root / "prep")
+    shutil.copy(pipeline / "model.json", root / "model.json")
+    (root / "out").mkdir()
+    (root / "config.json").write_text(json.dumps({
+        "users": 4, "classes": 4, "seed": 7, "tweets_per_user": 1, "comments_per_user": 1,
+    }), "utf-8")
+    return root
+
+
+def _fuzz_command(root: Path, name: str) -> tuple[Path, list[str]]:
+    """The state file ``name`` under ``root`` and a command that reads it."""
+    if name == "model.json":
+        return root / name, ["evaluate", "--model", str(root / name),
+                             "--prepared", str(root / "prep")]
+    if name == "config.json":
+        return root / name, ["--config", str(root / name), "generate",
+                             "--out", str(root / "out" / "data")]
+    return root / "prep" / name, ["train", "--prepared", str(root / "prep"),
+                                  "--out", str(root / "out" / "model.json"),
+                                  "--seed", "0", "--max-epochs", "1", "--patience", "1"]
+
+
+def _run_with(path: Path, content: bytes, argv: list[str], capsys) -> tuple[int, str]:
+    """The exit code and stderr of ``argv`` run with ``content`` in place of
+    the file at ``path``, which is put back afterwards."""
+    original = path.read_bytes()
+    path.write_bytes(content)
+    try:
+        code = run(argv)
+    finally:
+        path.write_bytes(original)
+    return code, capsys.readouterr().err
+
+
+class TestStateFileFuzz:
+    """A single mutation of a state file, run through a command that reads
+    it: no exception escapes ``cli.run``, the exit code is 0 or 1, and on
+    exit 1 the last stderr line names the file, and for a fault inside a
+    bundle's network, that network.
+
+    A mutation retypes a value, sets it out of range, deletes it, or
+    replaces the file's bytes. Out of range means an integer beyond most
+    fields' ranges or a stored float made non-finite; the config file's
+    numbers are option values, which each command checks as it checks a
+    flag, so the config file gets the other three kinds only.
+    """
+
+    @pytest.mark.parametrize("name", ["prepare_meta.json", "norm_stats.json", "autoencoder.json",
+                                      "train.csv", "test.csv", "validation.csv", "model.json",
+                                      "config.json"])
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.integers(0, 3), pick=st.integers(0, 2**32), choice=st.integers(0, 2**16))
+    def test_single_mutation_is_named_or_harmless(self, fuzz_root, capsys, name,
+                                                  kind, pick, choice):
+        path, argv = _fuzz_command(fuzz_root, name)
+        raw = path.read_bytes()
+        kinds = ("retype", "delete", "bytes") + (() if name == "config.json" else ("range",))
+        kind = kinds[kind % len(kinds)]
+        network = None
+        if kind == "bytes":
+            content = _raw_fault(raw, pick, choice)
+        elif name.endswith(".csv"):
+            content = _csv_fault(raw, kind, pick, choice)
+        else:
+            content, at = _json_fault(raw, kind, pick, choice)
+            if name == "model.json" and at[0] in ("classifier", "autoencoder"):
+                network = at[0]
+        code, err = _run_with(path, content, argv, capsys)
+        assert code in (0, 1), err
+        if code == 1:
+            last = err.splitlines()[-1]
+            assert str(path) in last and (network is None or network in last), err
+
+    @pytest.mark.parametrize("name, change, named", [
+        ("model.json", lambda b: (b["classifier"]["parameters"].__setitem__(2, 5),
+                                  b["classifier"]["running_stats"].__setitem__(0, "junk"),
+                                  b["classifier"]["running_stats"].append(None)),
+         "classifier (num_classes 4) field parameters[2] is 5, expected a JSON object"),
+        ("autoencoder.json", lambda doc: doc.update(autoencoder={}),
+         "has no field autoencoder.epochs"),
+    ], ids=["lenient-classifier-entries", "empty-autoencoder-entry"])
+    def test_once_accepted_documents_are_named(self, fuzz_root, capsys, name, change, named):
+        path, argv = _fuzz_command(fuzz_root, name)
+        doc = json.loads(path.read_bytes())
+        change(doc)
+        code, err = _run_with(path, json.dumps(doc).encode(), argv, capsys)
+        assert code == 1
+        last = err.splitlines()[-1]
+        assert str(path) in last and last.endswith(named) and "Traceback" not in err
 
 
 class TestFeatureCsvRows:

@@ -16,7 +16,8 @@ A change that alters output bits on purpose regenerates the file with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-and says which files changed, and why.
+(which prints each environment field and each digest that differs from
+the old file before it rewrites it) and says which files changed, and why.
 """
 
 import hashlib
@@ -125,7 +126,13 @@ def test_outputs_match_golden(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(GOLDEN.read_text("utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"environment": environment(), "files": run_pipeline(Path(tmp))}
+    for section in ("environment", "files"):
+        for key in sorted(set(old[section]) | set(doc[section])):
+            then, now = old[section].get(key), doc[section].get(key)
+            if then != now:
+                print(f"{section} {key}: {then} -> {now}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)

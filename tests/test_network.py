@@ -36,18 +36,6 @@ class TestSpecs:
         with pytest.raises(DomainError):
             nn.NetworkSpec((nn.dense(4, 8), nn.dense(7, 2)))
 
-    def test_dropout_rate_range(self):
-        with pytest.raises(DomainError):
-            nn.dropout(4, rate=1.0)
-
-    @pytest.mark.parametrize("momentum, epsilon, named", [
-        (-0.1, 1e-3, "momentum"), (1.5, 1e-3, "momentum"), (float("nan"), 1e-3, "momentum"),
-        (0.99, 0.0, "epsilon"), (0.99, -1000.0, "epsilon"), (0.99, float("inf"), "epsilon"),
-    ])
-    def test_batchnorm_momentum_and_epsilon_range(self, momentum, epsilon, named):
-        with pytest.raises(DomainError, match=named):
-            nn.batchnorm(4, momentum=momentum, epsilon=epsilon)
-
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             nn.LayerSpec("conv", 4, 4)
@@ -71,53 +59,49 @@ class TestCountParams:
 class TestForward:
     def test_softmax_of_zeros_is_uniform(self):
         model = nn.Model(nn.NetworkSpec((nn.softmax(4),)))
-        out = nn.forward(model.inference_mode(), np.zeros((1, 4))).outputs
+        out = nn.forward(model, np.zeros((1, 4))).outputs
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
-        model = nn.Model(nn.NetworkSpec((nn.softmax(7),))).inference_mode()
+        model = nn.Model(nn.NetworkSpec((nn.softmax(7),)))
         x = np.random.default_rng(0).normal(scale=50, size=(40, 7))
         out = nn.forward(model, x).outputs
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
     def test_softmax_shift_invariance(self):
-        model = nn.Model(nn.NetworkSpec((nn.softmax(5),))).inference_mode()
+        model = nn.Model(nn.NetworkSpec((nn.softmax(5),)))
         x = np.random.default_rng(1).normal(size=(10, 5))
         a = nn.forward(model, x).outputs
         b = nn.forward(model, x + 123.456).outputs
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_dropout_is_identity_in_inference(self):
-        model = nn.Model(nn.NetworkSpec((nn.dropout(6, 0.5),))).inference_mode()
+        model = nn.Model(nn.NetworkSpec((nn.dropout(6),)))
         x = np.random.default_rng(2).normal(size=(5, 6))
         np.testing.assert_array_equal(nn.forward(model, x).outputs, x)
 
     def test_dropout_scales_at_train_time(self):
-        model = nn.Model(nn.NetworkSpec((nn.dropout(1000, 0.3),))).train_mode()
+        model = nn.Model(nn.NetworkSpec((nn.dropout(1000),)))
         x = np.ones((4, 1000))
         out = nn.forward(model, x, rng=np.random.default_rng(3)).outputs
         kept = out[out > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
         assert 0.6 < np.mean(out > 0) < 0.8
 
-    def test_dropout_in_train_mode_requires_rng(self):
-        model = nn.Model(nn.NetworkSpec((nn.dropout(4, 0.3),))).train_mode()
-        with pytest.raises(nn.StateError, match="rng"):
-            nn.forward(model, np.ones((2, 4)))
-
     def test_batchnorm_standardizes_batch(self):
-        # Tiny epsilon so the variance contract is visible at 1e-4.
-        model = nn.Model(nn.NetworkSpec((nn.batchnorm(3, epsilon=1e-10),))).train_mode()
+        model = nn.Model(nn.NetworkSpec((nn.batchnorm(3),)))
         x = np.random.default_rng(4).normal(loc=5.0, scale=3.0, size=(64, 3))
-        out = nn.forward(model, x).outputs  # scale 1, shift 0: pure x_hat
+        # A training pass at scale 1, shift 0: pure x_hat.
+        out = nn.forward(model, x, rng=np.random.default_rng(0)).outputs
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-4)
+        # epsilon shrinks each variance from 1 to var / (var + epsilon).
+        var = x.var(axis=0)
+        np.testing.assert_allclose(out.var(axis=0), var / (var + 1e-3), rtol=1e-12)
 
     def test_batchnorm_inference_uses_running_stats(self):
         model = nn.Model(nn.NetworkSpec((nn.batchnorm(2),)))
         model.running[0]["mean"][...] = [1.0, 2.0]
         model.running[0]["var"][...] = [4.0, 9.0]
-        model.inference_mode()
         out = nn.forward(model, np.array([[3.0, 8.0]])).outputs
         expected = (np.array([[3.0, 8.0]]) - [1.0, 2.0]) / np.sqrt(np.array([4.0, 9.0]) + 1e-3)
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -127,12 +111,21 @@ class TestForward:
         with pytest.raises(nn.ShapeError, match="layer 0"):
             nn.forward(model, np.zeros((2, 50)))
 
-    def test_inference_is_deterministic_and_rng_free(self):
-        model = softmax_ce_net().inference_mode()
-        x = np.random.default_rng(5).normal(size=(6, 51))
-        a = nn.forward(model, x).outputs
-        b = nn.forward(model, x, rng=np.random.default_rng(99)).outputs
-        np.testing.assert_array_equal(a, b)
+    def test_forward_trains_exactly_when_given_an_rng(self):
+        spec = nn.NetworkSpec((nn.dropout(6), nn.dense(6, 4), nn.batchnorm(4), nn.softmax(4)))
+        model = nn.Model(spec, rng=np.random.default_rng(5))
+        x = np.random.default_rng(6).normal(size=(8, 6))
+        stats = model.stats.copy()
+        inference = nn.forward(model, x)
+        assert not inference.train and inference.caches == []
+        assert model.stats.tobytes() == stats.tobytes()
+        np.testing.assert_array_equal(nn.forward(model, x).outputs, inference.outputs)
+
+        training = nn.forward(model, x, rng=np.random.default_rng(7))
+        assert training.train and len(training.caches) == len(spec.layers)
+        assert "mask" in training.caches[0] and "x_hat" in training.caches[2]
+        assert model.stats.tobytes() != stats.tobytes()
+        assert training.outputs.tobytes() != inference.outputs.tobytes()
 
 
 class TestCrossEntropy:
@@ -180,10 +173,10 @@ class TestBackward:
     def test_softmax_ce_output_gradient_closed_form(self):
         # One dense layer into softmax: dW = x^T (p - y) / batch.
         spec = nn.NetworkSpec((nn.dense(3, 2), nn.softmax(2)))
-        model = nn.Model(spec, rng=np.random.default_rng(7)).train_mode()
+        model = nn.Model(spec, rng=np.random.default_rng(7))
         x = np.random.default_rng(8).normal(size=(5, 3))
         y = one_hot([0, 1, 1, 0, 1], 2)
-        activations = nn.forward(model, x)
+        activations = nn.forward(model, x, rng=np.random.default_rng(0))
         grads = model.views(nn.backward(model, activations, y))
         probs = activations.outputs
         np.testing.assert_allclose(grads[0]["weight"], x.T @ ((probs - y) / 5), atol=1e-12)
@@ -191,36 +184,35 @@ class TestBackward:
 
     def test_dead_relu_kills_gradient(self):
         spec = nn.NetworkSpec((nn.dense(2, 2), nn.relu(2), nn.dense(2, 2), nn.softmax(2)))
-        model = nn.Model(spec, rng=np.random.default_rng(9)).train_mode()
+        model = nn.Model(spec, rng=np.random.default_rng(9))
         # Force unit 0 of the first dense layer negative on the whole batch.
         model.params[0]["weight"][:, 0] = -5.0
         model.params[0]["bias"][0] = -10.0
         x = np.abs(np.random.default_rng(10).normal(size=(6, 2)))
-        activations = nn.forward(model, x)
+        activations = nn.forward(model, x, rng=np.random.default_rng(0))
         grads = model.views(nn.backward(model, activations, one_hot([0, 1] * 3, 2)))
         np.testing.assert_array_equal(grads[0]["weight"][:, 0], 0.0)
         assert grads[0]["bias"][0] == 0.0
 
     def test_stale_after_adam_step(self):
-        model = softmax_ce_net().train_mode()
+        model = softmax_ce_net()
         x = np.random.default_rng(11).normal(size=(4, 51))
         y = one_hot([0, 1, 2, 3], 4)
-        activations = nn.forward(model, x)
+        activations = nn.forward(model, x, rng=np.random.default_rng(0))
         grads = nn.backward(model, activations, y)
         nn.adam_step(model, grads, nn.init_adam(model), lr=0.01)
         with pytest.raises(nn.StateError, match="stale"):
             nn.backward(model, activations, y)
 
     def test_inference_activations_rejected(self):
-        model = softmax_ce_net().inference_mode()
+        model = softmax_ce_net()
         x = np.random.default_rng(12).normal(size=(4, 51))
         activations = nn.forward(model, x)
-        model.train_mode()
-        with pytest.raises(nn.StateError, match="train-mode"):
+        with pytest.raises(nn.StateError, match="training pass"):
             nn.backward(model, activations, one_hot([0, 1, 2, 3], 4))
 
     def test_target_batch_mismatch(self):
-        model = softmax_ce_net().train_mode()
+        model = softmax_ce_net()
         x = np.random.default_rng(13).normal(size=(4, 51))
         activations = nn.forward(model, x, rng=np.random.default_rng(0))
         with pytest.raises(nn.ShapeError):
@@ -231,9 +223,8 @@ class TestBatchnormBits:
     def test_forward_and_backward_match_the_textbook_formulas_bitwise(self):
         # dense -> batchnorm -> dense -> softmax, against the batchnorm
         # formulas written out with x.mean, x.var and x - mu at every use.
-        spec = nn.NetworkSpec((nn.dense(6, 5), nn.batchnorm(5, momentum=0.9),
-                               nn.dense(5, 3), nn.softmax(3)))
-        model = nn.Model(spec, rng=np.random.default_rng(21)).train_mode()
+        spec = nn.NetworkSpec((nn.dense(6, 5), nn.batchnorm(5), nn.dense(5, 3), nn.softmax(3)))
+        model = nn.Model(spec, rng=np.random.default_rng(21))
         model.params[1]["scale"][...] = np.random.default_rng(22).normal(size=5)
         model.params[1]["shift"][...] = np.random.default_rng(23).normal(size=5)
         rng = np.random.default_rng(24)
@@ -241,20 +232,20 @@ class TestBatchnormBits:
         # so a reordered expression shows in the bits.
         x0 = rng.normal(loc=3.0, scale=2.0, size=(13, 6))
         y = one_hot(rng.integers(3, size=13), 3)
-        eps, n = 1e-3, 13
+        eps, m, n = 1e-3, 0.99, 13
 
         running = {key: stats.copy() for key, stats in model.running[1].items()}
-        activations = nn.forward(model, x0)
+        activations = nn.forward(model, x0, rng=rng)
         x = x0 @ model.params[0]["weight"] + model.params[0]["bias"]
         mu, var = x.mean(axis=0), x.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + eps)
         x_hat = (x - mu) * inv_std
         out = model.params[1]["scale"] * x_hat + model.params[1]["shift"]
-        assert activations.layer_outputs[1].tobytes() == out.tobytes()
+        assert activations.caches[2]["x"].tobytes() == out.tobytes()  # the next layer's input
         assert model.running[1]["mean"].tobytes() == \
-            (0.9 * running["mean"] + (1.0 - 0.9) * mu).tobytes()
+            (m * running["mean"] + (1.0 - m) * mu).tobytes()
         assert model.running[1]["var"].tobytes() == \
-            (0.9 * running["var"] + (1.0 - 0.9) * var).tobytes()
+            (m * running["var"] + (1.0 - m) * var).tobytes()
 
         grads = model.views(nn.backward(model, activations, y))
         delta = (activations.outputs - y) / n
@@ -299,23 +290,21 @@ class TestGradCheck:
             grad_check(model, (np.zeros((2, 51)), one_hot([0, 1], 4)), eps=0.0)
 
     def test_dropout_must_be_disabled(self):
-        spec = nn.NetworkSpec((nn.dropout(4, 0.3), nn.dense(4, 2), nn.softmax(2)))
+        spec = nn.NetworkSpec((nn.dropout(4), nn.dense(4, 2), nn.softmax(2)))
         model = nn.Model(spec, rng=np.random.default_rng(6))
         with pytest.raises(DomainError, match="dropout"):
             grad_check(model, (np.zeros((2, 4)), one_hot([0, 1], 2)), eps=1e-5)
 
     def test_leaves_model_state_untouched(self):
-        # The forwards grad_check runs are train-mode: they move the running
-        # statistics, which it must put back with the parameters.
+        # The forwards grad_check runs are training passes: they move the
+        # running statistics, which it must put back with the parameters.
         spec = nn.NetworkSpec((nn.dense(6, 5), nn.batchnorm(5), nn.dense(5, 3), nn.softmax(3)))
         model = nn.Model(spec, rng=np.random.default_rng(7))
-        model.inference_mode()
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 6))
         y = one_hot(rng.integers(3, size=4), 3)
         flat, stats = model.flat.copy(), model.stats.copy()
         grad_check(model, (x, y), eps=1e-5)
-        assert model.mode == nn.INFERENCE
         assert model.flat.tobytes() == flat.tobytes()
         assert model.stats.tobytes() == stats.tobytes()
 
@@ -348,7 +337,6 @@ class TestAdam:
             x = rng.normal(size=(8, 51))
             y = one_hot(rng.integers(4, size=8), 4)
             for epoch in range(5):
-                model.train_mode()
                 acts = nn.forward(model, x, rng=rng)
                 nn.adam_step(model, nn.backward(model, acts, y), state, nn.lr_at(epoch))
             return model.snapshot()
@@ -376,7 +364,6 @@ def reference_classifier_epochs(model, x, targets, epochs, batch_size, seed):
         lr = nn.lr_at(epoch)
         order = rng.permutation(n)
         batch_losses = []
-        model.train_mode()
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             activations = nn.forward(model, x[idx], rng=rng)
@@ -396,7 +383,6 @@ def reference_autoencoder(x, spec):
         lr = nn.lr_at(epoch)
         order = rng.permutation(n)
         epoch_losses = []
-        model.train_mode()
         for start in range(0, n, spec.batch_size):
             batch = x[order[start:start + spec.batch_size]]
             activations = nn.forward(model, batch, rng=rng)
@@ -485,11 +471,9 @@ class TestFlatBuffer:
             for step in range(50):
                 x, y = batch_for(fused, data)
                 lr = nn.lr_at(step // 10)
-                fused.train_mode()
                 nn.adam_step(fused,
                              nn.backward(fused, nn.forward(fused, x, rng=rng_fused), y),
                              state, lr)
-                ref.train_mode()
                 grads = ref.views(nn.backward(ref, nn.forward(ref, x, rng=rng_ref), y))
                 reference_adam(ref.params, grads, m, v, start + step + 1, lr)
             assert state.t == start + 50
@@ -500,7 +484,7 @@ class TestFlatBuffer:
 
     @pytest.mark.parametrize("build", [classifier_net, autoencoder_net])
     def test_params_and_grads_are_views_of_their_buffers(self, build):
-        model = build().train_mode()
+        model = build()
         x, y = batch_for(model, np.random.default_rng(7))
         grad = nn.backward(model, nn.forward(model, x, rng=np.random.default_rng(8)), y)
         assert grad is model.grad
@@ -517,7 +501,7 @@ class TestFlatBuffer:
         assert all(np.shares_memory(arr, model.stats) for arr in stats)
 
     def test_copy_mutate_load_restores_bitwise(self):
-        model = classifier_net().train_mode()
+        model = classifier_net()
         rng = np.random.default_rng(12)
         nn.forward(model, rng.normal(size=(16, 51)), rng=rng)  # moves the running statistics
         saved = model.snapshot()
@@ -537,7 +521,6 @@ class TestFlatBuffer:
 
     def test_adam_step_allocates_no_parameter_sized_temporaries(self):
         for model in (build_multicred(4), autoencoder_net()):
-            model.train_mode()
             x, y = batch_for(model, np.random.default_rng(9))
             grads = nn.backward(model, nn.forward(model, x, rng=np.random.default_rng(10)), y)
             state = nn.init_adam(model)
@@ -666,7 +649,7 @@ class TestArrayCodec:
 
 class TestWriteJson:
     def test_classifier_bytes_equal_json_dumps(self):
-        model = build_multicred(6, seed=3).train_mode()
+        model = build_multicred(6, seed=3)
         rng = np.random.default_rng(4)
         for _ in range(3):  # moves the running statistics off their start
             nn.forward(model, rng.normal(size=(16, 51)), rng=rng)
@@ -715,7 +698,7 @@ class TestWriteJson:
 
 class TestSerialization:
     def test_roundtrip_preserves_forward(self):
-        model = softmax_ce_net(seed=11).inference_mode()
+        model = softmax_ce_net(seed=11)
         x = np.random.default_rng(12).normal(size=(5, 51))
         expected = nn.forward(model, x).outputs
         loaded = nn.model_from_dict(model_dict(model, artifact_kind="classifier"),
@@ -741,7 +724,6 @@ class TestSerialization:
         loaded = nn.model_from_dict(doc, model.spec, "any", "model file")
         assert loaded.flat.tobytes() == model.flat.tobytes()
         assert loaded.stats.tobytes() == model.stats.tobytes()
-        assert loaded.mode == nn.INFERENCE
 
     def test_version_mismatch_fails(self, tmp_path):
         model = softmax_ce_net()
@@ -772,7 +754,8 @@ class TestSerialization:
          r"parameters\[3\]\.weight has shape \(7,\), expected \(8,\)"),
         (lambda d: retouch(d["parameters"][0], "bias", lambda a: a.__setitem__(1, np.nan)),
          r"parameters\[0\]\.bias holds non-finite"),
-        (lambda d: d["running_stats"].__setitem__(2, None), r"running_stats\[2\]"),
+        (lambda d: d["running_stats"].__setitem__(2, None),
+         r"field running_stats\[2\] is null, expected a JSON object$"),
         (lambda d: retouch(d["running_stats"][2], "mean", lambda a: a[:1]),
          r"running_stats\[2\]\.mean has shape \(1,\)"),
         (lambda d: d["parameters"][0].update(bias=[0.0, 0.0, 0.0, 0.0]),
@@ -801,6 +784,22 @@ class TestSerialization:
         (lambda d: d["layers"].__setitem__(2, 3),
          r"field layers\[2\] is 3, expected a JSON object$"),
         (lambda d: d.pop("artifact_kind"), "artifact kind None where 'classifier' was expected$"),
+        (lambda d: d["parameters"].__setitem__(1, 5),
+         r"field parameters\[1\] is 5, expected a JSON object$"),
+        (lambda d: d["parameters"][1].update(weight=stored([1.0])),
+         r"has the unexpected field parameters\[1\]\.weight$"),
+        (lambda d: d["parameters"][0].update(scale=stored([1.0])),
+         r"has the unexpected field parameters\[0\]\.scale$"),
+        (lambda d: d["running_stats"].__setitem__(0, "junk"),
+         r'field running_stats\[0\] is "junk", expected null$'),
+        (lambda d: d["running_stats"].__setitem__(1, {}),
+         r"field running_stats\[1\] is \{\}, expected null$"),
+        (lambda d: d["running_stats"].append(None),
+         r"field running_stats has 6 entries for 5 layers$"),
+        (lambda d: d["running_stats"].pop(), r"field running_stats has 4 entries for 5 layers$"),
+        (lambda d: d.pop("running_stats"), r"has no field running_stats$"),
+        (lambda d: d["running_stats"][2].update(count=stored([1.0])),
+         r"has the unexpected field running_stats\[2\]\.count$"),
     ], ids=["no-layers", "no-input-dim", "truncated-parameters", "short-weight",
             "nan-bias", "running-stats-none", "one-element-mean", "listed-bias", "no-bias",
             "negative-epsilon",
@@ -808,7 +807,10 @@ class TestSerialization:
             "momentum-above-one", "string-dropout-rate", "dropout-rate-one",
             "null-dropout-rate", "extra-layer", "missing-layer", "other-kind",
             "other-width", "other-epsilon", "unexpected-key", "non-object-layer",
-            "no-artifact-kind"])
+            "no-artifact-kind", "relu-parameters-number", "relu-parameters-array",
+            "extra-parameter-array", "dense-running-stats-string", "relu-running-stats-object",
+            "extra-running-stats-entry", "truncated-running-stats", "no-running-stats",
+            "extra-running-stats-array"])
     def test_malformed_document_rejected_by_name(self, tamper, named):
         spec = nn.NetworkSpec((nn.dense(3, 4), nn.relu(4), nn.batchnorm(4),
                                nn.dense(4, 2), nn.softmax(2)))
