@@ -11,7 +11,8 @@ Main entry points:
   records the generator builds from them, write_dataset /
   generate_synthetic
 - features: scan_dataset and fill_latents (a dataset directory's feature
-  rows, in two passes), LabeledDataset (ids, an n x 51 matrix, labels),
+  rows, in two passes over user ranges, in a worker pool when more than
+  one CPU is usable), LabeledDataset (ids, an n x 51 matrix, labels),
   split, smote, normalization
 - classifier: build_multicred, train, predict, evaluate
 - cli: the `multicred` command

@@ -112,8 +112,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
               for key, (_, default, _) in flags.items()}
     for key in file_values:
         if key not in flags:
-            raise UsageError(f"multicred {command}: config key {key!r} is not an option "
-                             f"of this command")
+            raise UsageError(f"config file {path} has the key {key!r}, which is not an "
+                             f"option of multicred {command}")
         merged[key] = field(file_values, key, flags[key][0], f"config file {path}", UsageError)
     merged.update((key, value) for key, value in vars(args).items()
                   if key in flags and value is not None)
@@ -273,8 +273,13 @@ def _prepare_meta(prepared: Path) -> tuple[dict, str]:
 
 
 def _read_split(prepared: Path, part: str, num_classes: int) -> feat_mod.LabeledDataset:
-    return feat_mod.read_feature_csv(
-        _require_file(prepared / f"{part}.csv", f"{part} split"), num_classes)
+    """The ``part`` split of a prepared directory; ``prepare`` writes no
+    split empty, so a DomainError names a file that holds no rows."""
+    path = _require_file(prepared / f"{part}.csv", f"{part} split")
+    dataset = feat_mod.read_feature_csv(path, num_classes)
+    if not len(dataset):
+        raise DomainError(f"{part} split {path} holds no rows")
+    return dataset
 
 
 def _read_splits(prepared: Path, num_classes: int) -> feat_mod.SplitDataset:
@@ -450,7 +455,7 @@ def run(argv: Sequence[str]) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (DomainError, ShapeError, StateError, ValueError) as exc:
+    except (DomainError, ShapeError, StateError, nn.NumericError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DatasetLoadError as exc:

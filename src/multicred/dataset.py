@@ -143,6 +143,10 @@ class DatasetLoadError(Exception):
             f"{len(failures)} dataset entries failed to load:\n  " + "\n  ".join(lines)
         )
 
+    def __reduce__(self):
+        # Rebuilt from its failures, so it crosses a process boundary whole.
+        return type(self), (self.failures,)
+
 
 # The kind of an optional text, whose feature column is its presence.
 _TEXT_OR_NULL = (str, type(None))

@@ -13,9 +13,10 @@ rows are summed by one ``np.bincount``. The sums are over +-1.0, so they
 are exact in any order, and a row does not depend on the rest of its
 batch.
 
-Sentiment over comments is a six-emotion lexicon counter with add-one
-smoothing, producing a probability distribution over
-(sadness, joy, love, anger, fear, surprise).
+Sentiment over a user's comments is a six-emotion lexicon counter with
+add-one smoothing: each comment gets a probability distribution over
+(sadness, joy, love, anger, fear, surprise), and :func:`analyze_sentiment`
+averages them over the user's comments, all in one [n x 6] matrix.
 """
 
 from __future__ import annotations
@@ -103,16 +104,28 @@ def default_lexicon() -> dict[str, frozenset[str]]:
             for e in EMOTIONS}
 
 
-def analyze_sentiment(clean: CleanText) -> np.ndarray:
-    """Score one cleaned text against the six emotions of the shipped lexicon.
-
-    Counts lexicon hits per emotion, applies add-one smoothing, and
-    normalizes; an empty text therefore yields the uniform distribution.
-    """
+@lru_cache(maxsize=None)
+def _emotions_of() -> dict[str, tuple[int, ...]]:
+    """Each lexicon word's emotions, as indices into :data:`EMOTIONS`."""
     lexicon = default_lexicon()
-    counts = np.array(
-        [sum(1 for t in clean.tokens if t in lexicon[e]) for e in EMOTIONS], dtype=float
-    )
-    counts += 1.0
-    return counts / counts.sum()
+    words = set().union(*lexicon.values())
+    return {w: tuple(e for e, name in enumerate(EMOTIONS) if w in lexicon[name])
+            for w in words}
 
+
+def analyze_sentiment(cleans: Sequence[CleanText]) -> np.ndarray:
+    """The mean emotion distribution of a user's cleaned comments, scored
+    against the six emotions of the shipped lexicon.
+
+    The comments' lexicon hits are counted into one [n x 6] matrix; each
+    row gets add-one smoothing and is divided by its sum, and the rows are
+    averaged. An empty comment therefore counts as the uniform
+    distribution; ``cleans`` must hold at least one comment.
+    """
+    emotions_of = _emotions_of()
+    width = len(EMOTIONS)
+    cells = [row * width + e for row, clean in enumerate(cleans)
+             for t in clean.tokens for e in emotions_of.get(t, ())]
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(cleans) * width)
+    counts = counts.reshape(len(cleans), width) + 1.0
+    return (counts / counts.sum(axis=1, keepdims=True)).mean(axis=0)

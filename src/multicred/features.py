@@ -12,6 +12,28 @@ tweet texts alone and writes the 10 latent components.
 :func:`tweet_texts_at` re-reads the texts of chosen tweets, such as the
 autoencoder's training sample.
 
+A user's row depends on that user's files alone, so both passes map
+contiguous ranges of users. A pass runs in a ``fork`` process pool when
+more than one CPU is usable (``os.sched_getaffinity``) and its work
+gives at least two workers their floor's worth:
+:data:`MIN_USERS_PER_WORKER` users for the scan and
+:data:`MIN_TWEETS_PER_WORKER` tweets, as the scan counted them, for the
+latent pass. It then cuts the users into one range per worker, as many
+workers as the CPUs and the work allow; otherwise one range runs in this
+process. The workers inherit each pass's inputs (the dataset root, the
+user ids, the labels, the embedder and the autoencoder) through the
+fork, and run their BLAS on one thread each; only range bounds go to
+them, and only rows, counts, scores and faults come back. Results are
+joined in range order, so every array is bit-identical to a one-range
+run, and so are the errors: the scan collects each range's faults as
+data and joins them in range order into one
+:class:`~multicred.dataset.DatasetLoadError`, and an exception raised
+in a range, such as an OSError or a tweets file that changed since the
+scan, reaches the caller from the earliest range that raised one, which
+is the one a single range would raise. A worker that is killed ends the
+pass in a ChildProcessError. The pool's workers are joined before a
+pass returns or raises.
+
 A :class:`LabeledDataset` holds its users as arrays: a tuple of user ids,
 an [n x 51] float64 matrix with one row per user, and an [n] label
 vector. Splitting, SMOTE, the feature CSVs and the classifier all work
@@ -42,9 +64,11 @@ import csv
 import itertools
 import json
 import operator
+import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,6 +101,14 @@ _SENTIMENT = slice(_LATENT.stop, NUM_FEATURES)
 
 TRAIN_FRACTION = 0.7
 TEST_FRACTION = 0.2
+
+# A feature pass forks a worker only for this much work or more; below
+# it, starting and joining the pool (about 30 ms) costs more than another
+# CPU saves. On a 2-vCPU host a user's scan took 0.4-2.1 ms (5 to 120
+# tweets), and 240 users of 5 tweets predicted slower with a pooled scan
+# than without; a tweet's latent code took 50-90 us.
+MIN_USERS_PER_WORKER = 150
+MIN_TWEETS_PER_WORKER = 1000
 
 # SMOTE's neighbour search holds at most this many float64 differences
 # (8 MiB) at once, whatever the class size.
@@ -220,18 +252,35 @@ def scan_dataset(root: str | Path) -> UserScan:
 
     Every malformed or missing file, every invalid field or score (the
     first of each user), and every labeled user without a profile is
-    collected and raised together, as one
+    collected and raised together, in user order, as one
     :class:`~multicred.dataset.DatasetLoadError`, after the last user has
-    been read and before anything is embedded.
+    been read and before anything is embedded. An OSError raised reading
+    a file ends the scan, as the first of them in user order.
     """
     manifest, labels = open_dataset(root)
-    root = manifest.root
     n = len(manifest.user_ids)
-    x = np.zeros((n, NUM_FEATURES))
-    tweet_counts = np.zeros(n, dtype=np.intp)
-    scores = None if labels is None else np.zeros(n)
+    ranges = _map_users(partial(_scan_range, manifest, labels), n, n // MIN_USERS_PER_WORKER)
+    x, tweet_counts, scores, failures = zip(*ranges)
+    failures = [failure for part in failures for failure in part]
+    known_ids = set(manifest.user_ids)
+    failures += [(labeled_id, "appears in labels.csv but has no profile file")
+                 for labeled_id in labels or () if labeled_id not in known_ids]
+    if failures:
+        raise DatasetLoadError(failures)
+    return UserScan(manifest, np.concatenate(x), np.concatenate(tweet_counts),
+                    None if labels is None else np.concatenate(scores))
+
+
+def _scan_range(manifest: DatasetManifest, labels: Optional[dict[str, float]],
+                start: int, stop: int):
+    """The scan of users ``[start, stop)``: their rows, tweet counts and
+    scores (None if unlabeled), and the faults found, as (user, message)."""
+    root, user_ids = manifest.root, manifest.user_ids[start:stop]
+    x = np.zeros((len(user_ids), NUM_FEATURES))
+    tweet_counts = np.zeros(len(user_ids), dtype=np.intp)
+    scores = None if labels is None else np.zeros(len(user_ids))
     failures: list[tuple[str, str]] = []
-    for i, user_id in enumerate(manifest.user_ids):
+    for i, user_id in enumerate(user_ids):
         try:
             tweet_counts[i] = _scan_user(root, user_id, x[i])
             if labels is not None:
@@ -245,13 +294,7 @@ def scan_dataset(root: str | Path) -> UserScan:
                 scores[i] = score
         except DomainError as exc:
             failures.append((user_id, str(exc)))
-
-    known_ids = set(manifest.user_ids)
-    failures += [(labeled_id, "appears in labels.csv but has no profile file")
-                 for labeled_id in labels or () if labeled_id not in known_ids]
-    if failures:
-        raise DatasetLoadError(failures)
-    return UserScan(manifest, x, tweet_counts, scores)
+    return x, tweet_counts, scores, failures
 
 
 def _scan_user(root: Path, user_id: str, row: np.ndarray) -> int:
@@ -280,7 +323,7 @@ def _scan_user(root: Path, user_id: str, row: np.ndarray) -> int:
     if tweets:
         row[_TWEET] = np.array(tweets, dtype=np.float64).mean(axis=0)
     if comments:
-        row[_SENTIMENT] = np.mean([analyze_sentiment(preprocess(c)) for c in comments], axis=0)
+        row[_SENTIMENT] = analyze_sentiment([preprocess(c) for c in comments])
     return len(tweets)
 
 
@@ -290,18 +333,118 @@ def fill_latents(scan: UserScan, embedder: EmbedderSpec, ae: Autoencoder) -> Non
 
     Users without tweets keep a zero latent block. A tweets file whose
     count changed since the scan raises a
-    :class:`~multicred.dataset.DatasetLoadError` naming the user; a
-    non-finite row raises a DomainError naming the first such user.
+    :class:`~multicred.dataset.DatasetLoadError` naming the user, the
+    first such user in user order; a non-finite row raises a DomainError
+    naming the first such user.
     """
-    root, user_ids = scan.manifest.root, scan.manifest.user_ids
-    for row, user_id, count in zip(scan.x, user_ids, scan.tweet_counts.tolist()):
-        if count:
-            texts = read_tweet_texts(root, user_id, count)
-            embedded = embed_texts(embedder, [preprocess(t) for t in texts])
-            row[_LATENT] = ae.encode_batch(embedded).mean(axis=0)
+    user_ids = scan.manifest.user_ids
+    scan.x[:, _LATENT] = np.concatenate(_map_users(
+        partial(_latent_range, scan.manifest.root, user_ids, scan.tweet_counts, embedder, ae),
+        len(scan), int(scan.tweet_counts.sum()) // MIN_TWEETS_PER_WORKER))
     finite = np.isfinite(scan.x).all(axis=1)
     if not finite.all():
         raise DomainError(f"non-finite feature values for user {user_ids[int(np.argmin(finite))]}")
+
+
+def _latent_range(root: Path, user_ids: tuple[str, ...], tweet_counts: np.ndarray,
+                  embedder: EmbedderSpec, ae: Autoencoder, start: int, stop: int) -> np.ndarray:
+    """The latent blocks of users ``[start, stop)``."""
+    latents = np.zeros((stop - start, len(LATENT_FEATURES)))
+    for row, user_id, count in zip(latents, user_ids[start:stop],
+                                   tweet_counts[start:stop].tolist()):
+        if count:
+            texts = read_tweet_texts(root, user_id, count)
+            embedded = embed_texts(embedder, [preprocess(t) for t in texts])
+            row[:] = ae.encode_batch(embedded).mean(axis=0)
+    return latents
+
+
+# The pass a pool's workers run. Each worker inherits it, with all its
+# inputs, when the pool forks it; only range bounds are sent to a worker.
+_pass: Optional[Callable[[int, int], object]] = None
+
+
+def _run_range(bounds: tuple[int, int]):
+    return _pass(*bounds)
+
+
+def _map_users(fn: Callable[[int, int], object], n: int, max_workers: int) -> list:
+    """``fn(start, stop)`` over contiguous ranges that cover users
+    ``[0, n)``, the results in range order.
+
+    The users are cut into one range per worker, as many workers as there
+    are usable CPUs, users, and ``max_workers``, the number the pass's
+    work pays for; with fewer than two, ``fn`` runs once, over all users,
+    in this process.
+    """
+    workers = min(len(os.sched_getaffinity(0)), n, max_workers)
+    if workers < 2:
+        return [fn(0, n)]
+    cuts = [n * i // workers for i in range(workers + 1)]
+    return map_ranges_in_workers(fn, list(zip(cuts, cuts[1:])))
+
+
+def map_ranges_in_workers(fn: Callable[[int, int], object],
+                          bounds: list[tuple[int, int]]) -> list:
+    """``fn(start, stop)`` for each of ``bounds``, one forked worker per
+    range, the results in range order.
+
+    An exception raised by ``fn`` reaches the caller: that of the earliest
+    range that raised one. A worker killed before it returns (by a signal,
+    or for lack of memory) raises a ChildProcessError. The workers are
+    joined on every path. Spans that a tracer records inside a worker
+    stay in that worker, so in a trace the work done there is this call's
+    own time.
+    """
+    global _pass
+    # Imported here: a run that never pools does not pay their 1.7 MB.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    _pass = fn
+    try:
+        with ProcessPoolExecutor(len(bounds), mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_one_blas_thread) as pool:
+            try:
+                # map yields in range order, so it raises the earliest range's exception.
+                return list(pool.map(_run_range, bounds))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    except BrokenProcessPool:
+        raise ChildProcessError("a feature worker process was killed before it finished "
+                                "its users") from None
+    finally:
+        _pass = None
+
+
+# openblas_set_num_threads as OpenBLAS builds name it: plain, and as the
+# scipy-openblas builds in numpy's (64-bit) and scipy's wheels do.
+_OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Run each OpenBLAS loaded in this process on one thread.
+
+    A worker has a CPU to itself; at OpenBLAS's default of one thread per
+    CPU, the workers' threads crowd each other (on a 2-vCPU host,
+    bulk-score's latent pass took 2.2 s in two workers against 0.9 s in
+    one process). A BLAS with no such setter keeps its own count.
+    """
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_SET_THREADS:
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                break
 
 
 def tweet_texts_at(scan: UserScan, positions: np.ndarray) -> list[str]:

@@ -1,17 +1,32 @@
 import base64
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
 from multicred import network as nn
-from multicred import store
+from multicred import features, store
 from multicred.autoencoder import AutoencoderSpec, _build_network, train_autoencoder
 from multicred.dataset import write_dataset
 from multicred.domain import DomainError
-from multicred.embedding import EmbedderSpec
+from multicred.embedding import EMOTIONS, EmbedderSpec, default_lexicon
 from multicred.features import fill_latents, scan_dataset
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    """Make ``count`` CPUs usable, as the feature passes see them, and let
+    a pass of any size use them all."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(features, "MIN_USERS_PER_WORKER", 1)
+    monkeypatch.setattr(features, "MIN_TWEETS_PER_WORKER", 1)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The feature passes run in this process, where a spy sees every call."""
+    use_cpus(monkeypatch, 1)
 
 
 @pytest.fixture(scope="session")
@@ -135,3 +150,14 @@ def feature_rows(records, root, embedder, ae) -> np.ndarray:
     scan = scan_dataset(root)
     fill_latents(scan, embedder, ae)
     return scan.x
+
+
+def comment_emotions(clean) -> np.ndarray:
+    """One cleaned comment's emotion distribution, counted token by token
+    and emotion by emotion: the reference whose mean over a user's comments
+    is the user's sentiment block."""
+    lexicon = default_lexicon()
+    counts = np.array([sum(1 for t in clean.tokens if t in lexicon[e]) for e in EMOTIONS],
+                      dtype=float)
+    counts += 1.0
+    return counts / counts.sum()

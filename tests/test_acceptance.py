@@ -199,7 +199,7 @@ def test_structural_contracts(tmp_path):
     rng = np.random.default_rng(1)
     for _ in range(50):
         text = " ".join(rng.choice(["angry", "happy", "story", "fear", "x"], size=6))
-        dist = analyze_sentiment(preprocess(text))
+        dist = analyze_sentiment([preprocess(text)])
         assert abs(float(dist.sum()) - 1.0) < 1e-9
 
     model = build_multicred(4, seed=0)

@@ -2,8 +2,10 @@ import csv
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ from multicred.autoencoder import load_autoencoder
 from multicred.embedding import EmbedderSpec, embed_texts
 from multicred.preprocess import preprocess
 
-from conftest import model_dict, retouch, stored, stored_values
+from conftest import model_dict, retouch, stored, stored_values, use_cpus
 
 
 def tree_digest(root: Path) -> str:
@@ -107,7 +109,8 @@ class TestPrepare:
 
     @pytest.mark.parametrize("command", ["prepare", "predict"])
     def test_bad_dataset_reports_every_failure_before_embedding(self, tmp_path, pipeline,
-                                                                monkeypatch, capsys, command):
+                                                                monkeypatch, capsys, command,
+                                                                one_cpu):
         data = tmp_path / "data"
         shutil.copytree(pipeline / "data", data)
         (data / "profiles" / "user00002.json").write_text("{broken", "utf-8")
@@ -157,7 +160,7 @@ class TestPrepare:
         assert "ae_corpus_cap" in capsys.readouterr().err
 
     def test_each_tweet_embedded_once_plus_corpus_sample(self, tmp_path, pipeline,
-                                                         monkeypatch):
+                                                         monkeypatch, one_cpu):
         rows = []
 
         def counting(spec, cleans):
@@ -804,6 +807,21 @@ class TestFeatureCsvRows:
         assert f"{prep / 'test.csv'}:1: missing header" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("part, command", [
+        ("train", "train"), ("validation", "train"), ("test", "evaluate")])
+    def test_split_of_only_a_header_named(self, pipeline, tmp_path, capsys, part, command):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        path = prep / f"{part}.csv"
+        path.write_text(path.read_text("utf-8").splitlines()[0] + "\n", "utf-8")
+        args = (["train", "--prepared", str(prep), "--out", str(tmp_path / "m.json")]
+                if command == "train" else
+                ["evaluate", "--model", str(pipeline / "model.json"), "--prepared", str(prep)])
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: {part} split {path} holds no rows"
+
+
 class TestTrainEvaluate:
     def test_evaluate_writes_parsable_report(self, pipeline, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -842,6 +860,27 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err
         assert f"error: {named}\n" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_overflowing_features_end_in_an_error_not_a_traceback(self, pipeline, tmp_path,
+                                                                  capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        path = prep / "train.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("f004")
+        for row in rows[1:]:
+            row[column] = "1e308"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.warns(RuntimeWarning):  # numpy warns of the overflow before the check
+            code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "m.json")]
+                       + FAST_TRAIN)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == ("error: epoch 0: probabilities contain "
+                                        "non-finite values")
+        assert not (tmp_path / "m.json").exists()
 
     def test_model_files_are_sorted_key_json_dumps(self, pipeline):
         for path in (pipeline / "model.json", pipeline / "prep" / "autoencoder.json"):
@@ -886,6 +925,63 @@ class TestPredict:
             assert [r.getMessage() for r in caplog.records].count(line) == 1
             assert "no tweets" not in capsys.readouterr().out
 
+
+
+class TestWorkerPool:
+    """With two usable CPUs the feature passes run in a fork pool."""
+
+    def test_unreadable_profile_exits_2_as_with_one_cpu(self, pipeline, tmp_path, capsys,
+                                                        monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        (data / "profiles" / "user00003.json").write_text("{broken", "utf-8")
+        # A directory in its place: root reads a file whatever its mode.
+        bad = data / "profiles" / "user00045.json"
+        bad.unlink()
+        bad.mkdir()
+        outcomes = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            code = run(["predict", "--model", str(pipeline / "model.json"), "--input", str(data),
+                        "--out", str(tmp_path / "preds.csv")])
+            outcomes.append((code, capsys.readouterr().err))
+            assert multiprocessing.active_children() == []
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 2 and err.splitlines()[-1] == f"error: [Errno 21] Is a directory: '{bad}'"
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_no_worker_outlives_the_command(self, pipeline, tmp_path, monkeypatch, code):
+        use_cpus(monkeypatch, 2)
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        if code == 1:
+            (data / "labels.csv").unlink()  # prepare needs labels, and says so after the scan
+        if code == 2:
+            (data / "profiles" / "user00030.json").write_text("{broken", "utf-8")
+        args = (["predict", "--model", str(pipeline / "model.json"), "--input", str(data),
+                 "--out", str(tmp_path / "preds.csv")] if code == 0 else
+                ["prepare", "--data", str(data), "--out", str(tmp_path / "p")] + FAST_PREPARE)
+        assert run(args) == code
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        command, scan_range = os.getpid(), feat_mod._scan_range
+
+        def killed_in_a_worker(*args):
+            if os.getpid() != command:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return scan_range(*args)
+
+        monkeypatch.setattr(feat_mod, "_scan_range", killed_in_a_worker)
+        code = run(["predict", "--model", str(pipeline / "model.json"),
+                    "--input", str(pipeline / "data"), "--out", str(tmp_path / "preds.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: a feature worker process was killed before it finished its users")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "preds.csv").exists()
 
 class TestAtomicWrites:
     def test_failed_write_keeps_previous_file_and_leaves_no_temporary(
@@ -974,8 +1070,8 @@ class TestConfigFile:
         assert run(["--config", str(config), "generate", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
-        if "field" in named:
-            assert err.startswith(f"config file {config} field ")
+        assert err.startswith(f"config file {config} " + ("field " if "field" in named
+                                                          else "has the key "))
         assert not out.exists()
 
     def test_int_config_value_for_float_flag(self, tmp_path):

@@ -16,10 +16,11 @@ from multicred.dataset import (
     write_dataset,
 )
 from multicred.domain import ClassificationSystem, DomainError, bin_score
-from multicred.embedding import analyze_sentiment, default_lexicon
+from multicred.embedding import default_lexicon
 from multicred.features import FEATURE_NAMES, scan_dataset
 from multicred.preprocess import preprocess
 
+from conftest import comment_emotions
 from test_features import profile_scalars, tweet_scalars
 
 
@@ -67,7 +68,7 @@ def column(name: str) -> int:
 
 def sentiment(*texts: str) -> np.ndarray:
     """The sentiment block of a user with these comments."""
-    return np.mean([analyze_sentiment(preprocess(t)) for t in texts], axis=0)
+    return np.mean([comment_emotions(preprocess(t)) for t in texts], axis=0)
 
 
 def tree_digest(root: Path) -> str:

@@ -17,6 +17,8 @@ from multicred.embedding import (
 )
 from multicred.preprocess import CleanText, preprocess
 
+from conftest import comment_emotions
+
 
 def embed_one(spec, clean):
     return embed_texts(spec, [clean])[0]
@@ -151,25 +153,34 @@ class TestBatchedOracle:
 
 class TestSentiment:
     def test_empty_text_is_uniform(self):
-        dist = analyze_sentiment(preprocess(""))
+        dist = analyze_sentiment([preprocess("")])
         np.testing.assert_allclose(dist, np.full(6, 1 / 6), atol=1e-12)
 
     def test_joy_word_maxes_joy(self):
         word = sorted(default_lexicon()["joy"])[0]
-        dist = analyze_sentiment(preprocess(word))
+        dist = analyze_sentiment([preprocess(word)])
         assert EMOTIONS[int(np.argmax(dist))] == "joy"
 
     def test_anger_text_leans_angry(self):
-        dist = analyze_sentiment(preprocess("furious outrage disgusting lies"))
+        dist = analyze_sentiment([preprocess("furious outrage disgusting lies")])
         assert EMOTIONS[int(np.argmax(dist))] == "anger"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.text(min_size=1, max_size=12), max_size=30))
     def test_distribution_invariants(self, tokens):
-        dist = analyze_sentiment(CleanText(tuple(tokens)))
+        dist = analyze_sentiment([CleanText(tuple(tokens))])
         assert dist.shape == (6,)
         assert np.all(dist >= 0)
         assert abs(float(dist.sum()) - 1.0) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(
+        sorted(set().union(*default_lexicon().values())))
+        | st.text(min_size=1, max_size=6), max_size=12), min_size=1, max_size=25))
+    def test_user_block_bit_equal_to_mean_of_comment_distributions(self, comments):
+        cleans = [CleanText(tuple(tokens)) for tokens in comments]
+        expected = np.mean([comment_emotions(c) for c in cleans], axis=0)
+        assert analyze_sentiment(cleans).tobytes() == expected.tobytes()
 
     def test_lexicon_has_six_emotions_with_words(self):
         lex = default_lexicon()

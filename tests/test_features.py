@@ -1,5 +1,8 @@
-import tracemalloc
+import ctypes
 import json
+import os
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from multicred.dataset import (
     write_dataset,
 )
 from multicred.domain import ClassificationSystem, DomainError
-from multicred.embedding import analyze_sentiment, embed_texts
+from multicred.embedding import embed_texts
 from multicred.preprocess import preprocess
 from multicred.features import (
     FEATURE_NAMES,
@@ -37,7 +40,7 @@ from multicred.features import (
 )
 from multicred.network import ShapeError
 
-from conftest import feature_rows
+from conftest import comment_emotions, feature_rows, use_cpus
 
 
 def make_record(user_id="u1", n_tweets=3, n_comments=2, score=50.0):
@@ -224,7 +227,7 @@ def oracle_vector(record, embedder, ae) -> np.ndarray:
     latent_block = (ae.encode_batch(embed_texts(
         embedder, [preprocess(t.text) for t in record.tweets])).mean(axis=0)
         if record.tweets else np.zeros(10))
-    sentiment_block = (np.mean([analyze_sentiment(preprocess(c))
+    sentiment_block = (np.mean([comment_emotions(preprocess(c))
                                 for c in record.comments], axis=0)
                        if record.comments else np.zeros(6))
     return np.concatenate([profile_scalars(record.profile), tweet_block,
@@ -300,7 +303,7 @@ class TestScan:
         with pytest.raises(DatasetLoadError, match="user00002"):
             feat_mod.tweet_texts_at(scan, np.arange(9))
 
-    def test_scan_memory_does_not_grow_with_tweets(self, tmp_path):
+    def test_scan_memory_does_not_grow_with_tweets(self, tmp_path, one_cpu):
         def scan_peak(tweets):
             root = tmp_path / f"t{tweets}"
             write_dataset(synthetic_records(40, tweets), root)
@@ -316,6 +319,163 @@ class TestScan:
         # Holding every record would add 40 users x 36 tweets x ~0.6 KB.
         assert tenfold - base < 160_000, (base, tenfold)
 
+
+
+class TestUserRanges:
+    """The feature passes map contiguous user ranges, in a fork pool when
+    more than one CPU is usable; what they return does not depend on it."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 20])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("max_workers", [1, 2, 64])
+    def test_one_range_per_worker_covering_every_user_in_order(self, monkeypatch, n, cpus,
+                                                               max_workers):
+        use_cpus(monkeypatch, cpus)
+        got = feat_mod._map_users(lambda start, stop: (start, stop, os.getpid()), n,
+                                  max_workers)
+        bounds = [(start, stop) for start, stop, _ in got]
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] < b[1] for a, b in zip(bounds, bounds[1:]))
+        workers = min(cpus, n, max_workers)
+        assert len(bounds) == max(workers, 1)
+        assert all((pid != os.getpid()) == (workers > 1) for _, _, pid in got)
+
+    @staticmethod
+    def pooled_ranges(monkeypatch) -> list[int]:
+        """The number of ranges of each pass that runs in a pool, from now on."""
+        counts = []
+        real = feat_mod.map_ranges_in_workers
+        monkeypatch.setattr(feat_mod, "map_ranges_in_workers",
+                            lambda fn, bounds: counts.append(len(bounds)) or real(fn, bounds))
+        return counts
+
+    @pytest.mark.parametrize("users, workers", [(19, []), (20, [2]), (45, [3])])
+    def test_scan_forks_a_worker_per_floor_of_users(self, tmp_path, monkeypatch, users,
+                                                    workers):
+        write_dataset(synthetic_records(users, 1, 1), tmp_path)
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(feat_mod, "MIN_USERS_PER_WORKER", 10)
+        pooled = self.pooled_ranges(monkeypatch)
+        scan_dataset(tmp_path)
+        assert pooled == workers
+
+    @pytest.mark.parametrize("tweets, workers", [(3, []), (4, [2]), (7, [3])])
+    def test_latent_pass_forks_a_worker_per_floor_of_tweets(
+            self, hash_embedder, tiny_autoencoder, tmp_path, monkeypatch, tweets, workers):
+        write_dataset(synthetic_records(6, tweets, 1), tmp_path)
+        use_cpus(monkeypatch, 3)
+        scan = scan_dataset(tmp_path)
+        monkeypatch.setattr(feat_mod, "MIN_TWEETS_PER_WORKER", 10)
+        pooled = self.pooled_ranges(monkeypatch)
+        fill_latents(scan, hash_embedder, tiny_autoencoder)
+        assert pooled == workers
+
+    def test_small_dataset_stays_in_process_with_many_cpus(
+            self, hash_embedder, tiny_autoencoder, tmp_path, monkeypatch):
+        write_dataset(synthetic_records(20, 30), tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        pooled = self.pooled_ranges(monkeypatch)
+        fill_latents(scan_dataset(tmp_path), hash_embedder, tiny_autoencoder)
+        assert pooled == []
+
+    def test_workers_run_openblas_on_one_thread(self, monkeypatch):
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libs = [ctypes.CDLL(path) for path in
+                    sorted({line.split()[-1] for line in maps if "openblas" in line})]
+        calls = [(getattr(lib, f"{prefix}get_num_threads{suffix}"),
+                  getattr(lib, f"{prefix}set_num_threads{suffix}"))
+                 for lib in libs for prefix, suffix in (("openblas_", ""),
+                                                        ("scipy_openblas_", "64_"),
+                                                        ("scipy_openblas_", ""))
+                 if hasattr(lib, f"{prefix}get_num_threads{suffix}")]
+        if not calls:
+            pytest.skip("numpy's BLAS is not an OpenBLAS")
+        get, set_ = calls[0]
+        before = get()
+        set_(2)
+        try:
+            if get() != 2:
+                pytest.skip("this OpenBLAS runs on one thread at most")
+            use_cpus(monkeypatch, 2)
+            assert feat_mod._map_users(lambda start, stop: get(), 2, 2) == [1, 1]
+            assert get() == 2
+        finally:
+            set_(before)
+
+    @pytest.mark.parametrize("users, labeled", [(2, True), (20, True), (20, False)])
+    def test_pooled_passes_bit_equal_to_one_cpu(self, hash_embedder, tiny_autoencoder,
+                                                 tmp_path, monkeypatch, users, labeled):
+        # 2 users are fewer than 3 CPUs: they get a worker each.
+        records = synthetic_records(users, 4, seed=5)
+        records[0] = replace(records[0], tweets=())
+        records[-1] = replace(records[-1], comments=())
+        if not labeled:
+            records = [replace(r, score=None) for r in records]
+        write_dataset(records, tmp_path)
+        scans = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            scan = scan_dataset(tmp_path)
+            fill_latents(scan, hash_embedder, tiny_autoencoder)
+            scans.append(scan)
+        serial = scans[0]
+        assert serial.x[:, 35:45].any() and (serial.scores is not None) == labeled
+        for pooled in scans[1:]:
+            assert pooled.manifest == serial.manifest
+            for got, want in ((pooled.x, serial.x), (pooled.tweet_counts, serial.tweet_counts),
+                              (pooled.scores, serial.scores)):
+                assert want is got is None or (
+                    got.dtype == want.dtype and got.tobytes() == want.tobytes())
+
+    def test_faults_in_several_ranges_named_as_with_one_cpu(self, tmp_path, monkeypatch):
+        records = synthetic_records(20, 3)
+        write_dataset(records, tmp_path)
+        ids = sorted(r.user_id for r in records)
+        # 2 CPUs cut 20 users at 0, 10 and 20.
+        for i in (1, 9, 18):
+            path = tmp_path / "tweets" / f"{ids[i]}.json"
+            tweets = json.loads(path.read_text("utf-8"))
+            tweets[0]["retweet_count"] = -1
+            path.write_text(json.dumps(tweets), "utf-8")
+        (tmp_path / "profiles" / f"{ids[12]}.json").write_text("{broken", "utf-8")
+        with open(tmp_path / "labels.csv", "a", encoding="utf-8") as fh:
+            fh.write("ghost,50\n")
+        messages = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(DatasetLoadError) as err:
+                scan_dataset(tmp_path)
+            messages.append(str(err.value))
+            assert [user for user, _ in err.value.failures] == [
+                ids[1], ids[9], ids[12], ids[18], "ghost"]
+        assert messages[0] == messages[1]
+
+    def test_tweets_changed_in_several_ranges_named_as_with_one_cpu(
+            self, hash_embedder, tiny_autoencoder, tmp_path, monkeypatch):
+        records = synthetic_records(20, 3)
+        write_dataset(records, tmp_path)
+        ids = sorted(r.user_id for r in records)
+        scans = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            scans[cpus] = scan_dataset(tmp_path)
+        for i in (6, 17):
+            path = tmp_path / "tweets" / f"{ids[i]}.json"
+            path.write_text(json.dumps(json.loads(path.read_text("utf-8"))[1:]), "utf-8")
+        messages = []
+        for cpus, scan in scans.items():
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(DatasetLoadError) as err:
+                fill_latents(scan, hash_embedder, tiny_autoencoder)
+            messages.append(str(err.value))
+            assert [user for user, _ in err.value.failures] == [ids[6]]
+        assert messages[0] == messages[1]
+
+    def test_load_error_survives_pickling(self):
+        error = DatasetLoadError([("u1", "bad"), ("u2", "worse")])
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is DatasetLoadError
+        assert copy.failures == error.failures and str(copy) == str(error)
 
 class TestSplit:
     def test_balanced_100_gives_70_20_10(self):

@@ -6,7 +6,8 @@ with no comments, and with four copies of one user that each flip another
 profile flag: distinct points at exactly equal distances, so that SMOTE's
 tie order shows in the rows it writes. It then prepares with a short
 autoencoder training, trains until early stopping fires, evaluates and
-predicts, all through ``cli.run``.
+predicts, all through ``cli.run``, once with one usable CPU and once
+with two, so that the feature passes run in this process and in a pool.
 ``golden.json`` holds the digest of the dataset tree and of every output
 file, and the environment the digests were taken in: float results may
 differ in the last bit on another numpy, BLAS, Python or machine, so there
@@ -32,6 +33,8 @@ import numpy as np
 from multicred.cli import run
 from multicred.dataset import SyntheticConfig, generate_synthetic, write_dataset
 from multicred.domain import ClassificationSystem, bin_score
+
+from conftest import use_cpus
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -102,7 +105,8 @@ def run_pipeline(root: Path) -> dict:
     return files
 
 
-def test_outputs_match_golden(tmp_path):
+def check_golden(tmp_path):
+    """Run the pipeline under ``tmp_path`` and compare every digest with golden.json."""
     golden = json.loads(GOLDEN.read_text("utf-8"))
     here = environment()
     differs = {k: (golden["environment"].get(k), v) for k, v in here.items()
@@ -121,6 +125,18 @@ def test_outputs_match_golden(tmp_path):
     changed = sorted(set(files) ^ set(golden["files"])
                      | {k for k in files if files[k] != golden["files"].get(k)})
     assert not changed, f"outputs differ from golden.json: {changed}"
+
+
+def test_outputs_match_golden(tmp_path, monkeypatch):
+    """With two usable CPUs: the feature passes run in a fork pool."""
+    use_cpus(monkeypatch, 2)
+    check_golden(tmp_path)
+
+
+def test_outputs_match_golden_with_one_cpu(tmp_path, monkeypatch):
+    """The feature passes run in this process."""
+    use_cpus(monkeypatch, 1)
+    check_golden(tmp_path)
 
 
 if __name__ == "__main__":
