@@ -18,8 +18,10 @@ more than one CPU is usable (``os.sched_getaffinity``) and its work
 gives at least two workers their floor's worth:
 :data:`MIN_USERS_PER_WORKER` users for the scan and
 :data:`MIN_TWEETS_PER_WORKER` tweets, as the scan counted them, for the
-latent pass. It then cuts the users into one range per worker, as many
-workers as the CPUs and the work allow; otherwise one range runs in this
+latent pass. It then starts as many workers as the CPUs and the work
+allow and cuts the users into :data:`RANGES_PER_WORKER` ranges per
+worker, which each worker takes one at a time as it frees up, so a
+worker on a slower CPU takes fewer; otherwise one range runs in this
 process. The workers inherit each pass's inputs (the dataset root, the
 user ids, the labels, the embedder and the autoencoder) through the
 fork, and run their BLAS on one thread each; only range bounds go to
@@ -109,6 +111,14 @@ TEST_FRACTION = 0.2
 # than without; a tweet's latent code took 50-90 us.
 MIN_USERS_PER_WORKER = 150
 MIN_TWEETS_PER_WORKER = 1000
+
+# A pooled pass cuts its users into this many ranges per worker, and a
+# worker takes the next range when it finishes one. On a shared host one
+# CPU can run far slower than the other for a while: with one range per
+# worker, a pass waited on the slow CPU's half (0.27 s against the other
+# half's 0.15 s), and standard's predict rate spread over 20 % of its
+# median between benchmark runs against 4.5 % in one process.
+RANGES_PER_WORKER = 4
 
 # SMOTE's neighbour search holds at most this many float64 differences
 # (8 MiB) at once, whatever the class size.
@@ -372,22 +382,25 @@ def _map_users(fn: Callable[[int, int], object], n: int, max_workers: int) -> li
     """``fn(start, stop)`` over contiguous ranges that cover users
     ``[0, n)``, the results in range order.
 
-    The users are cut into one range per worker, as many workers as there
-    are usable CPUs, users, and ``max_workers``, the number the pass's
-    work pays for; with fewer than two, ``fn`` runs once, over all users,
-    in this process.
+    The pass gets as many workers as there are usable CPUs, users, and
+    ``max_workers``, the number its work pays for, and the users are cut
+    into :data:`RANGES_PER_WORKER` ranges per worker, or one per user if
+    that is fewer; with fewer than two workers, ``fn`` runs once, over all
+    users, in this process.
     """
     workers = min(len(os.sched_getaffinity(0)), n, max_workers)
     if workers < 2:
         return [fn(0, n)]
-    cuts = [n * i // workers for i in range(workers + 1)]
-    return map_ranges_in_workers(fn, list(zip(cuts, cuts[1:])))
+    parts = min(n, workers * RANGES_PER_WORKER)
+    cuts = [n * i // parts for i in range(parts + 1)]
+    return map_ranges_in_workers(fn, list(zip(cuts, cuts[1:])), workers)
 
 
 def map_ranges_in_workers(fn: Callable[[int, int], object],
-                          bounds: list[tuple[int, int]]) -> list:
-    """``fn(start, stop)`` for each of ``bounds``, one forked worker per
-    range, the results in range order.
+                          bounds: list[tuple[int, int]], workers: int) -> list:
+    """``fn(start, stop)`` for each of ``bounds`` in a pool of ``workers``
+    forked workers, each taking the next range when it is free, the
+    results in range order.
 
     An exception raised by ``fn`` reaches the caller: that of the earliest
     range that raised one. A worker killed before it returns (by a signal,
@@ -404,7 +417,7 @@ def map_ranges_in_workers(fn: Callable[[int, int], object],
 
     _pass = fn
     try:
-        with ProcessPoolExecutor(len(bounds), mp_context=multiprocessing.get_context("fork"),
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_one_blas_thread) as pool:
             try:
                 # map yields in range order, so it raises the earliest range's exception.

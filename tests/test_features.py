@@ -1,5 +1,6 @@
 import ctypes
 import json
+import multiprocessing
 import os
 import pickle
 import tracemalloc
@@ -328,8 +329,8 @@ class TestUserRanges:
     @pytest.mark.parametrize("n", [0, 1, 3, 20])
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("max_workers", [1, 2, 64])
-    def test_one_range_per_worker_covering_every_user_in_order(self, monkeypatch, n, cpus,
-                                                               max_workers):
+    def test_ranges_per_worker_cover_every_user_in_order(self, monkeypatch, n, cpus,
+                                                         max_workers):
         use_cpus(monkeypatch, cpus)
         got = feat_mod._map_users(lambda start, stop: (start, stop, os.getpid()), n,
                                   max_workers)
@@ -337,16 +338,33 @@ class TestUserRanges:
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(a[1] == b[0] < b[1] for a, b in zip(bounds, bounds[1:]))
         workers = min(cpus, n, max_workers)
-        assert len(bounds) == max(workers, 1)
+        ranges = min(n, workers * feat_mod.RANGES_PER_WORKER) if workers > 1 else 1
+        assert len(bounds) == ranges
         assert all((pid != os.getpid()) == (workers > 1) for _, _, pid in got)
+        assert len({pid for _, _, pid in got}) <= max(workers, 1)
+
+    def test_a_free_worker_takes_the_next_range(self, monkeypatch):
+        # Range 0 waits for range 1, so range 1 must go to the other worker.
+        use_cpus(monkeypatch, 2)
+        range_1_done = multiprocessing.get_context("fork").Event()
+
+        def fn(start, stop):
+            if start == 0:
+                return range_1_done.wait(timeout=10)
+            if start == 1:
+                range_1_done.set()
+            return True
+
+        assert all(feat_mod._map_users(fn, 4, 2))
 
     @staticmethod
-    def pooled_ranges(monkeypatch) -> list[int]:
-        """The number of ranges of each pass that runs in a pool, from now on."""
+    def pooled_workers(monkeypatch) -> list[int]:
+        """The number of workers of each pass that runs in a pool, from now on."""
         counts = []
         real = feat_mod.map_ranges_in_workers
         monkeypatch.setattr(feat_mod, "map_ranges_in_workers",
-                            lambda fn, bounds: counts.append(len(bounds)) or real(fn, bounds))
+                            lambda fn, bounds, workers: counts.append(workers)
+                            or real(fn, bounds, workers))
         return counts
 
     @pytest.mark.parametrize("users, workers", [(19, []), (20, [2]), (45, [3])])
@@ -355,7 +373,7 @@ class TestUserRanges:
         write_dataset(synthetic_records(users, 1, 1), tmp_path)
         use_cpus(monkeypatch, 3)
         monkeypatch.setattr(feat_mod, "MIN_USERS_PER_WORKER", 10)
-        pooled = self.pooled_ranges(monkeypatch)
+        pooled = self.pooled_workers(monkeypatch)
         scan_dataset(tmp_path)
         assert pooled == workers
 
@@ -366,7 +384,7 @@ class TestUserRanges:
         use_cpus(monkeypatch, 3)
         scan = scan_dataset(tmp_path)
         monkeypatch.setattr(feat_mod, "MIN_TWEETS_PER_WORKER", 10)
-        pooled = self.pooled_ranges(monkeypatch)
+        pooled = self.pooled_workers(monkeypatch)
         fill_latents(scan, hash_embedder, tiny_autoencoder)
         assert pooled == workers
 
@@ -374,7 +392,7 @@ class TestUserRanges:
             self, hash_embedder, tiny_autoencoder, tmp_path, monkeypatch):
         write_dataset(synthetic_records(20, 30), tmp_path)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        pooled = self.pooled_ranges(monkeypatch)
+        pooled = self.pooled_workers(monkeypatch)
         fill_latents(scan_dataset(tmp_path), hash_embedder, tiny_autoencoder)
         assert pooled == []
 
