@@ -69,15 +69,18 @@ class Autoencoder:
 
         Runs the encoder layers only, with the arithmetic of
         :func:`network.forward`, so the codes equal its layer-2 outputs.
+        An overflow gives non-finite codes without a numpy warning; the
+        caller checks them (:func:`features.fill_latents` names the user).
         """
         x = np.asarray(vectors, dtype=float)
         if x.ndim != 2 or x.shape[1] != INPUT_DIM:
             raise nn.ShapeError(f"expected [n x {INPUT_DIM}] input, got {x.shape}")
-        for layer, params in zip(self.model.spec.layers[:_ENCODER_END], self.model.params):
-            if layer.kind == "relu":
-                x = np.maximum(x, 0.0)
-            else:
-                x = x @ params["weight"] + params["bias"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for layer, params in zip(self.model.spec.layers[:_ENCODER_END], self.model.params):
+                if layer.kind == "relu":
+                    x = np.maximum(x, 0.0)
+                else:
+                    x = x @ params["weight"] + params["bias"]
         return x
 
 

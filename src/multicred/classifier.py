@@ -17,6 +17,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -175,7 +176,8 @@ def train(
     for epoch in range(config.max_epochs):
         history.train_loss.append(nn.train_epoch(
             model, splits.train.x, targets, state, epoch, config.batch_size, rng))
-        predicted = predict_batch(model, splits.validation.x).argmax(axis=1)
+        predicted = predict_batch(model, splits.validation.x,
+                                  splits.validation.user_ids).argmax(axis=1)
         accuracy = float(np.mean(predicted == splits.validation.y))
         history.val_accuracy.append(accuracy)
         history.learning_rate.append(nn.lr_at(epoch))
@@ -195,13 +197,28 @@ def train(
     return model, history
 
 
-def predict(model: nn.Model, vector: np.ndarray) -> np.ndarray:
-    """Class probabilities for one 51-component feature vector."""
-    return predict_batch(model, np.asarray(vector, dtype=float)[None, :])[0]
+def predict(model: nn.Model, vector: np.ndarray, user_id: str) -> np.ndarray:
+    """Class probabilities for user ``user_id``'s 51-component feature vector."""
+    return predict_batch(model, np.asarray(vector, dtype=float)[None, :], (user_id,))[0]
 
 
-def predict_batch(model: nn.Model, matrix: np.ndarray) -> np.ndarray:
-    return nn.forward(model, matrix).outputs
+def predict_batch(model: nn.Model, matrix: np.ndarray,
+                  user_ids: Sequence[str]) -> np.ndarray:
+    """Class probabilities for each row of ``matrix``, row ``i`` being user
+    ``user_ids[i]``.
+
+    A row of probabilities that is not finite, which a feature or weight
+    large enough to overflow the network's arithmetic gives, raises a
+    NumericError naming the first such user.
+    """
+    # The check below reports an overflow; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = nn.forward(model, matrix).outputs
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        raise nn.NumericError(f"non-finite class probabilities for user "
+                              f"{user_ids[int(np.argmin(finite))]}")
+    return probs
 
 
 def evaluate(model: nn.Model, test: LabeledDataset) -> MetricsReport:
@@ -217,7 +234,7 @@ def evaluate(model: nn.Model, test: LabeledDataset) -> MetricsReport:
         )
     if len(test) == 0:
         raise DomainError("test set is empty")
-    predicted = predict_batch(model, test.x).argmax(axis=1)
+    predicted = predict_batch(model, test.x, test.user_ids).argmax(axis=1)
     return metrics_from_predictions(test.y, predicted, test.num_classes)
 
 

@@ -393,7 +393,10 @@ def _cmd_evaluate(cfg: argparse.Namespace) -> int:
     _, model, _, _, _ = _load_bundle(bundle_path)
     test = _read_split(prepared, "test", _num_classes(*_prepare_meta(prepared)))
 
-    report = clf_mod.evaluate(model, test)
+    try:
+        report = clf_mod.evaluate(model, test)
+    except nn.NumericError as exc:
+        raise nn.NumericError(f"test split {prepared / 'test.csv'}: {exc}") from None
     text = report.to_json()
     print(text)
     if cfg.out:
@@ -416,7 +419,7 @@ def _cmd_predict(cfg: argparse.Namespace) -> int:
     x[:, scalars] = feat_mod.apply_minmax(stats, x[:, scalars])
     rows = []
     for user_id, vector in zip(scan.manifest.user_ids, x):
-        probs = clf_mod.predict(model, vector)
+        probs = clf_mod.predict(model, vector, user_id)
         rows.append([user_id] + [repr(float(p)) for p in probs] + [int(probs.argmax())])
 
     out = Path(cfg.out)

@@ -19,9 +19,8 @@ gives at least two workers their floor's worth:
 :data:`MIN_USERS_PER_WORKER` users for the scan and
 :data:`MIN_TWEETS_PER_WORKER` tweets, as the scan counted them, for the
 latent pass. It then starts as many workers as the CPUs and the work
-allow and cuts the users into :data:`RANGES_PER_WORKER` ranges per
-worker, which each worker takes one at a time as it frees up, so a
-worker on a slower CPU takes fewer; otherwise one range runs in this
+allow and gives each one contiguous range of users, the ranges' sizes
+within one user of each other; otherwise one range runs in this
 process. The workers inherit each pass's inputs (the dataset root, the
 user ids, the labels, the embedder and the autoencoder) through the
 fork, and run their BLAS on one thread each; only range bounds go to
@@ -111,14 +110,6 @@ TEST_FRACTION = 0.2
 # than without; a tweet's latent code took 50-90 us.
 MIN_USERS_PER_WORKER = 150
 MIN_TWEETS_PER_WORKER = 1000
-
-# A pooled pass cuts its users into this many ranges per worker, and a
-# worker takes the next range when it finishes one. On a shared host one
-# CPU can run far slower than the other for a while: with one range per
-# worker, a pass waited on the slow CPU's half (0.27 s against the other
-# half's 0.15 s), and standard's predict rate spread over 20 % of its
-# median between benchmark runs against 4.5 % in one process.
-RANGES_PER_WORKER = 4
 
 # SMOTE's neighbour search holds at most this many float64 differences
 # (8 MiB) at once, whatever the class size.
@@ -369,9 +360,16 @@ def _latent_range(root: Path, user_ids: tuple[str, ...], tweet_counts: np.ndarra
     return latents
 
 
-# The pass a pool's workers run. Each worker inherits it, with all its
-# inputs, when the pool forks it; only range bounds are sent to a worker.
+# The pass a pool's worker runs. The pool's initializer sets it in the
+# worker, which inherits it, with all its inputs, through the fork; only
+# range bounds are sent to a worker.
 _pass: Optional[Callable[[int, int], object]] = None
+
+
+def _start_worker(fn: Callable[[int, int], object]) -> None:
+    global _pass
+    _pass = fn
+    _one_blas_thread()
 
 
 def _run_range(bounds: tuple[int, int]):
@@ -383,24 +381,21 @@ def _map_users(fn: Callable[[int, int], object], n: int, max_workers: int) -> li
     ``[0, n)``, the results in range order.
 
     The pass gets as many workers as there are usable CPUs, users, and
-    ``max_workers``, the number its work pays for, and the users are cut
-    into :data:`RANGES_PER_WORKER` ranges per worker, or one per user if
-    that is fewer; with fewer than two workers, ``fn`` runs once, over all
-    users, in this process.
+    ``max_workers``, the number its work pays for, and each worker one
+    range, the ranges' sizes within one user of each other; with fewer
+    than two workers, ``fn`` runs once, over all users, in this process.
     """
     workers = min(len(os.sched_getaffinity(0)), n, max_workers)
     if workers < 2:
         return [fn(0, n)]
-    parts = min(n, workers * RANGES_PER_WORKER)
-    cuts = [n * i // parts for i in range(parts + 1)]
-    return map_ranges_in_workers(fn, list(zip(cuts, cuts[1:])), workers)
+    cuts = [n * i // workers for i in range(workers + 1)]
+    return map_ranges_in_workers(fn, list(zip(cuts, cuts[1:])))
 
 
 def map_ranges_in_workers(fn: Callable[[int, int], object],
-                          bounds: list[tuple[int, int]], workers: int) -> list:
-    """``fn(start, stop)`` for each of ``bounds`` in a pool of ``workers``
-    forked workers, each taking the next range when it is free, the
-    results in range order.
+                          bounds: list[tuple[int, int]]) -> list:
+    """``fn(start, stop)`` for each of ``bounds`` in a pool of one forked
+    worker per range, the results in range order.
 
     An exception raised by ``fn`` reaches the caller: that of the earliest
     range that raised one. A worker killed before it returns (by a signal,
@@ -409,27 +404,19 @@ def map_ranges_in_workers(fn: Callable[[int, int], object],
     stay in that worker, so in a trace the work done there is this call's
     own time.
     """
-    global _pass
     # Imported here: a run that never pools does not pay their 1.7 MB.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    _pass = fn
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_one_blas_thread) as pool:
-            try:
-                # map yields in range order, so it raises the earliest range's exception.
-                return list(pool.map(_run_range, bounds))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+        with ProcessPoolExecutor(len(bounds), mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_worker, initargs=(fn,)) as pool:
+            # map yields in range order, so it raises the earliest range's exception.
+            return list(pool.map(_run_range, bounds))
     except BrokenProcessPool:
         raise ChildProcessError("a feature worker process was killed before it finished "
                                 "its users") from None
-    finally:
-        _pass = None
 
 
 # openblas_set_num_threads as OpenBLAS builds name it: plain, and as the

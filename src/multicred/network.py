@@ -508,23 +508,26 @@ def train_epoch(model: Model, x: np.ndarray, targets: np.ndarray, state: AdamSta
     and taken ``batch_size`` at a time; each batch runs a training pass of
     :func:`forward` (dropout masks drawn from ``rng``), :func:`loss`, then
     :func:`adam_step` on :func:`backward`'s gradient. A non-finite loss
-    raises a NumericError naming the epoch.
+    raises a NumericError naming the epoch, and a non-finite gradient one
+    naming the layer; numpy's overflow warnings are not printed, since
+    these checks report the fault.
     """
     lr = lr_at(epoch)
     order = rng.permutation(x.shape[0])
     losses = []
-    for start in range(0, x.shape[0], batch_size):
-        idx = order[start:start + batch_size]
-        batch_targets = targets[idx]
-        activations = forward(model, x[idx], rng=rng)
-        try:
-            batch_loss = loss(model, activations.outputs, batch_targets)
-        except NumericError as exc:
-            raise NumericError(f"epoch {epoch}: {exc}") from None
-        if not math.isfinite(batch_loss):
-            raise NumericError(f"non-finite training loss at epoch {epoch}")
-        losses.append(batch_loss)
-        adam_step(model, backward(model, activations, batch_targets), state, lr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, x.shape[0], batch_size):
+            idx = order[start:start + batch_size]
+            batch_targets = targets[idx]
+            activations = forward(model, x[idx], rng=rng)
+            try:
+                batch_loss = loss(model, activations.outputs, batch_targets)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}: {exc}") from None
+            if not math.isfinite(batch_loss):
+                raise NumericError(f"non-finite training loss at epoch {epoch}")
+            losses.append(batch_loss)
+            adam_step(model, backward(model, activations, batch_targets), state, lr)
     return float(np.mean(losses))
 
 

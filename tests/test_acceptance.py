@@ -204,7 +204,7 @@ def test_structural_contracts(tmp_path):
 
     model = build_multicred(4, seed=0)
     for _ in range(20):
-        probs = predict(model, rng.normal(size=51))
+        probs = predict(model, rng.normal(size=51), "u0")
         assert abs(float(probs.sum()) - 1.0) < 1e-9
 
 

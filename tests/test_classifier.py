@@ -167,7 +167,7 @@ class TestTrain:
                              batch_size=16, seed=10)
         model, history = train(model, splits, config)
         x_val, y_val = splits.validation.x, splits.validation.y
-        probs = predict_batch(model, x_val)
+        probs = predict_batch(model, x_val, splits.validation.user_ids)
         returned_accuracy = float(np.mean(probs.argmax(axis=1) == y_val))
         assert returned_accuracy == max(history.val_accuracy)
 
@@ -200,19 +200,28 @@ class TestPredict:
         model = build_multicred(4, seed=0)
         rng = np.random.default_rng(1)
         for _ in range(5):
-            probs = predict(model, rng.normal(size=NUM_FEATURES))
+            probs = predict(model, rng.normal(size=NUM_FEATURES), "u0")
             assert probs.shape == (4,)
             assert abs(float(probs.sum()) - 1.0) < 1e-9
 
     def test_deterministic(self):
         model = build_multicred(4, seed=0)
         x = np.random.default_rng(2).normal(size=NUM_FEATURES)
-        np.testing.assert_array_equal(predict(model, x), predict(model, x))
+        np.testing.assert_array_equal(predict(model, x, "u0"), predict(model, x, "u0"))
 
     def test_wrong_width_is_shape_error(self):
         model = build_multicred(4, seed=0)
         with pytest.raises(nn.ShapeError):
-            predict(model, np.zeros(50))
+            predict(model, np.zeros(50), "u0")
+
+    def test_first_non_finite_row_named(self):
+        model = build_multicred(4, seed=0)
+        x = np.zeros((4, NUM_FEATURES))
+        x[2:] = 1e308  # finite; the network's sums overflow
+        # Warnings fail the suite: only the check reports the overflow.
+        with pytest.raises(nn.NumericError,
+                           match="^non-finite class probabilities for user u2$"):
+            predict_batch(model, x, ("u0", "u1", "u2", "u3"))
 
 
 class TestEvaluate:

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,28 @@ from multicred.embedding import EmbedderSpec, embed_texts
 from multicred.preprocess import preprocess
 
 from conftest import model_dict, retouch, stored, stored_values, use_cpus
+
+
+def run_without_warnings(argv: list[str]) -> int:
+    """``run(argv)``, failing the test if the command emits any warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+def overflow_column(path: Path) -> list[str]:
+    """Set column f004 of every row of the feature CSV at ``path`` to 1e308;
+    the rows' user ids, in file order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    at = rows[0].index("f004")
+    for row in rows[1:]:
+        row[at] = "1e308"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return [row[0] for row in rows[1:]]
 
 
 def tree_digest(root: Path) -> str:
@@ -865,22 +888,27 @@ class TestTrainEvaluate:
                                                                   capsys):
         prep = tmp_path / "prep"
         shutil.copytree(pipeline / "prep", prep)
-        path = prep / "train.csv"
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        column = rows[0].index("f004")
-        for row in rows[1:]:
-            row[column] = "1e308"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-        with pytest.warns(RuntimeWarning):  # numpy warns of the overflow before the check
-            code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "m.json")]
-                       + FAST_TRAIN)
+        overflow_column(prep / "train.csv")
+        code = run_without_warnings(["train", "--prepared", str(prep),
+                                     "--out", str(tmp_path / "m.json")] + FAST_TRAIN)
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == ("error: epoch 0: probabilities contain "
-                                        "non-finite values")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: epoch 0: probabilities contain non-finite values"]
         assert not (tmp_path / "m.json").exists()
+
+    def test_overflowing_test_split_named_not_scored(self, pipeline, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline / "prep", prep)
+        user_ids = overflow_column(prep / "test.csv")
+        report = tmp_path / "report.json"
+        code = run_without_warnings(["evaluate", "--model", str(pipeline / "model.json"),
+                                     "--prepared", str(prep), "--out", str(report)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: test split {prep / 'test.csv'}: non-finite class probabilities "
+            f"for user {user_ids[0]}"]
+        assert captured.out == "" and not report.exists()
 
     def test_model_files_are_sorted_key_json_dumps(self, pipeline):
         for path in (pipeline / "model.json", pipeline / "prep" / "autoencoder.json"):
@@ -906,6 +934,22 @@ class TestPredict:
             probs = [float(x) for x in row[1:-1]]
             assert abs(sum(probs) - 1.0) < 1e-9
             assert int(row[-1]) == max(range(4), key=lambda i: probs[i])
+
+    def test_overflowing_weights_named_not_predicted(self, pipeline, tmp_path, capsys):
+        bundle = json.loads((pipeline / "model.json").read_text("utf-8"))
+        # Finite, so the bundle loads; the first dense layer's sums overflow.
+        retouch(bundle["classifier"]["parameters"][1], "weight",
+                lambda w: np.where(np.arange(w.size) % 2, 1.7e308, -1.7e308))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(bundle), "utf-8")
+        out = tmp_path / "preds.csv"
+        code = run_without_warnings(["predict", "--model", str(model),
+                                     "--input", str(pipeline / "data"), "--out", str(out)])
+        assert code == 1
+        first = min(p.stem for p in (pipeline / "data" / "profiles").glob("*.json"))
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: non-finite class probabilities for user {first}"]
+        assert not out.exists()
 
     def test_users_without_tweets_counted_in_one_line(self, pipeline, tmp_path, capsys,
                                                       caplog):

@@ -1,9 +1,12 @@
+import copy
 import ctypes
 import json
-import multiprocessing
 import os
 import pickle
+import tempfile
 import tracemalloc
+from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +17,14 @@ from dataclasses import replace
 
 from multicred import features as feat_mod
 from multicred.dataset import (
+    PROFILE,
+    TWEET,
     DatasetLoadError,
     SyntheticConfig,
     generate_synthetic,
     write_dataset,
 )
-from multicred.domain import ClassificationSystem, DomainError
+from multicred.domain import MAX_COUNT, MAX_TWEET_TEXT_LEN, ClassificationSystem, DomainError
 from multicred.embedding import embed_texts
 from multicred.preprocess import preprocess
 from multicred.features import (
@@ -265,6 +270,19 @@ class TestScan:
         assert scan.tweet_counts.tolist()[:4] == [0, 4, 0, 0]
         assert scan.scores.tolist() == [r.score for r in loaded]
 
+    def test_overflowing_latent_codes_name_the_first_user(self, hash_embedder,
+                                                         tiny_autoencoder, tmp_path):
+        records = synthetic_records(3, 2)
+        records[0] = replace(records[0], tweets=())
+        write_dataset(records, tmp_path)
+        ae = copy.deepcopy(tiny_autoencoder)
+        ae.model.params[0]["bias"][:] = 1.7e308  # finite; the first layer's sums overflow
+        scan = scan_dataset(tmp_path)
+        # Warnings fail the suite: only the check reports the overflow.
+        with pytest.raises(DomainError, match=f"non-finite feature values for user "
+                                              f"{scan.manifest.user_ids[1]}$"):
+            fill_latents(scan, hash_embedder, ae)
+
     def test_unlabeled_scan_has_no_scores(self, tmp_path):
         write_dataset([replace(r, score=None) for r in synthetic_records(3, 2)], tmp_path)
         scan = scan_dataset(tmp_path)
@@ -322,6 +340,41 @@ class TestScan:
 
 
 
+def field_faults(f) -> list[tuple[str, object]]:
+    """The faults that the table row ``f`` rejects: a value of a JSON type
+    it does not take, a value just outside its ``valid`` rule, and, for a
+    field read without a default (a time), the key deleted."""
+    kinds = (str,) if f.kind is datetime else f.kind if type(f.kind) is tuple else (f.kind,)
+    faults = [("type", v) for v in (True, 1, 1.5, "x", None, [], {}) if type(v) not in kinds]
+    if f.valid is not None:
+        faults += [("range", v) for v in (-1, MAX_COUNT + 1, "x" * (MAX_TWEET_TEXT_LEN + 1))
+                   if type(v) in kinds and not f.valid(v)]
+    if f.kind is datetime:
+        faults.append(("delete", None))
+    return faults
+
+
+FIELD_FAULTS = st.sampled_from([
+    (kind, f, fault, value) for kind, table in (("profiles", PROFILE), ("tweets", TWEET))
+    for f in table.fields for fault, value in field_faults(f)])
+
+
+def plant_fault(root: Path, user_id: str, kind: str, f, fault: str, value) -> None:
+    """Write one fault into user ``user_id``'s profile, or its first tweet,
+    at the field ``f``."""
+    path = root / kind / f"{user_id}.json"
+    doc = json.loads(path.read_text("utf-8"))
+    *outer, key = f.key.split(".")
+    record = doc[0] if kind == "tweets" else doc
+    for part in outer:
+        record = record[part]
+    if fault == "delete":
+        del record[key]
+    else:
+        record[key] = value
+    path.write_text(json.dumps(doc), "utf-8")
+
+
 class TestUserRanges:
     """The feature passes map contiguous user ranges, in a fork pool when
     more than one CPU is usable; what they return does not depend on it."""
@@ -338,34 +391,21 @@ class TestUserRanges:
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(a[1] == b[0] < b[1] for a, b in zip(bounds, bounds[1:]))
         workers = min(cpus, n, max_workers)
-        ranges = min(n, workers * feat_mod.RANGES_PER_WORKER) if workers > 1 else 1
-        assert len(bounds) == ranges
+        assert len(bounds) == max(workers, 1)
+        sizes = [stop - start for start, stop in bounds]
+        assert max(sizes) - min(sizes) <= 1
         assert all((pid != os.getpid()) == (workers > 1) for _, _, pid in got)
         assert len({pid for _, _, pid in got}) <= max(workers, 1)
 
-    def test_a_free_worker_takes_the_next_range(self, monkeypatch):
-        # Range 0 waits for range 1, so range 1 must go to the other worker.
-        use_cpus(monkeypatch, 2)
-        range_1_done = multiprocessing.get_context("fork").Event()
-
-        def fn(start, stop):
-            if start == 0:
-                return range_1_done.wait(timeout=10)
-            if start == 1:
-                range_1_done.set()
-            return True
-
-        assert all(feat_mod._map_users(fn, 4, 2))
-
     @staticmethod
-    def pooled_workers(monkeypatch) -> list[int]:
-        """The number of workers of each pass that runs in a pool, from now on."""
-        counts = []
+    def pooled_ranges(monkeypatch) -> list[list[tuple[int, int]]]:
+        """The ranges of each pass that runs in a pool, from now on: one
+        worker each."""
+        passes = []
         real = feat_mod.map_ranges_in_workers
         monkeypatch.setattr(feat_mod, "map_ranges_in_workers",
-                            lambda fn, bounds, workers: counts.append(workers)
-                            or real(fn, bounds, workers))
-        return counts
+                            lambda fn, bounds: passes.append(bounds) or real(fn, bounds))
+        return passes
 
     @pytest.mark.parametrize("users, workers", [(19, []), (20, [2]), (45, [3])])
     def test_scan_forks_a_worker_per_floor_of_users(self, tmp_path, monkeypatch, users,
@@ -373,9 +413,9 @@ class TestUserRanges:
         write_dataset(synthetic_records(users, 1, 1), tmp_path)
         use_cpus(monkeypatch, 3)
         monkeypatch.setattr(feat_mod, "MIN_USERS_PER_WORKER", 10)
-        pooled = self.pooled_workers(monkeypatch)
+        pooled = self.pooled_ranges(monkeypatch)
         scan_dataset(tmp_path)
-        assert pooled == workers
+        assert [len(bounds) for bounds in pooled] == workers
 
     @pytest.mark.parametrize("tweets, workers", [(3, []), (4, [2]), (7, [3])])
     def test_latent_pass_forks_a_worker_per_floor_of_tweets(
@@ -384,15 +424,15 @@ class TestUserRanges:
         use_cpus(monkeypatch, 3)
         scan = scan_dataset(tmp_path)
         monkeypatch.setattr(feat_mod, "MIN_TWEETS_PER_WORKER", 10)
-        pooled = self.pooled_workers(monkeypatch)
+        pooled = self.pooled_ranges(monkeypatch)
         fill_latents(scan, hash_embedder, tiny_autoencoder)
-        assert pooled == workers
+        assert [len(bounds) for bounds in pooled] == workers
 
     def test_small_dataset_stays_in_process_with_many_cpus(
             self, hash_embedder, tiny_autoencoder, tmp_path, monkeypatch):
         write_dataset(synthetic_records(20, 30), tmp_path)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        pooled = self.pooled_workers(monkeypatch)
+        pooled = self.pooled_ranges(monkeypatch)
         fill_latents(scan_dataset(tmp_path), hash_embedder, tiny_autoencoder)
         assert pooled == []
 
@@ -449,7 +489,6 @@ class TestUserRanges:
         records = synthetic_records(20, 3)
         write_dataset(records, tmp_path)
         ids = sorted(r.user_id for r in records)
-        # 2 CPUs cut 20 users at 0, 10 and 20.
         for i in (1, 9, 18):
             path = tmp_path / "tweets" / f"{ids[i]}.json"
             tweets = json.loads(path.read_text("utf-8"))
@@ -459,6 +498,7 @@ class TestUserRanges:
         with open(tmp_path / "labels.csv", "a", encoding="utf-8") as fh:
             fh.write("ghost,50\n")
         messages = []
+        pooled = self.pooled_ranges(monkeypatch)
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             with pytest.raises(DatasetLoadError) as err:
@@ -466,7 +506,28 @@ class TestUserRanges:
             messages.append(str(err.value))
             assert [user for user, _ in err.value.failures] == [
                 ids[1], ids[9], ids[12], ids[18], "ghost"]
+        assert pooled == [[(0, 10), (10, 20)]]  # faults in both ranges
         assert messages[0] == messages[1]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(planted=st.dictionaries(st.integers(0, 19), FIELD_FAULTS, min_size=1, max_size=3))
+    def test_field_faults_named_alike_at_every_cut(self, planted):
+        records = synthetic_records(20, 2, 1)
+        ids = sorted(r.user_id for r in records)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            root = Path(tmp)
+            write_dataset(records, root)
+            for i, (kind, f, fault, value) in planted.items():
+                plant_fault(root, ids[i], kind, f, fault, value)
+            messages = []
+            for cpus in (1, 2, 3):
+                use_cpus(mp, cpus)
+                with pytest.raises(DatasetLoadError) as err:
+                    scan_dataset(root)
+                messages.append(str(err.value))
+                assert [user for user, _ in err.value.failures] == [ids[i] for i in
+                                                                    sorted(planted)]
+        assert messages[0] == messages[1] == messages[2]
 
     def test_tweets_changed_in_several_ranges_named_as_with_one_cpu(
             self, hash_embedder, tiny_autoencoder, tmp_path, monkeypatch):

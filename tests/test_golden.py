@@ -6,8 +6,9 @@ with no comments, and with four copies of one user that each flip another
 profile flag: distinct points at exactly equal distances, so that SMOTE's
 tie order shows in the rows it writes. It then prepares with a short
 autoencoder training, trains until early stopping fires, evaluates and
-predicts, all through ``cli.run``, once with one usable CPU and once
-with two, so that the feature passes run in this process and in a pool.
+predicts, all through ``cli.run``, with one to four usable CPUs, so
+that the feature passes run in this process and in a pool, with ranges
+of equal and of unequal size.
 ``golden.json`` holds the digest of the dataset tree and of every output
 file, and the environment the digests were taken in: float results may
 differ in the last bit on another numpy, BLAS, Python or machine, so there
@@ -29,6 +30,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from multicred.cli import run
 from multicred.dataset import SyntheticConfig, generate_synthetic, write_dataset
@@ -127,15 +129,12 @@ def check_golden(tmp_path):
     assert not changed, f"outputs differ from golden.json: {changed}"
 
 
-def test_outputs_match_golden(tmp_path, monkeypatch):
-    """With two usable CPUs: the feature passes run in a fork pool."""
-    use_cpus(monkeypatch, 2)
-    check_golden(tmp_path)
-
-
-def test_outputs_match_golden_with_one_cpu(tmp_path, monkeypatch):
-    """The feature passes run in this process."""
-    use_cpus(monkeypatch, 1)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_outputs_match_golden(tmp_path, monkeypatch, cpus):
+    """With one usable CPU the feature passes run in this process; with
+    more, in a fork pool. The 54 users make ranges of equal size at two
+    and three CPUs, and of 13 and 14 users at four."""
+    use_cpus(monkeypatch, cpus)
     check_golden(tmp_path)
 
 
