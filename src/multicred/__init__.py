@@ -37,7 +37,7 @@ from .dataset import (
 )
 from .preprocess import CleanText, preprocess
 from .embedding import EmbedderSpec, analyze_sentiment, embed_texts
-from .autoencoder import Autoencoder, AutoencoderSpec, train_autoencoder
+from .autoencoder import Autoencoder, AutoencoderSpec, SparseCorpus, train_autoencoder
 from .features import (
     LabeledDataset,
     NormalizationStats,
@@ -69,7 +69,7 @@ __all__ = [
     "Tweet", "UserProfile", "UserRecord", "generate_synthetic", "write_dataset",
     "CleanText", "preprocess",
     "EmbedderSpec", "analyze_sentiment", "embed_texts",
-    "Autoencoder", "AutoencoderSpec", "train_autoencoder",
+    "Autoencoder", "AutoencoderSpec", "SparseCorpus", "train_autoencoder",
     "LabeledDataset", "NormalizationStats", "SplitDataset", "UserScan",
     "apply_minmax", "fill_latents", "fit_minmax",
     "scan_dataset", "smote", "split",

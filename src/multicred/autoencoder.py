@@ -8,6 +8,10 @@ is used by the feature pipeline, through :meth:`Autoencoder.encode_batch`.
 The layers are :func:`_build_network`'s and nothing else states them: an
 :class:`Autoencoder` exists only once trained, and a stored one loads only
 if its layers equal these (:func:`autoencoder_from_dict`).
+
+The training corpus is a :class:`SparseCorpus`: hash embeddings have a few
+non-zero buckets per row (16 of 768 on the standard config), so it keeps
+those only and hands each training batch out as dense rows.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -84,26 +89,87 @@ class Autoencoder:
         return x
 
 
-def train_autoencoder(vectors: np.ndarray, spec: AutoencoderSpec
-                      ) -> tuple[Autoencoder, list[float]]:
-    """Fit an autoencoder to a corpus; returns it with the per-epoch losses.
+@dataclass(frozen=True)
+class SparseCorpus:
+    """Float rows held as compressed sparse rows (CSR): row ``i``'s non-zero
+    values are ``values[indptr[i]:indptr[i + 1]]``, at the column numbers
+    ``indices`` holds in the same slots.
 
-    Deterministic for a fixed spec (seed included): one seeded generator
-    initializes the network and drives every :func:`network.train_epoch`,
-    which reconstructs the corpus as its own target.
+    Column numbers are ``int16``, so a row of ``width`` <= 2**15 costs 10 B
+    per non-zero (8 B value, 2 B column) against 8 B per column dense.
+    Indexing with an array of row numbers, as :func:`network.train_epoch`
+    takes its batches, returns those rows dense and in that order, with the
+    values the dense matrix holds (a -0.0 reads back as 0.0;
+    :func:`embedding.embed_texts` gives none).
     """
-    x = np.asarray(vectors, dtype=float)
-    if x.ndim != 2 or x.shape[1] != INPUT_DIM:
-        raise nn.ShapeError(f"expected [n x {INPUT_DIM}] corpus, got {x.shape}")
-    if x.shape[0] < 2:
-        raise DomainError(f"need at least 2 training vectors, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
+
+    width: int
+    indptr: np.ndarray   # int64 [n + 1]
+    indices: np.ndarray  # int16 [nnz]
+    values: np.ndarray   # float64 [nnz]
+
+    @classmethod
+    def from_chunks(cls, chunks: Iterable[np.ndarray]) -> "SparseCorpus":
+        """The corpus whose rows are those of the dense 2-D ``chunks``, in
+        order. Only one chunk needs to be dense at a time; chunks of another
+        width than the first, or wider than 2**15, raise a ShapeError."""
+        width = None
+        counts = [np.zeros(1, dtype=np.int64)]
+        indices, values = [np.zeros(0, dtype=np.int16)], [np.zeros(0)]
+        for chunk in chunks:
+            chunk = np.asarray(chunk, dtype=float)
+            if chunk.ndim == 2 and width is None:
+                width = chunk.shape[1]
+            if chunk.ndim != 2 or chunk.shape[1] != width or width > 2**15:
+                raise nn.ShapeError(f"corpus chunk of shape {chunk.shape}, expected "
+                                    f"2-D rows of one width <= 2**15")
+            rows, cols = np.nonzero(chunk)
+            counts.append(np.bincount(rows, minlength=chunk.shape[0]))
+            indices.append(cols.astype(np.int16))
+            values.append(chunk[rows, cols])
+            # Unbound before the next chunk is made, so one dense chunk is held at a time.
+            del chunk
+        return cls(width or 0, np.cumsum(np.concatenate(counts)), np.concatenate(indices),
+                   np.concatenate(values))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.indptr.size - 1, self.width
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        """The [len(rows) x width] dense matrix of the rows numbered ``rows``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        # Stored slot of each batch entry: its batch position, shifted to its row's start.
+        slots = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        out = np.zeros((rows.size, self.width))
+        out[np.repeat(np.arange(rows.size), counts), self.indices[slots]] = self.values[slots]
+        return out
+
+
+def train_autoencoder(corpus: SparseCorpus, spec: AutoencoderSpec
+                      ) -> tuple[Autoencoder, list[float]]:
+    """Fit an autoencoder to a corpus of 768-wide rows; returns it with the
+    per-epoch losses.
+
+    The corpus needs at least 2 rows, all finite. Deterministic for a fixed
+    spec (seed included): one seeded generator initializes the network and
+    drives every :func:`network.train_epoch`, which reconstructs the corpus
+    as its own target. Each batch is gathered dense from the corpus with
+    the values a dense corpus holds, so the network trains to the same bits.
+    """
+    if corpus.shape[1] != INPUT_DIM:
+        raise nn.ShapeError(f"expected [n x {INPUT_DIM}] corpus, got {corpus.shape}")
+    if corpus.shape[0] < 2:
+        raise DomainError(f"need at least 2 training vectors, got {corpus.shape[0]}")
+    if not np.all(np.isfinite(corpus.values)):
         raise nn.NumericError("training corpus contains non-finite values")
 
     rng = np.random.default_rng(spec.seed)
     model = nn.Model(_build_network(), rng=rng)
     state = nn.init_adam(model)
-    history = [nn.train_epoch(model, x, x, state, epoch, spec.batch_size, rng)
+    history = [nn.train_epoch(model, corpus, corpus, state, epoch, spec.batch_size, rng)
                for epoch in range(spec.epochs)]
     return Autoencoder(spec, model), history
 

@@ -8,7 +8,7 @@ import pytest
 
 from multicred import network as nn
 from multicred import features, store
-from multicred.autoencoder import AutoencoderSpec, _build_network, train_autoencoder
+from multicred.autoencoder import AutoencoderSpec, SparseCorpus, _build_network, train_autoencoder
 from multicred.dataset import write_dataset
 from multicred.domain import DomainError
 from multicred.embedding import EMOTIONS, EmbedderSpec, default_lexicon
@@ -38,7 +38,8 @@ def hash_embedder():
 def tiny_autoencoder():
     """A quickly trained autoencoder for feature-pipeline tests."""
     corpus = np.random.default_rng(0).normal(size=(8, 768)) * 0.1
-    ae, _ = train_autoencoder(corpus, AutoencoderSpec(epochs=2, batch_size=4, seed=0))
+    ae, _ = train_autoencoder(SparseCorpus.from_chunks([corpus]),
+                              AutoencoderSpec(epochs=2, batch_size=4, seed=0))
     return ae
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from multicred import network as nn
-from multicred.autoencoder import AutoencoderSpec, train_autoencoder
+from multicred.autoencoder import AutoencoderSpec, SparseCorpus, train_autoencoder
 from multicred.classifier import TrainConfig, build_multicred, predict, train
 from multicred.cli import run
 from multicred.dataset import SyntheticConfig, generate_synthetic
@@ -160,14 +160,14 @@ def test_autoencoder_convergence():
     constant = np.tile(base, (64, 1))
     spec = AutoencoderSpec(epochs=200, batch_size=16, seed=3)
     initial = reconstruction_mse(untrained_autoencoder_model(spec), constant)
-    trained_ae, _ = train_autoencoder(constant, spec)
+    trained_ae, _ = train_autoencoder(SparseCorpus.from_chunks([constant]), spec)
     final = reconstruction_mse(trained_ae.model, constant)
     assert final < 0.01 * initial
 
     corpus = np.random.default_rng(5).normal(size=(500, 768)) * 0.05
     quick_spec = AutoencoderSpec(epochs=8, batch_size=16, seed=3)
     untrained_err = reconstruction_mse(untrained_autoencoder_model(quick_spec), corpus)
-    quick_ae, _ = train_autoencoder(corpus, quick_spec)
+    quick_ae, _ = train_autoencoder(SparseCorpus.from_chunks([corpus]), quick_spec)
     assert reconstruction_mse(quick_ae.model, corpus) < untrained_err
 
 
@@ -192,7 +192,8 @@ def test_structural_contracts(tmp_path):
     records = generate_synthetic(config)
     embedder = EmbedderSpec(hash_seed=0)
     corpus = np.random.default_rng(0).normal(size=(8, 768)) * 0.1
-    ae, _ = train_autoencoder(corpus, AutoencoderSpec(epochs=2, batch_size=4, seed=0))
+    ae, _ = train_autoencoder(SparseCorpus.from_chunks([corpus]),
+                              AutoencoderSpec(epochs=2, batch_size=4, seed=0))
     rows = feature_rows(records, tmp_path, embedder, ae)
     assert rows.shape == (8, 51)
 

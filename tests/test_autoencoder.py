@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicred import network as nn
 from multicred.autoencoder import (
     AutoencoderSpec,
+    SparseCorpus,
     autoencoder_from_dict,
     load_autoencoder,
     save_autoencoder,
     train_autoencoder,
 )
 from multicred.domain import DomainError
+from multicred.embedding import EmbedderSpec, embed_texts
+from multicred.preprocess import CleanText
 
 from conftest import model_dict, reconstruction_mse, untrained_autoencoder_model
 
@@ -21,7 +26,8 @@ def small_corpus():
 
 @pytest.fixture(scope="module")
 def trained(small_corpus):
-    return train_autoencoder(small_corpus, AutoencoderSpec(epochs=8, batch_size=16, seed=1))
+    return train_autoencoder(SparseCorpus.from_chunks([small_corpus]),
+                             AutoencoderSpec(epochs=8, batch_size=16, seed=1))
 
 
 class TestSpec:
@@ -37,6 +43,51 @@ class TestSpec:
     def test_each_knob_named(self, knobs, named):
         with pytest.raises(DomainError, match=f"^{named}$"):
             AutoencoderSpec(**knobs)
+
+
+# With hash seed 0 the unigrams of "w2" and "w36" fall in bucket 206 with
+# opposite signs, so a text holding both has a 0 there.
+CANCELLING = ("w2", "w36")
+
+
+class TestSparseCorpus:
+    def test_cancelling_bucket_is_zero(self):
+        [row] = embed_texts(EmbedderSpec(hash_seed=0), [CleanText(CANCELLING)])
+        # Three features (two unigrams and the bigram), one bucket left.
+        assert row[206] == 0.0 and np.count_nonzero(row) == 1
+
+    # A text of n >= 1 tokens has 2n - 1 features, an odd count, so some
+    # bucket keeps an odd count: only the empty text embeds to a zero row.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(texts=st.lists(st.lists(st.sampled_from(["w2", "w36", "news", "fact", "x"]),
+                                   max_size=6), max_size=30),
+           chunk=st.integers(1, 8), data=st.data())
+    def test_gathered_rows_equal_the_dense_embeddings(self, texts, chunk, data):
+        cleans = [CleanText(CANCELLING), CleanText(())] + [CleanText(tuple(t)) for t in texts]
+        spec = EmbedderSpec(hash_seed=0)
+        dense = embed_texts(spec, cleans)
+        corpus = SparseCorpus.from_chunks(embed_texts(spec, cleans[start:start + chunk])
+                                          for start in range(0, len(cleans), chunk))
+        assert corpus.shape == dense.shape
+        idx = np.array([0, 1] + data.draw(st.lists(st.integers(0, len(cleans) - 1),
+                                                   max_size=20)))
+        got = corpus[idx]
+        assert got.dtype == dense.dtype and got.shape == (idx.size, 768)
+        assert got.tobytes() == dense[idx].tobytes()
+
+    @pytest.mark.parametrize("chunks", [
+        [np.zeros(768)],
+        [np.zeros((2, 768)), np.zeros((2, 767))],
+        [np.zeros((1, 2**15 + 1))],
+    ], ids=["1-d", "two-widths", "too-wide"])
+    def test_chunks_of_another_shape_rejected(self, chunks):
+        with pytest.raises(nn.ShapeError, match="^corpus chunk of shape"):
+            SparseCorpus.from_chunks(chunks)
+
+    def test_wrong_width_rejected_before_training(self):
+        with pytest.raises(nn.ShapeError, match=r"^expected \[n x 768\] corpus, got \(4, 767\)$"):
+            train_autoencoder(SparseCorpus.from_chunks([np.ones((4, 767))]),
+                              AutoencoderSpec(epochs=1))
 
 
 class TestEncode:
@@ -71,8 +122,9 @@ class TestEncode:
 class TestTraining:
     def test_deterministic_history_and_parameters(self, small_corpus):
         spec = AutoencoderSpec(epochs=4, batch_size=16, seed=5)
-        ae1, hist1 = train_autoencoder(small_corpus, spec)
-        ae2, hist2 = train_autoencoder(small_corpus, spec)
+        corpus = SparseCorpus.from_chunks([small_corpus])
+        ae1, hist1 = train_autoencoder(corpus, spec)
+        ae2, hist2 = train_autoencoder(corpus, spec)
         assert hist1 == hist2
         for p1, p2 in zip(ae1.model.params, ae2.model.params):
             for key in p1:
@@ -82,21 +134,24 @@ class TestTraining:
         bad = np.zeros((4, 768))
         bad[1, 7] = np.nan
         with pytest.raises(nn.NumericError):
-            train_autoencoder(bad, AutoencoderSpec(epochs=1))
+            train_autoencoder(SparseCorpus.from_chunks([bad]), AutoencoderSpec(epochs=1))
 
     def test_diverging_corpus_named_by_epoch(self):
         corpus = np.full((8, 768), 1e200)
         # Warnings fail the suite: only the loss check reports the overflow.
         with pytest.raises(nn.NumericError, match="^non-finite training loss at epoch 0$"):
-            train_autoencoder(corpus, AutoencoderSpec(epochs=2, batch_size=4))
+            train_autoencoder(SparseCorpus.from_chunks([corpus]),
+                              AutoencoderSpec(epochs=2, batch_size=4))
 
     def test_needs_two_vectors(self):
         with pytest.raises(DomainError):
-            train_autoencoder(np.zeros((1, 768)), AutoencoderSpec(epochs=1))
+            train_autoencoder(SparseCorpus.from_chunks([np.zeros((1, 768))]),
+                              AutoencoderSpec(epochs=1))
 
     def test_history_finite_with_nonincreasing_trend(self):
         corpus = np.random.default_rng(6).normal(size=(120, 768)) * 0.1
-        _, history = train_autoencoder(corpus, AutoencoderSpec(epochs=60, batch_size=16, seed=7))
+        _, history = train_autoencoder(SparseCorpus.from_chunks([corpus]),
+                                       AutoencoderSpec(epochs=60, batch_size=16, seed=7))
         history = np.asarray(history)
         assert np.all(np.isfinite(history))
         window = 20
@@ -113,7 +168,8 @@ class TestTraining:
 
     def test_zero_corpus_converges_to_zero(self):
         zeros = np.zeros((32, 768))
-        ae, _ = train_autoencoder(zeros, AutoencoderSpec(epochs=200, batch_size=16, seed=3))
+        ae, _ = train_autoencoder(SparseCorpus.from_chunks([zeros]),
+                                  AutoencoderSpec(epochs=200, batch_size=16, seed=3))
         assert reconstruction_mse(ae.model, zeros) < 1e-6
 
 

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from multicred import features as feat_mod
 from multicred import network as nn
 from multicred.cli import run
 from multicred.autoencoder import load_autoencoder
+from multicred.dataset import SyntheticConfig, generate_synthetic
+from multicred.domain import ClassificationSystem
 from multicred.embedding import EmbedderSpec, embed_texts
 from multicred.preprocess import preprocess
 
@@ -219,7 +222,25 @@ class TestPrepare:
         if cap < full.shape[0]:
             keep = np.random.default_rng(7).choice(full.shape[0], size=cap, replace=False)
             full = full[np.sort(keep)]
-        np.testing.assert_array_equal(got.value.args[0], full)
+        corpus = got.value.args[0]
+        assert corpus.shape == full.shape
+        np.testing.assert_array_equal(corpus[np.arange(full.shape[0])], full)
+
+    def test_corpus_build_holds_one_dense_chunk(self):
+        records = generate_synthetic(SyntheticConfig(num_users=67, system=ClassificationSystem(4),
+                                                     seed=7))
+        texts = [tweet.text for record in records for tweet in record.tweets][:2000]
+        tracemalloc.start()
+        try:
+            corpus = cli._embedded_corpus(EmbedderSpec(hash_seed=0), texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.shape == (2000, 768)
+        # 2.64 MB measured with 256-text chunks: one 1.5 MB dense chunk, its
+        # texts' hash features, and the 0.34 MB corpus. Dense, the corpus
+        # alone is 2,000 x 768 x 8 B = 12.3 MB.
+        assert peak < 3 * 2**20
 
     def test_only_the_scalar_block_is_normalized(self, pipeline):
         prep = pipeline / "prep"
@@ -315,6 +336,9 @@ class TestBundleCrossCheck:
         (lambda b: b.update(format_version=1), "unsupported bundle version 1, expected 2"),
         (lambda b: b["classifier"].update(format_version=1),
          "unsupported model format version 1, expected 2"),
+        (lambda b: (retouch(b["normalization"], "minimum", lambda a: a.__setitem__(4, -1.7e308)),
+                    retouch(b["normalization"], "maximum", lambda a: a.__setitem__(4, 1.7e308))),
+         "normalization.maximum - normalization.minimum overflows at component 4"),
     ])
     def test_mismatched_bundle_rejected_by_name(self, pipeline, tmp_path, capsys,
                                                 tamper, named):
@@ -322,8 +346,8 @@ class TestBundleCrossCheck:
         tamper(bundle)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(bundle), "utf-8")
-        code = run(["predict", "--model", str(model), "--input", str(pipeline / "data"),
-                    "--out", str(tmp_path / "preds.csv")])
+        code = run_without_warnings(["predict", "--model", str(model), "--input",
+                                     str(pipeline / "data"), "--out", str(tmp_path / "preds.csv")])
         assert code == 1
         err = capsys.readouterr().err
         assert f"model bundle {model} " in err and named in err and "Traceback" not in err
@@ -377,9 +401,12 @@ class TestBundleCrossCheck:
         (lambda d: retouch(d, "minimum", lambda a: a.__setitem__(
             4, stored_values(d["maximum"])[4] + 1.0)),
          "minimum exceeds maximum at component 4"),
+        (lambda d: (retouch(d, "minimum", lambda a: a.__setitem__(7, -1e308)),
+                    retouch(d, "maximum", lambda a: a.__setitem__(7, 1e308))),
+         "maximum - minimum overflows at component 7"),
         (lambda d: retouch(d, "maximum", lambda a: a[:-1]), "maximum has shape (34,)"),
         (lambda d: d.pop("minimum"), "no field minimum"),
-    ], ids=["nan", "minus-infinity", "min-above-max", "short", "missing"])
+    ], ids=["nan", "minus-infinity", "min-above-max", "span-overflow", "short", "missing"])
     def test_train_rejects_bad_norm_stats_by_name(self, pipeline, tmp_path, capsys,
                                                   tamper, named):
         prep = tmp_path / "prep"
@@ -387,8 +414,8 @@ class TestBundleCrossCheck:
         stats = json.loads((prep / "norm_stats.json").read_text("utf-8"))
         tamper(stats)
         (prep / "norm_stats.json").write_text(json.dumps(stats), "utf-8")
-        code = run(["train", "--prepared", str(prep), "--out", str(tmp_path / "model.json")]
-                   + FAST_TRAIN)
+        code = run_without_warnings(["train", "--prepared", str(prep),
+                                     "--out", str(tmp_path / "model.json")] + FAST_TRAIN)
         assert code == 1
         err = capsys.readouterr().err
         assert f"normalization stats {prep / 'norm_stats.json'} " in err and named in err

@@ -1,4 +1,5 @@
 import copy
+import csv
 import ctypes
 import json
 import os
@@ -355,17 +356,34 @@ def field_faults(f) -> list[tuple[str, object]]:
 
 
 FIELD_FAULTS = st.sampled_from([
-    (kind, f, fault, value) for kind, table in (("profiles", PROFILE), ("tweets", TWEET))
+    (kind, f.key, fault, value) for kind, table in (("profiles", PROFILE), ("tweets", TWEET))
     for f in table.fields for fault, value in field_faults(f)])
 
+# Faults in the entries no field table reads: a comment's text, and the
+# user's labels.csv row (a score outside [0, 100], or no row at all).
+ENTRY_FAULTS = st.sampled_from(
+    [("comments", "text", "delete", None)]
+    + [("comments", "text", "type", v) for v in (True, 1, 1.5, None, [], {})]
+    + [("labels", None, "delete", None)]
+    + [("labels", None, "range", v) for v in (-0.5, 100.5, 1e308)])
 
-def plant_fault(root: Path, user_id: str, kind: str, f, fault: str, value) -> None:
-    """Write one fault into user ``user_id``'s profile, or its first tweet,
-    at the field ``f``."""
+
+def plant_fault(root: Path, user_id: str, kind: str, key, fault: str, value) -> None:
+    """Write one fault into user ``user_id``'s profile, first tweet or first
+    comment, at the dotted ``key``, or into its row of labels.csv."""
+    if kind == "labels":
+        path = root / "labels.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh)
+                    if row[0] != user_id or fault != "delete"]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([row[0], repr(value)] if row[0] == user_id else row
+                                     for row in rows)
+        return
     path = root / kind / f"{user_id}.json"
     doc = json.loads(path.read_text("utf-8"))
-    *outer, key = f.key.split(".")
-    record = doc[0] if kind == "tweets" else doc
+    *outer, key = key.split(".")
+    record = doc if kind == "profiles" else doc[0]
     for part in outer:
         record = record[part]
     if fault == "delete":
@@ -512,13 +530,25 @@ class TestUserRanges:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(planted=st.dictionaries(st.integers(0, 19), FIELD_FAULTS, min_size=1, max_size=3))
     def test_field_faults_named_alike_at_every_cut(self, planted):
+        self.assert_faults_named_alike_at_every_cut(planted)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(planted=st.dictionaries(st.integers(0, 19), ENTRY_FAULTS, min_size=1, max_size=3))
+    def test_comment_and_label_faults_named_alike_at_every_cut(self, planted):
+        self.assert_faults_named_alike_at_every_cut(planted)
+
+    @staticmethod
+    def assert_faults_named_alike_at_every_cut(planted):
+        """Each fault of ``planted`` (user number -> fault) written into a
+        20-user dataset; the scan names exactly those users, in user order,
+        with the same text at 1, 2 and 3 usable CPUs."""
         records = synthetic_records(20, 2, 1)
         ids = sorted(r.user_id for r in records)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             root = Path(tmp)
             write_dataset(records, root)
-            for i, (kind, f, fault, value) in planted.items():
-                plant_fault(root, ids[i], kind, f, fault, value)
+            for i, fault in planted.items():
+                plant_fault(root, ids[i], *fault)
             messages = []
             for cpus in (1, 2, 3):
                 use_cpus(mp, cpus)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from multicred import network as nn
 from multicred import store
-from multicred.autoencoder import (Autoencoder, AutoencoderSpec, _build_network,
+from multicred.autoencoder import (Autoencoder, AutoencoderSpec, SparseCorpus, _build_network,
                                    autoencoder_document, train_autoencoder)
 from multicred.classifier import build_multicred, classifier_spec
 from multicred.domain import DomainError
@@ -411,11 +411,22 @@ class TestTrainEpoch:
     def test_autoencoder_matches_reference_loop_bitwise(self):
         x = np.random.default_rng(10).normal(size=(40, 768)) * 0.1
         spec = AutoencoderSpec(epochs=3, batch_size=16, seed=4)
-        ae, history = train_autoencoder(x, spec)
+        ae, history = train_autoencoder(SparseCorpus.from_chunks([x]), spec)
         ref, ref_history = reference_autoencoder(x, spec)
         assert history == ref_history
         np.testing.assert_array_equal(ae.model.flat, ref.flat)
         np.testing.assert_array_equal(ae.model.stats, ref.stats)
+
+    def test_autoencoder_on_mostly_zero_rows_matches_reference_loop_bitwise(self):
+        # As hash embeddings are: 98 % of the entries zero, in rows of unequal counts.
+        data = np.random.default_rng(10)
+        x = data.normal(size=(40, 768)) * 0.1
+        x[data.random(x.shape) < 0.98] = 0.0
+        spec = AutoencoderSpec(epochs=3, batch_size=16, seed=4)
+        ae, history = train_autoencoder(SparseCorpus.from_chunks([x[:15], x[15:]]), spec)
+        ref, ref_history = reference_autoencoder(x, spec)
+        assert history == ref_history
+        np.testing.assert_array_equal(ae.model.flat, ref.flat)
 
     def test_loss_follows_the_final_layer(self):
         probs, y = np.array([[0.25, 0.75]]), np.array([[0.0, 1.0]])
